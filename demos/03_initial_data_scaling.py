@@ -13,8 +13,7 @@ from roughwave import (
     NumericalFluxSpec,
     NumFluxKind,
     StudyConfig,
-    lip_scaling_study,
-    tv_scaling_study,
+    run_samples_parallel,
 )
 
 cfg = StudyConfig(
@@ -27,8 +26,8 @@ cfg = StudyConfig(
     base_seed=2024,
 )
 
-tv = tv_scaling_study(cfg)
-lip = lip_scaling_study(cfg)
+tv = run_samples_parallel("tvscale", cfg)
+lip = run_samples_parallel("lipscale", cfg)
 
 
 def mean_slope(result, hurst):

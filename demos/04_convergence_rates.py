@@ -14,7 +14,7 @@ from roughwave import (
     NumericalFluxSpec,
     NumFluxKind,
     StudyConfig,
-    convergence_study,
+    run_samples_parallel,
 )
 
 cfg = StudyConfig(
@@ -29,7 +29,7 @@ cfg = StudyConfig(
 )
 
 started = time.monotonic()
-res = convergence_study(cfg)
+res = run_samples_parallel("converge", cfg)
 print(f"{cfg.n_samples} samples, reference mesh 2^{cfg.reference_exponent},"
       f" ran in {time.monotonic() - started:.1f}s")
 print()

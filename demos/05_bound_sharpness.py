@@ -12,7 +12,7 @@ from roughwave import (
     NumericalFluxSpec,
     NumFluxKind,
     StudyConfig,
-    bound_sharpness_study,
+    run_samples_parallel,
 )
 
 cfg = StudyConfig(
@@ -25,7 +25,7 @@ cfg = StudyConfig(
     base_seed=2024,
 )
 
-res = bound_sharpness_study(cfg)
+res = run_samples_parallel("sharpness", cfg)
 
 print("k    dx       Lip+(u0)    measured integral   bound     ratio")
 by_k = {}

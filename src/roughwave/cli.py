@@ -16,22 +16,15 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from io import StringIO
 from pathlib import Path
 
 from . import __version__
-from .diagnostics import default_beta
-from .experiments import (
-    StudyConfig,
-    StudyResult,
-    config_to_dict,
-    run_samples_parallel,
-    with_overrides,
-)
+from .experiments import STUDIES, StudyConfig, StudyResult, check_study, run_samples_parallel
 from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind, check_monotone
-from .initial_data import SplitMix64, fbm_initial_field, sample_seed
-from .mesh import make_grid
-from .solver import Boundary, SchemeConfig, evolve
+from .initial_data import SplitMix64
+from .solver import Boundary
 
 
 class ConfigError(ValueError):
@@ -62,8 +55,6 @@ _REQUIRED_KEYS = (
     "base_seed",
 )
 _OPTIONAL_KEYS = ("t_final", "cfl", "boundary", "snapshot_times")
-
-STUDY_COMMANDS = ("converge", "tvscale", "lipscale", "tvdecay", "sharpness")
 
 
 def parse_config(path) -> StudyConfig:
@@ -178,70 +169,6 @@ def _write_manifest(path, payload) -> None:
     os.replace(tmp, path)
 
 
-def _solve_result(cfg: StudyConfig) -> StudyResult:
-    """Single trajectory (first hurst, coarsest resolution, sample 0)."""
-    hurst = cfg.hurst_list[0]
-    k = cfg.resolutions[0]
-    seed = sample_seed(cfg.base_seed, 0)
-    grid = make_grid(0.0, 1.0, 1 << k)
-    u0 = fbm_initial_field(hurst, grid, seed)
-    scheme = SchemeConfig(
-        flux=cfg.equation,
-        numflux=cfg.numflux,
-        t_final=cfg.t_final,
-        cfl=cfg.cfl,
-        boundary=cfg.boundary,
-    )
-    traj = evolve(u0, scheme, snapshot_times=cfg.snapshot_times)
-    mids = grid.cell_midpoints()
-    rows = []
-    emitted = set()
-    for t, field in [(0.0, u0), *[(s.time, s.field) for s in traj.snapshots],
-                     (float(traj.times[-1]), traj.final)]:
-        if t in emitted:
-            continue
-        emitted.add(t)
-        for x, u in zip(mids, field.values):
-            rows.append(("solve", hurst, 0, k, float(t), float(x), float(u)))
-    metadata = {
-        "study": "solve",
-        "version": __version__,
-        "config": config_to_dict(cfg),
-        "sample_seeds": [seed],
-    }
-    return StudyResult(
-        study="solve",
-        columns=("study", "hurst", "sample", "k", "time", "x", "u"),
-        rows=tuple(rows),
-        metadata=metadata,
-    )
-
-
-def _fbm_result(cfg: StudyConfig) -> StudyResult:
-    """Initial-data fields for every (hurst, sample, resolution)."""
-    rows = []
-    for hurst in cfg.hurst_list:
-        for sample in range(cfg.n_samples):
-            seed = sample_seed(cfg.base_seed, sample)
-            for k in cfg.resolutions:
-                grid = make_grid(0.0, 1.0, 1 << k)
-                field = fbm_initial_field(hurst, grid, seed)
-                for x, u in zip(grid.cell_midpoints(), field.values):
-                    rows.append(("fbm", hurst, sample, k, float(x), float(u)))
-    metadata = {
-        "study": "fbm",
-        "version": __version__,
-        "config": config_to_dict(cfg),
-        "sample_seeds": [sample_seed(cfg.base_seed, i) for i in range(cfg.n_samples)],
-    }
-    return StudyResult(
-        study="fbm",
-        columns=("study", "hurst", "sample", "k", "x", "u"),
-        rows=tuple(rows),
-        metadata=metadata,
-    )
-
-
 def _selfcheck(out) -> int:
     """PRNG known-answer tests and monotonicity probes for all fluxes."""
     failures = 0
@@ -281,19 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"roughwave {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_io in [
-        ("solve", True),
-        ("fbm", True),
-        ("converge", True),
-        ("tvscale", True),
-        ("lipscale", True),
-        ("tvdecay", True),
-        ("sharpness", True),
-        ("selfcheck", False),
-    ]:
+    for name in (*STUDIES, "selfcheck"):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=needs_io, help="path to key = value config file")
-        p.add_argument("--out", required=needs_io, help="output directory")
+        p.add_argument("--config", required=name in STUDIES, help="path to key = value config file")
+        p.add_argument("--out", required=name in STUDIES, help="output directory")
         p.add_argument("--samples", type=int, default=None, help="override sample count")
         p.add_argument("--seed", type=int, default=None, help="override base seed")
         p.add_argument("--workers", type=int, default=None,
@@ -309,31 +227,25 @@ def run(argv=None, out=None) -> int:
             return _selfcheck(out)
 
         cfg = parse_config(args.config)
+        overrides = {"n_samples": args.samples, "base_seed": args.seed}
         try:
-            cfg = with_overrides(cfg, n_samples=args.samples, base_seed=args.seed)
+            cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+            check_study(args.command, cfg)
         except ValueError as exc:
-            raise ConfigError(f"bad override: {exc}") from exc
-        if args.command == "sharpness" and cfg.beta is None:
-            try:
-                default_beta(cfg.equation, cfg.numflux.kind)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
-        if args.command == "tvdecay" and not cfg.snapshot_times:
-            raise ConfigError("tvdecay requires snapshot_times in the config")
+            raise ConfigError(str(exc)) from exc
 
         workers = args.workers
         if workers is None:
-            workers = int(os.environ.get("ROUGHWAVE_WORKERS", "1"))
+            env = os.environ.get("ROUGHWAVE_WORKERS", "1")
+            try:
+                workers = int(env)
+            except ValueError as exc:
+                raise ConfigError(f"ROUGHWAVE_WORKERS must be an integer, got {env!r}") from exc
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
 
         started = time.monotonic()
-        if args.command == "solve":
-            result = _solve_result(cfg)
-        elif args.command == "fbm":
-            result = _fbm_result(cfg)
-        else:
-            result = run_samples_parallel(args.command, cfg, workers=workers)
+        result = run_samples_parallel(args.command, cfg, workers=workers)
 
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -363,3 +275,7 @@ def run(argv=None, out=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,20 +1,24 @@
 """Seeded ensemble studies: convergence rates, initial-data scaling of TV and
-the one-sided Lipschitz seminorm, TV decay in time, and bound sharpness.
+the one-sided Lipschitz seminorm, TV decay in time, bound sharpness, and the
+raw fields (a single solver trajectory, and the fBm initial data).
 
-Every study draws the initial data once per sample at the reference
-resolution and restricts it to the coarse grids, so all resolutions see the
-same realization.  Rows are assembled in a fixed (hurst, sample, k) order
-and per-sample seeds are derived deterministically, which makes results
+Every study is one ``Study`` record in ``STUDIES``.  A study runs one task per
+(hurst, sample); the ensemble studies draw the initial data once per sample
+at the reference resolution and restrict it to the coarse grids, so all
+resolutions see the same realization, while ``solve`` and ``fbm`` draw it
+directly at each level.  Rows are assembled in a fixed (hurst, sample, k)
+order and per-sample seeds are derived deterministically, which makes results
 bit-identical regardless of the worker count.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +62,8 @@ class StudyConfig:
             raise ValueError("hurst_list must not be empty")
         if any(not 0.0 < h < 1.0 for h in self.hurst_list):
             raise ValueError(f"Hurst exponents must lie in (0, 1), got {self.hurst_list}")
+        if len(set(self.hurst_list)) != len(self.hurst_list):
+            raise ValueError(f"Hurst exponents must be distinct, got {self.hurst_list}")
         if not self.resolutions:
             raise ValueError("resolutions must not be empty")
         if any(k < 1 for k in self.resolutions):
@@ -73,7 +79,7 @@ class StudyConfig:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.beta is not None and self.beta <= 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
-        # fail fast on scheme-level problems (cfl range, t_final sign)
+        # fail fast on scheme-level problems (cfl range, t_final)
         _scheme(self)
 
 
@@ -83,15 +89,6 @@ class StudyResult:
     columns: Tuple[str, ...]
     rows: Tuple[tuple, ...]
     metadata: dict
-
-
-STUDY_COLUMNS = {
-    "converge": ("study", "hurst", "sample", "k", "dx", "l1_error", "rate_pairwise", "rate_regression"),
-    "tvscale": ("study", "hurst", "sample", "k", "dx", "tv", "slope"),
-    "lipscale": ("study", "hurst", "sample", "k", "dx", "lip_plus", "slope"),
-    "tvdecay": ("study", "hurst", "sample", "k", "time", "tv", "inv_tv"),
-    "sharpness": ("study", "hurst", "sample", "k", "dx", "lip_plus_0", "tv_time_integral", "bound_rhs", "ratio", "slope"),
-}
 
 
 def config_to_dict(cfg: StudyConfig) -> dict:
@@ -141,8 +138,9 @@ def _scheme(cfg: StudyConfig) -> SchemeConfig:
     )
 
 
-def _reference_field(cfg: StudyConfig, hurst: float, sample: int) -> CellField:
-    grid = make_grid(0.0, 1.0, 1 << cfg.reference_exponent)
+def _field(cfg: StudyConfig, hurst: float, sample: int, k: int) -> CellField:
+    """The sample's fBm initial data drawn directly on 2^k cells."""
+    grid = make_grid(0.0, 1.0, 1 << k)
     return fbm_initial_field(hurst, grid, sample_seed(cfg.base_seed, sample))
 
 
@@ -157,9 +155,56 @@ def _slope_or_none(points) -> Optional[float]:
     return fit_rate(usable)[0]
 
 
+def _mean_std(values):
+    vals = [v for v in values if v is not None]
+    if not vals:
+        return None, None
+    mean = float(np.mean(vals))
+    std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+    return mean, std
+
+
+def _slope_row(study, hurst, sample, slope):
+    """A SLOPE row: its labels, a blank in every measured column, the slope last."""
+    blanks = (None,) * (len(STUDIES[study].columns) - 5)
+    return (study, hurst, sample, "SLOPE", *blanks, slope)
+
+
+def _slope_ensemble(study, cfg, hurst, summaries):
+    mean, std = _mean_std([s["slope"] for s in summaries])
+    return [_slope_row(study, hurst, "MEAN", mean), _slope_row(study, hurst, "STD", std)]
+
+
+def _solve_sample(cfg, hurst, sample):
+    """One trajectory on the coarsest grid: the initial data, each snapshot
+    and the final state, each distinct time once."""
+    k = cfg.resolutions[0]
+    u0 = _field(cfg, hurst, sample, k)
+    traj = evolve(u0, _scheme(cfg), snapshot_times=cfg.snapshot_times)
+    frames = {0.0: u0}
+    for snap in traj.snapshots:
+        frames.setdefault(snap.time, snap.field)
+    frames.setdefault(float(traj.times[-1]), traj.final)
+    mids = u0.grid.cell_midpoints()
+    rows = []
+    for t, field in frames.items():
+        for x, u in zip(mids, field.values):
+            rows.append(("solve", hurst, sample, k, float(t), float(x), float(u)))
+    return rows, {}
+
+
+def _fbm_sample(cfg, hurst, sample):
+    rows = []
+    for k in cfg.resolutions:
+        field = _field(cfg, hurst, sample, k)
+        for x, u in zip(field.grid.cell_midpoints(), field.values):
+            rows.append(("fbm", hurst, sample, k, float(x), float(u)))
+    return rows, {}
+
+
 def _converge_sample(cfg, hurst, sample):
     scheme = _scheme(cfg)
-    u0_ref = _reference_field(cfg, hurst, sample)
+    u0_ref = _field(cfg, hurst, sample, cfg.reference_exponent)
     ref_final = evolve(u0_ref, scheme).final
     data = []
     for k in cfg.resolutions:
@@ -179,8 +224,7 @@ def _converge_sample(cfg, hurst, sample):
                      None if rate is None else float(rate), None))
         prev = (dx, err)
     regression = _slope_or_none([(dx, err) for _, dx, err in data])
-    rows.append(("converge", hurst, sample, "RATE", None, None, None,
-                 None if regression is None else float(regression)))
+    rows.append(("converge", hurst, sample, "RATE", None, None, None, regression))
     summary = {
         "rate": regression,
         "errors": {k: err for k, _, err in data},
@@ -190,9 +234,21 @@ def _converge_sample(cfg, hurst, sample):
     return rows, summary
 
 
-def _scaling_sample(cfg, hurst, sample, study):
-    u0_ref = _reference_field(cfg, hurst, sample)
-    measure = total_variation if study == "tvscale" else lip_plus
+def _converge_ensemble(cfg, hurst, summaries):
+    rows = []
+    for k in cfg.resolutions:
+        errs = [s["errors"][k] for s in summaries]
+        mean_pw, _ = _mean_std([s["pairwise"][k] for s in summaries])
+        dx = summaries[0]["dx"][k]
+        rows.append(("converge", hurst, "MEAN", k, float(dx), float(np.mean(errs)), mean_pw, None))
+    mean, std = _mean_std([s["rate"] for s in summaries])
+    rows.append(("converge", hurst, "MEAN", "RATE", None, None, None, mean))
+    rows.append(("converge", hurst, "STD", "RATE", None, None, None, std))
+    return rows
+
+
+def _scaling_sample(study, measure, cfg, hurst, sample):
+    u0_ref = _field(cfg, hurst, sample, cfg.reference_exponent)
     rows = []
     points = []
     for k in cfg.resolutions:
@@ -201,14 +257,13 @@ def _scaling_sample(cfg, hurst, sample, study):
         rows.append((study, hurst, sample, k, float(u0_k.grid.dx), val, None))
         points.append((u0_k.grid.dx, val))
     slope = _slope_or_none(points)
-    rows.append((study, hurst, sample, "SLOPE", None, None,
-                 None if slope is None else float(slope)))
+    rows.append(_slope_row(study, hurst, sample, slope))
     return rows, {"slope": slope}
 
 
 def _tvdecay_sample(cfg, hurst, sample):
     scheme = _scheme(cfg)
-    u0_ref = _reference_field(cfg, hurst, sample)
+    u0_ref = _field(cfg, hurst, sample, cfg.reference_exponent)
     periodic = cfg.boundary is Boundary.PERIODIC
     rows = []
     for k in cfg.resolutions:
@@ -221,10 +276,15 @@ def _tvdecay_sample(cfg, hurst, sample):
     return rows, {}
 
 
+def _tvdecay_check(cfg):
+    if not cfg.snapshot_times:
+        raise ValueError("tvdecay requires nonempty snapshot_times")
+
+
 def _sharpness_sample(cfg, hurst, sample):
     beta = cfg.beta if cfg.beta is not None else default_beta(cfg.equation, cfg.numflux.kind)
     scheme = _scheme(cfg)
-    u0_ref = _reference_field(cfg, hurst, sample)
+    u0_ref = _field(cfg, hurst, sample, cfg.reference_exponent)
     rows = []
     points = []
     for k in cfg.resolutions:
@@ -246,23 +306,69 @@ def _sharpness_sample(cfg, hurst, sample):
                      float(bound.lip_plus_0), float(denom), float(rhs), float(ratio), None))
         points.append((u0_k.grid.dx, ratio))
     slope = _slope_or_none(points)
-    rows.append(("sharpness", hurst, sample, "SLOPE", None, None, None, None, None,
-                 None if slope is None else float(slope)))
+    rows.append(_slope_row("sharpness", hurst, sample, slope))
     return rows, {"slope": slope}
+
+
+def _sharpness_check(cfg):
+    if cfg.beta is None:
+        default_beta(cfg.equation, cfg.numflux.kind)  # raises for unsupported pairs
+
+
+@dataclass(frozen=True)
+class Study:
+    """One study of ``STUDIES``.
+
+    ``sample(cfg, hurst, sample)`` returns the rows of one task and a summary;
+    ``ensemble(cfg, hurst, summaries)`` returns the rows that close the block
+    of one Hurst exponent; ``check(cfg)`` raises ValueError for a config the
+    study cannot run; ``tasks(cfg)`` lists the (hurst, sample) tasks, grouped
+    by Hurst exponent in config order.
+    """
+
+    columns: Tuple[str, ...]
+    sample: Callable[[StudyConfig, float, int], Tuple[list, dict]]
+    ensemble: Callable[[StudyConfig, float, list], list] = lambda cfg, hurst, summaries: []
+    check: Callable[[StudyConfig], None] = lambda cfg: None
+    tasks: Callable[[StudyConfig], list] = lambda cfg: [
+        (h, s) for h in cfg.hurst_list for s in range(cfg.n_samples)]
+
+
+_KEY = ("study", "hurst", "sample", "k")
+
+# The measures are looked up at call time, so that a wrapper put on this
+# module's ``total_variation`` or ``lip_plus`` (a profiler's) sees each call.
+STUDIES: dict[str, Study] = {
+    "solve": Study((*_KEY, "time", "x", "u"), _solve_sample,
+                   tasks=lambda cfg: [(cfg.hurst_list[0], 0)]),
+    "fbm": Study((*_KEY, "x", "u"), _fbm_sample),
+    "converge": Study((*_KEY, "dx", "l1_error", "rate_pairwise", "rate_regression"),
+                      _converge_sample, _converge_ensemble),
+    "tvscale": Study((*_KEY, "dx", "tv", "slope"),
+                     functools.partial(_scaling_sample, "tvscale", lambda u: total_variation(u)),
+                     functools.partial(_slope_ensemble, "tvscale")),
+    "lipscale": Study((*_KEY, "dx", "lip_plus", "slope"),
+                      functools.partial(_scaling_sample, "lipscale", lambda u: lip_plus(u)),
+                      functools.partial(_slope_ensemble, "lipscale")),
+    "tvdecay": Study((*_KEY, "time", "tv", "inv_tv"), _tvdecay_sample, check=_tvdecay_check),
+    "sharpness": Study((*_KEY, "dx", "lip_plus_0", "tv_time_integral", "bound_rhs", "ratio",
+                        "slope"),
+                       _sharpness_sample, functools.partial(_slope_ensemble, "sharpness"),
+                       check=_sharpness_check),
+}
+
+
+def check_study(study: str, cfg: StudyConfig) -> None:
+    """Raise ValueError for an unknown study or a config it cannot run."""
+    if study not in STUDIES:
+        raise ValueError(f"unknown study {study!r}; expected one of {sorted(STUDIES)}")
+    STUDIES[study].check(cfg)
 
 
 def _run_one(study: str, cfg: StudyConfig, task: Tuple[float, int]):
     hurst, sample = task
     try:
-        if study == "converge":
-            return _converge_sample(cfg, hurst, sample)
-        if study in ("tvscale", "lipscale"):
-            return _scaling_sample(cfg, hurst, sample, study)
-        if study == "tvdecay":
-            return _tvdecay_sample(cfg, hurst, sample)
-        if study == "sharpness":
-            return _sharpness_sample(cfg, hurst, sample)
-        raise ValueError(f"unknown study {study!r}")
+        return STUDIES[study].sample(cfg, hurst, sample)
     except Exception as exc:
         seed = sample_seed(cfg.base_seed, sample)
         raise RuntimeError(
@@ -270,108 +376,43 @@ def _run_one(study: str, cfg: StudyConfig, task: Tuple[float, int]):
         ) from exc
 
 
-def _mean_std(values):
-    vals = [v for v in values if v is not None]
-    if not vals:
-        return None, None
-    mean = float(np.mean(vals))
-    std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-    return mean, std
+def _assemble(spec: Study, cfg: StudyConfig, done) -> list:
+    """Rows of the ``(task, (rows, summary))`` pairs in task order, each Hurst
+    block closed by its ensemble rows.
 
-
-def _ensemble_rows(study, cfg, hurst, summaries):
+    The pairs are consumed one at a time and nothing refers to them once this
+    returns, so each task's row list is freed once copied.
+    """
     rows = []
-    if study == "converge":
-        for k in cfg.resolutions:
-            errs = [s["errors"][k] for s in summaries]
-            pws = [s["pairwise"][k] for s in summaries]
-            dx = summaries[0]["dx"][k]
-            mean_pw, _ = _mean_std(pws)
-            rows.append(("converge", hurst, "MEAN", k, float(dx),
-                         float(np.mean(errs)), mean_pw, None))
-        mean, std = _mean_std([s["rate"] for s in summaries])
-        rows.append(("converge", hurst, "MEAN", "RATE", None, None, None, mean))
-        rows.append(("converge", hurst, "STD", "RATE", None, None, None, std))
-    elif study in ("tvscale", "lipscale"):
-        mean, std = _mean_std([s["slope"] for s in summaries])
-        rows.append((study, hurst, "MEAN", "SLOPE", None, None, mean))
-        rows.append((study, hurst, "STD", "SLOPE", None, None, std))
-    elif study == "sharpness":
-        mean, std = _mean_std([s["slope"] for s in summaries])
-        rows.append(("sharpness", hurst, "MEAN", "SLOPE", None, None, None, None, None, mean))
-        rows.append(("sharpness", hurst, "STD", "SLOPE", None, None, None, None, None, std))
+    for hurst, block in itertools.groupby(done, key=lambda pair: pair[0][0]):
+        summaries = []
+        for _, (sample_rows, summary) in block:
+            rows.extend(sample_rows)
+            summaries.append(summary)
+        rows.extend(spec.ensemble(cfg, hurst, summaries))
     return rows
 
 
 def run_samples_parallel(study: str, cfg: StudyConfig, workers: int = 1) -> StudyResult:
-    """Run one study over the (hurst, sample) ensemble.
+    """Run one study of ``STUDIES`` over its (hurst, sample) tasks.
 
     Rows come out in a fixed order and are bit-identical for any worker
     count; failures carry the sample identity.
     """
-    if study not in STUDY_COLUMNS:
-        raise ValueError(f"unknown study {study!r}; expected one of {sorted(STUDY_COLUMNS)}")
-    if study == "tvdecay" and not cfg.snapshot_times:
-        raise ValueError("tvdecay requires nonempty snapshot_times")
-    if study == "sharpness" and cfg.beta is None:
-        default_beta(cfg.equation, cfg.numflux.kind)  # raises for unsupported pairs
-
-    tasks = [(h, s) for h in cfg.hurst_list for s in range(cfg.n_samples)]
+    check_study(study, cfg)
+    spec = STUDIES[study]
+    tasks = spec.tasks(cfg)
     runner = functools.partial(_run_one, study, cfg)
-    if workers > 1:
+    if min(workers, len(tasks)) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outs = list(pool.map(runner, tasks))
+            rows = _assemble(spec, cfg, zip(tasks, pool.map(runner, tasks)))
     else:
-        outs = [runner(t) for t in tasks]
-    by_task = dict(zip(tasks, outs))
-
-    rows = []
-    for hurst in cfg.hurst_list:
-        per_sample = [by_task[(hurst, s)] for s in range(cfg.n_samples)]
-        for sample_rows, _ in per_sample:
-            rows.extend(sample_rows)
-        rows.extend(_ensemble_rows(study, cfg, hurst, [summ for _, summ in per_sample]))
+        rows = _assemble(spec, cfg, zip(tasks, map(runner, tasks)))
 
     metadata = {
         "study": study,
         "version": __version__,
         "config": config_to_dict(cfg),
-        "sample_seeds": [sample_seed(cfg.base_seed, i) for i in range(cfg.n_samples)],
+        "sample_seeds": [sample_seed(cfg.base_seed, s) for s in sorted({s for _, s in tasks})],
     }
-    return StudyResult(study=study, columns=STUDY_COLUMNS[study], rows=tuple(rows), metadata=metadata)
-
-
-def convergence_study(cfg: StudyConfig, workers: int = 1) -> StudyResult:
-    """L1 errors against the fine reference run and per-sample rates."""
-    return run_samples_parallel("converge", cfg, workers)
-
-
-def tv_scaling_study(cfg: StudyConfig, workers: int = 1) -> StudyResult:
-    """Total variation of the initial data as a function of mesh width."""
-    return run_samples_parallel("tvscale", cfg, workers)
-
-
-def lip_scaling_study(cfg: StudyConfig, workers: int = 1) -> StudyResult:
-    """Initial one-sided Lipschitz seminorm as a function of mesh width."""
-    return run_samples_parallel("lipscale", cfg, workers)
-
-
-def tv_decay_study(cfg: StudyConfig, workers: int = 1) -> StudyResult:
-    """Total variation (and its inverse) at the requested snapshot times."""
-    return run_samples_parallel("tvdecay", cfg, workers)
-
-
-def bound_sharpness_study(cfg: StudyConfig, workers: int = 1) -> StudyResult:
-    """Ratio of the TV-integral bound to the measured integral, per mesh width."""
-    return run_samples_parallel("sharpness", cfg, workers)
-
-
-def with_overrides(cfg: StudyConfig, n_samples: Optional[int] = None,
-                   base_seed: Optional[int] = None) -> StudyConfig:
-    """Copy of the config with sample count and/or seed replaced."""
-    kwargs = {}
-    if n_samples is not None:
-        kwargs["n_samples"] = n_samples
-    if base_seed is not None:
-        kwargs["base_seed"] = base_seed
-    return replace(cfg, **kwargs) if kwargs else cfg
+    return StudyResult(study=study, columns=spec.columns, rows=tuple(rows), metadata=metadata)

@@ -40,8 +40,8 @@ class SchemeConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.t_final < 0.0:
-            raise ValueError(f"t_final must be >= 0, got {self.t_final}")
+        if not 0.0 <= self.t_final < np.inf:
+            raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
 
 
 @dataclass(frozen=True)

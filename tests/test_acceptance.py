@@ -18,22 +18,19 @@ from roughwave import (
     NumFluxKind,
     SchemeConfig,
     StudyConfig,
-    bound_sharpness_study,
     check_monotone,
-    convergence_study,
     evolve,
     fbm_initial_field,
     flux_value,
     godunov_flux,
     lip_plus,
-    lip_scaling_study,
     make_grid,
     numerical_flux,
     restrict,
+    run_samples_parallel,
     sample_seed,
     step,
     total_variation,
-    tv_scaling_study,
 )
 from roughwave.cli import write_csv
 
@@ -66,7 +63,7 @@ def mean_slopes(result):
 
 def test_criterion_1_tv_scaling():
     started = time.monotonic()
-    res = tv_scaling_study(StudyConfig(**SCALING_CONFIG))
+    res = run_samples_parallel("tvscale", StudyConfig(**SCALING_CONFIG))
     elapsed = time.monotonic() - started
     slopes = mean_slopes(res)
     diffs = {h: slopes[h] - (h - 1.0) for h in (0.25, 0.5, 0.75)}
@@ -90,7 +87,7 @@ def test_criterion_2_lip_scaling():
     The check is kept at its stated tolerance rather than widened.
     """
     started = time.monotonic()
-    res = lip_scaling_study(StudyConfig(**SCALING_CONFIG))
+    res = run_samples_parallel("lipscale", StudyConfig(**SCALING_CONFIG))
     elapsed = time.monotonic() - started
     slopes = mean_slopes(res)
     diffs = {h: slopes[h] - (h - 1.0) for h in (0.25, 0.5, 0.75)}
@@ -137,7 +134,7 @@ def test_criterion_4_bound_sharpness():
         n_samples=8,
         base_seed=BASE_SEED,
     )
-    res = bound_sharpness_study(cfg)
+    res = run_samples_parallel("sharpness", cfg)
     elapsed = time.monotonic() - started
     ratios = [row[8] for row in res.rows if isinstance(row[3], int)]
     mean_slope = [row[-1] for row in res.rows
@@ -160,7 +157,7 @@ def test_criterion_5_convergence_rate():
         n_samples=16,
         base_seed=BASE_SEED,
     )
-    res = convergence_study(cfg)
+    res = run_samples_parallel("converge", cfg)
     elapsed = time.monotonic() - started
     mean_rate = [row[-1] for row in res.rows
                  if row[2] == "MEAN" and row[3] == "RATE"][0]
@@ -308,7 +305,7 @@ def test_criterion_10_reproducibility(tmp_path):
     cfg = StudyConfig(**SCALING_CONFIG)
     paths = []
     for name, workers in (("a", 1), ("b", 1), ("c", 3)):
-        res = tv_scaling_study(cfg, workers=workers)
+        res = run_samples_parallel("tvscale", cfg, workers=workers)
         path = tmp_path / f"{name}.csv"
         write_csv(res, path)
         paths.append(path)

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -198,6 +201,46 @@ def test_sharpness_without_known_beta_exits_1(tmp_path, capsys):
 def test_tvdecay_without_snapshots_exits_1(tmp_path):
     cfg = write(tmp_path, MINIMAL)
     assert run(["tvdecay", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
+
+
+@pytest.mark.parametrize("command", ["converge", "solve"])
+@pytest.mark.parametrize("t_final", ["nan", "inf"])
+def test_non_finite_t_final_exits_1_and_writes_nothing(tmp_path, capsys, command, t_final):
+    cfg = write(tmp_path, MINIMAL + f"t_final = {t_final}\n")
+    out = tmp_path / "nonfinite"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "t_final" in capsys.readouterr().err
+
+
+def test_duplicate_hurst_exits_1(tmp_path, capsys):
+    cfg = write(tmp_path, MINIMAL.replace("hurst = 0.5", "hurst = 0.5,0.5"))
+    out = tmp_path / "dup"
+    assert run(["tvscale", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "distinct" in capsys.readouterr().err
+
+
+def test_non_integer_workers_env_exits_1(tmp_path, capsys, monkeypatch):
+    cfg = write(tmp_path, MINIMAL)
+    out = tmp_path / "env"
+    monkeypatch.setenv("ROUGHWAVE_WORKERS", "1.5")
+    assert run(["tvscale", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "ROUGHWAVE_WORKERS" in capsys.readouterr().err
+
+
+def test_module_entry_point_writes_csv(tmp_path):
+    cfg = write(tmp_path, MINIMAL)
+    out = tmp_path / "module"
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "ROUGHWAVE_WORKERS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "roughwave.cli", "tvscale", "--config", str(cfg), "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "tvscale.csv").read_text().startswith("study,hurst,sample,k,dx,tv,slope\n")
 
 
 def test_runtime_failure_exits_2(tmp_path, capsys):

@@ -7,17 +7,12 @@ from roughwave import (
     NumericalFluxSpec,
     NumFluxKind,
     StudyConfig,
-    bound_sharpness_study,
     config_from_dict,
-    convergence_study,
     lip_plus,
-    lip_scaling_study,
     restrict,
     run_samples_parallel,
     sample_seed,
     total_variation,
-    tv_decay_study,
-    tv_scaling_study,
 )
 from roughwave.experiments import _slope_or_none
 
@@ -45,6 +40,8 @@ def test_study_config_validation():
     with pytest.raises(ValueError):
         burgers_cfg(hurst_list=(1.2,))
     with pytest.raises(ValueError):
+        burgers_cfg(hurst_list=(0.5, 0.5))
+    with pytest.raises(ValueError):
         burgers_cfg(resolutions=())
     with pytest.raises(ValueError):
         burgers_cfg(resolutions=(7, 6, 5))
@@ -67,7 +64,7 @@ def test_unknown_study_rejected():
 
 def test_converge_single_sample_two_resolutions():
     cfg = burgers_cfg(resolutions=(5, 6), n_samples=1, t_final=0.25)
-    res = convergence_study(cfg)
+    res = run_samples_parallel("converge", cfg)
     rate_rows = [r for r in res.rows if r[3] == "RATE" and isinstance(r[2], int)]
     assert len(rate_rows) == 1
     assert rate_rows[0][-1] is not None
@@ -78,7 +75,7 @@ def test_converge_single_sample_two_resolutions():
 def test_converge_rows_are_canonically_ordered():
     cfg = burgers_cfg(hurst_list=(0.25, 0.75), n_samples=2, resolutions=(5, 6),
                       t_final=0.125)
-    res = convergence_study(cfg)
+    res = run_samples_parallel("converge", cfg)
     keys = [(r[1], r[2], r[3]) for r in res.rows]
     want = []
     for h in (0.25, 0.75):
@@ -90,7 +87,7 @@ def test_converge_rows_are_canonically_ordered():
 
 def test_converge_mean_rate_lies_between_extremes():
     cfg = burgers_cfg(n_samples=4, t_final=0.25)
-    res = convergence_study(cfg)
+    res = run_samples_parallel("converge", cfg)
     rates = [r[-1] for r in res.rows if r[3] == "RATE" and isinstance(r[2], int)]
     mean = [r[-1] for r in res.rows if r[3] == "RATE" and r[2] == "MEAN"][0]
     assert min(rates) <= mean <= max(rates)
@@ -111,23 +108,23 @@ def test_converge_exact_advection_gives_zero_errors():
         cfl=1.0,
         boundary=Boundary.PERIODIC,
     )
-    res = convergence_study(cfg)
+    res = run_samples_parallel("converge", cfg)
     assert all(r[5] <= 1e-12 for r in data_rows(res))
 
 
 def test_study_rows_identical_across_worker_counts():
     cfg = burgers_cfg(n_samples=3, t_final=0.25)
-    serial = convergence_study(cfg, workers=1)
-    parallel = convergence_study(cfg, workers=2)
+    serial = run_samples_parallel("converge", cfg, workers=1)
+    parallel = run_samples_parallel("converge", cfg, workers=2)
     assert serial.rows == parallel.rows
     assert serial.columns == parallel.columns
 
 
 def test_study_rows_reproducible_from_metadata():
     cfg = burgers_cfg(n_samples=2, t_final=0.25)
-    first = tv_scaling_study(cfg)
+    first = run_samples_parallel("tvscale", cfg)
     rebuilt_cfg = config_from_dict(first.metadata["config"])
-    second = tv_scaling_study(rebuilt_cfg)
+    second = run_samples_parallel("tvscale", rebuilt_cfg)
     assert first.rows == second.rows
     assert first.metadata["sample_seeds"] == [
         sample_seed(cfg.base_seed, i) for i in range(cfg.n_samples)
@@ -136,7 +133,7 @@ def test_study_rows_reproducible_from_metadata():
 
 def test_tvscale_measures_restricted_fields():
     cfg = burgers_cfg(n_samples=1, resolutions=(5, 6))
-    res = tv_scaling_study(cfg)
+    res = run_samples_parallel("tvscale", cfg)
     rows = data_rows(res)
     from roughwave import fbm_initial_field, make_grid
 
@@ -149,8 +146,8 @@ def test_tvscale_measures_restricted_fields():
 
 def test_tvscale_mean_stable_under_doubling_samples():
     base = burgers_cfg(hurst_list=(0.5,), resolutions=(5, 6, 7, 8), reference_exponent=10)
-    small = tv_scaling_study(StudyConfig(**{**_as_kwargs(base), "n_samples": 16}))
-    big = tv_scaling_study(StudyConfig(**{**_as_kwargs(base), "n_samples": 32}))
+    small = run_samples_parallel("tvscale", StudyConfig(**{**_as_kwargs(base), "n_samples": 16}))
+    big = run_samples_parallel("tvscale", StudyConfig(**{**_as_kwargs(base), "n_samples": 32}))
 
     def stats(res):
         mean = [r[-1] for r in res.rows if r[2] == "MEAN"][0]
@@ -178,14 +175,14 @@ def test_lipscale_slope_tracks_tvscale_slope():
     # by its extreme-value correction (~0.1 at these resolutions)
     cfg = burgers_cfg(hurst_list=(0.5,), resolutions=(6, 7, 8, 9, 10),
                       reference_exponent=12, n_samples=16)
-    tv_mean = [r[-1] for r in tv_scaling_study(cfg).rows if r[2] == "MEAN"][0]
-    lip_mean = [r[-1] for r in lip_scaling_study(cfg).rows if r[2] == "MEAN"][0]
+    tv_mean = [r[-1] for r in run_samples_parallel("tvscale", cfg).rows if r[2] == "MEAN"][0]
+    lip_mean = [r[-1] for r in run_samples_parallel("lipscale", cfg).rows if r[2] == "MEAN"][0]
     assert abs(lip_mean - tv_mean) < 0.2
 
 
 def test_lipscale_rows_match_restricted_seminorm():
     cfg = burgers_cfg(n_samples=1, resolutions=(5, 6))
-    res = lip_scaling_study(cfg)
+    res = run_samples_parallel("lipscale", cfg)
     from roughwave import fbm_initial_field, make_grid
 
     ref = fbm_initial_field(0.5, make_grid(0, 1, 1 << 9), sample_seed(2024, 0))
@@ -202,7 +199,7 @@ def test_slope_fit_skips_nonpositive_values():
 
 def test_tvdecay_requires_snapshots():
     with pytest.raises(ValueError):
-        tv_decay_study(burgers_cfg())
+        run_samples_parallel("tvdecay", burgers_cfg())
 
 
 def test_tvdecay_linear_transport_keeps_tv_constant():
@@ -219,7 +216,7 @@ def test_tvdecay_linear_transport_keeps_tv_constant():
         boundary=Boundary.PERIODIC,
         snapshot_times=(0.25, 0.5, 0.75, 1.0),
     )
-    res = tv_decay_study(cfg)
+    res = run_samples_parallel("tvdecay", cfg)
     for s in range(2):
         tvs = [r[5] for r in res.rows if r[2] == s]
         assert max(tvs) - min(tvs) <= 1e-10
@@ -228,7 +225,7 @@ def test_tvdecay_linear_transport_keeps_tv_constant():
 def test_tvdecay_row_schema():
     cfg = burgers_cfg(resolutions=(6,), reference_exponent=8, n_samples=1,
                       snapshot_times=(0.5, 1.0))
-    res = tv_decay_study(cfg)
+    res = run_samples_parallel("tvdecay", cfg)
     assert res.columns == ("study", "hurst", "sample", "k", "time", "tv", "inv_tv")
     assert len(res.rows) == 2
     for row in res.rows:
@@ -238,7 +235,7 @@ def test_tvdecay_row_schema():
 def test_sharpness_requires_known_beta():
     cfg = burgers_cfg(equation=FluxSpec.CUBIC, numflux=NumericalFluxSpec(NumFluxKind.RUSANOV))
     with pytest.raises(ValueError):
-        bound_sharpness_study(cfg)
+        run_samples_parallel("sharpness", cfg)
 
 
 def test_sharpness_accepts_explicit_beta():
@@ -251,7 +248,7 @@ def test_sharpness_accepts_explicit_beta():
         t_final=0.25,
         beta=0.05,
     )
-    res = bound_sharpness_study(cfg)
+    res = run_samples_parallel("sharpness", cfg)
     assert len(data_rows(res)) == 2
     assert all(r[8] > 0 for r in data_rows(res))
 
@@ -289,13 +286,13 @@ def test_worker_failure_carries_sample_identity():
     cfg = burgers_cfg(snapshot_times=(2.0,), t_final=1.0, resolutions=(5,),
                       reference_exponent=7, n_samples=1)
     with pytest.raises(RuntimeError, match="sample 0"):
-        tv_decay_study(cfg)
+        run_samples_parallel("tvdecay", cfg)
 
 
 def test_converge_errors_mostly_decrease_with_resolution():
     cfg = burgers_cfg(resolutions=(5, 6, 7, 8), reference_exponent=10, n_samples=8,
                       t_final=1.0)
-    res = convergence_study(cfg)
+    res = run_samples_parallel("converge", cfg)
     rows = data_rows(res)
     good = total = 0
     for s in range(8):

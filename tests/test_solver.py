@@ -47,6 +47,10 @@ def test_scheme_config_validation():
         burgers_config(cfl=1.5)
     with pytest.raises(ValueError):
         burgers_config(t_final=-1.0)
+    with pytest.raises(ValueError):
+        burgers_config(t_final=float("nan"))
+    with pytest.raises(ValueError):
+        burgers_config(t_final=float("inf"))
 
 
 def test_cfl_timestep_examples():
