@@ -2,9 +2,10 @@
 
 Each command runs through ``cli.run`` on one small config.  The manifest is
 hashed without ``duration_seconds`` (wall time) and ``config_path`` (the
-temporary directory), re-serialized the way the CLI writes it.  A change that
-alters any output bit fails here; re-pin a hash only with a change that is
-meant to alter that output.
+temporary directory), re-serialized the way the CLI writes it.  The ``solve``
+CSV is pinned as well for every numerical flux and equation pair the package
+accepts, under both boundaries.  A change that alters any output bit fails
+here; re-pin a hash only with a change that is meant to alter that output.
 """
 
 import hashlib
@@ -57,15 +58,58 @@ GOLDEN = {
     ),
 }
 
+PAIR_CONFIG = """\
+equation = {equation}
+numflux = {numflux}
+boundary = {boundary}
+hurst = 0.5
+resolutions = 5
+reference_exponent = 6
+samples = 1
+base_seed = 2024
+t_final = 0.5
+snapshot_times = 0.125,0.25
+"""
+
+# solve.csv SHA-256 per (numflux, equation, boundary)
+PAIR_GOLDEN = {
+    ("godunov", "burgers", "outflow"): "b56dcce3958b474ae5bf95869ea1f2c01979df5bed2ba85ca4b473f532e5217f",
+    ("godunov", "cubic", "outflow"): "c014140ab2a40f5e91418f364e644bfa354ea21241bdddf697e2fefdbc654155",
+    ("godunov", "linear", "outflow"): "d1c57387baf22166c4cbf0a5bc331400ef107f71854d63ad5dd408f631a68d7c",
+    ("rusanov", "burgers", "outflow"): "3284d693f0a159135ac24460ada226524ebaa811d04ee895010e086d7a4f388b",
+    ("rusanov", "cubic", "outflow"): "842075e28116731fd05250a82ac55bfcf79620a44d8c1b009b8dffc695c6657e",
+    ("rusanov", "linear", "outflow"): "362787b754c18f7fa4358efd3a51e20f40999a475581a50354d51bd624a709ad",
+    ("lax_friedrichs", "burgers", "outflow"): "9b83ffafd4bafb7866f4d3f0ed6fde1237f03e4a40edb431edb55a2f24a6b363",
+    ("lax_friedrichs", "cubic", "outflow"): "8fcdf02856ac601a9abd1fbc3514d074b9aeb825b562b257986078799494e5b8",
+    ("lax_friedrichs", "linear", "outflow"): "0a1d4b5bd34ee10cb6424b3f10ed91867184b378e5c9ecd37885141bcd362110",
+    ("engquist_osher", "burgers", "outflow"): "ee65ed66a9ed061d521a4ae65738c5b3e60b7590ce9830057ce55ee3a5548b5e",
+    ("engquist_osher", "cubic", "outflow"): "c014140ab2a40f5e91418f364e644bfa354ea21241bdddf697e2fefdbc654155",
+    ("engquist_osher", "linear", "outflow"): "d1c57387baf22166c4cbf0a5bc331400ef107f71854d63ad5dd408f631a68d7c",
+    ("upwind", "linear", "outflow"): "d1c57387baf22166c4cbf0a5bc331400ef107f71854d63ad5dd408f631a68d7c",
+    ("godunov", "burgers", "periodic"): "4f9474e3431fbb06858bc84353e3e1461b5b5cef580eac87d1cca64a34f19b7c",
+    ("godunov", "cubic", "periodic"): "89c32859a0b28bfc4b71680ad0d7c4be76ae57af593054b4a290b9b27be1b819",
+    ("godunov", "linear", "periodic"): "629d88e40382d0f52d0adb0e77d991114ff0c6205486056652ff1203dc191a77",
+    ("rusanov", "burgers", "periodic"): "0df326bb7f8a47e7a5eb18d46d68c7694f1054d70da916f7018d65ada7d42ae6",
+    ("rusanov", "cubic", "periodic"): "cdffeb5c06dd0086dbc1509192463bba3b18a27926fbe0c192733f913fdf37c9",
+    ("rusanov", "linear", "periodic"): "c17a50f3ae5b2c971bfd3fff4fcf29292ee2d274c863f9354b228c45a7e3227b",
+    ("lax_friedrichs", "burgers", "periodic"): "04de8103bfa54996d00268f1a6857acad3fef3234183d57bd8df9888617d2d87",
+    ("lax_friedrichs", "cubic", "periodic"): "f23ab3934fecee289cbb95007eb2e34ca75a586d5bab576bb9702a4f9b51b222",
+    ("lax_friedrichs", "linear", "periodic"): "378c5d1e25adc9c8669cd0eabfab8e264f325e7806f7306fbe1dbd44c63e12b2",
+    ("engquist_osher", "burgers", "periodic"): "3473117864dee58df51f11c3d170b9ac6e31d9fc134878040d9ffade965ea132",
+    ("engquist_osher", "cubic", "periodic"): "89c32859a0b28bfc4b71680ad0d7c4be76ae57af593054b4a290b9b27be1b819",
+    ("engquist_osher", "linear", "periodic"): "629d88e40382d0f52d0adb0e77d991114ff0c6205486056652ff1203dc191a77",
+    ("upwind", "linear", "periodic"): "629d88e40382d0f52d0adb0e77d991114ff0c6205486056652ff1203dc191a77",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def output_hashes(command, tmp_path):
-    """(csv sha256, manifest sha256) of one command run on ``CONFIG``."""
+def output_hashes(command, tmp_path, config=CONFIG):
+    """(csv sha256, manifest sha256) of one command run on ``config``."""
     cfg = tmp_path / "golden.cfg"
-    cfg.write_text(CONFIG)
+    cfg.write_text(config)
     out = tmp_path / command
     assert run([command, "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
     manifest = json.loads((out / f"{command}_manifest.json").read_text())
@@ -77,3 +121,10 @@ def output_hashes(command, tmp_path):
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_golden_hashes(command, tmp_path):
     assert output_hashes(command, tmp_path) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("numflux, equation, boundary", sorted(PAIR_GOLDEN))
+def test_golden_solve_per_flux_pair(numflux, equation, boundary, tmp_path):
+    config = PAIR_CONFIG.format(numflux=numflux, equation=equation, boundary=boundary)
+    csv_hash, _ = output_hashes("solve", tmp_path, config)
+    assert csv_hash == PAIR_GOLDEN[numflux, equation, boundary]
