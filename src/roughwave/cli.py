@@ -31,20 +31,6 @@ class ConfigError(ValueError):
     """Invalid configuration file or command-line override."""
 
 
-_EQUATIONS = {
-    "burgers": FluxSpec.BURGERS,
-    "cubic": FluxSpec.CUBIC,
-    "linear": FluxSpec.LINEAR,
-}
-_NUMFLUXES = {
-    "godunov": NumFluxKind.GODUNOV,
-    "rusanov": NumFluxKind.RUSANOV,
-    "lax_friedrichs": NumFluxKind.LAX_FRIEDRICHS,
-    "engquist_osher": NumFluxKind.ENGQUIST_OSHER,
-    "upwind": NumFluxKind.UPWIND,
-}
-_BOUNDARIES = {"outflow": Boundary.OUTFLOW, "periodic": Boundary.PERIODIC}
-
 _REQUIRED_KEYS = (
     "equation",
     "numflux",
@@ -96,7 +82,9 @@ def parse_config(path) -> StudyConfig:
         except Exception as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {exc}") from exc
 
-    def choice(table, what):
+    def choice(enum):
+        table = {m.value: m for m in enum}
+
         def parse(value):
             v = value.lower()
             if v not in table:
@@ -105,11 +93,9 @@ def parse_config(path) -> StudyConfig:
 
         return parse
 
-    equation = get("equation", choice(_EQUATIONS, "equation"))
-    numflux_kind = get("numflux", choice(_NUMFLUXES, "numflux"))
     cfg_kwargs = dict(
-        equation=equation,
-        numflux=NumericalFluxSpec(numflux_kind),
+        equation=get("equation", choice(FluxSpec)),
+        numflux=NumericalFluxSpec(get("numflux", choice(NumFluxKind))),
         hurst_list=get("hurst", lambda v: tuple(float(x) for x in v.split(","))),
         resolutions=get("resolutions", lambda v: tuple(int(x) for x in v.split(","))),
         reference_exponent=get("reference_exponent", int),
@@ -117,18 +103,13 @@ def parse_config(path) -> StudyConfig:
         base_seed=get("base_seed", int),
         t_final=get("t_final", float, default=1.0),
         cfl=get("cfl", float, default=0.5),
-        boundary=get("boundary", choice(_BOUNDARIES, "boundary"), default=Boundary.OUTFLOW),
+        boundary=get("boundary", choice(Boundary), default=Boundary.OUTFLOW),
         snapshot_times=get(
             "snapshot_times",
             lambda v: tuple(float(x) for x in v.split(",")) if v.strip() else (),
             default=(),
         ),
     )
-    if numflux_kind is NumFluxKind.UPWIND and equation is not FluxSpec.LINEAR:
-        lineno = entries["numflux"][0]
-        raise ConfigError(
-            f"{path}:{lineno}: numflux 'upwind' is only valid with equation 'linear'"
-        )
     try:
         return StudyConfig(**cfg_kwargs)
     except ValueError as exc:

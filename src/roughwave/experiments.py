@@ -79,8 +79,14 @@ class StudyConfig:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
         if self.beta is not None and self.beta <= 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
-        # fail fast on scheme-level problems (cfl range, t_final)
+        # fail fast on scheme-level problems (cfl range, t_final, flux pairing)
         _scheme(self)
+        times = self.snapshot_times
+        if any(not 0.0 <= t <= self.t_final for t in times) or list(times) != sorted(times):
+            raise ValueError(
+                f"snapshot_times must be sorted and lie in [0, t_final={self.t_final}], "
+                f"got {times}"
+            )
 
 
 @dataclass(frozen=True)

@@ -32,37 +32,26 @@ class NumFluxKind(Enum):
 class NumericalFluxSpec:
     """Choice of two-point numerical flux.
 
-    ``lam`` is the mesh ratio dt/dx and is consumed only by the
-    Lax-Friedrichs flux.  Leave it ``None`` to have the solver fill in the
-    ratio of the actual run; standalone evaluation then requires an explicit
-    value.
+    ``lam`` is the mesh ratio dt/dx, finite and > 0, and is consumed only by
+    the Lax-Friedrichs flux.  Leave it ``None`` to have the solver fill in
+    the ratio of the actual run; standalone evaluation then requires an
+    explicit value.
     """
 
     kind: NumFluxKind
     lam: Optional[float] = None
 
-
-def _ret(x):
-    x = np.asarray(x, dtype=float)
-    return float(x) if x.ndim == 0 else x
+    def __post_init__(self):
+        if self.lam is not None and not 0.0 < self.lam < np.inf:
+            raise ValueError(f"lam must be None or finite and > 0, got {self.lam}")
 
 
 def flux_value(spec: FluxSpec, u):
-    u = np.asarray(u, dtype=float)
     if spec is FluxSpec.BURGERS:
-        return _ret(0.5 * u * u)
+        return 0.5 * u * u
     if spec is FluxSpec.CUBIC:
-        return _ret(u * u * u / 3.0)
-    return _ret(u)
-
-
-def flux_deriv(spec: FluxSpec, u):
-    u = np.asarray(u, dtype=float)
-    if spec is FluxSpec.BURGERS:
-        return _ret(u)
-    if spec is FluxSpec.CUBIC:
-        return _ret(u * u)
-    return _ret(np.ones_like(u))
+        return u * u * u / 3.0
+    return u
 
 
 def max_wave_speed(spec: FluxSpec, u_min: float, u_max: float) -> float:
@@ -76,78 +65,44 @@ def max_wave_speed(spec: FluxSpec, u_min: float, u_max: float) -> float:
     return 1.0
 
 
-def godunov_flux(spec: FluxSpec, a, b):
-    """Exact-Riemann (Godunov) flux.
-
-    min of f over [a, b] when a <= b, max of f over [b, a] otherwise; the only
-    interior extremum candidate for the built-in fluxes is u = 0.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    fa = flux_value(spec, a)
-    fb = flux_value(spec, b)
-    fmin = np.minimum(fa, fb)
-    fmax = np.maximum(fa, fb)
-    if spec is not FluxSpec.LINEAR:
-        # f'(0) = 0 for Burgers and cubic; f(0) = 0 for both
-        inside = (np.minimum(a, b) <= 0.0) & (np.maximum(a, b) >= 0.0)
-        fmin = np.where(inside, np.minimum(fmin, 0.0), fmin)
-        fmax = np.where(inside, np.maximum(fmax, 0.0), fmax)
-    return _ret(np.where(a <= b, fmin, fmax))
-
-
-def rusanov_flux(spec: FluxSpec, a, b):
-    """Local Lax-Friedrichs flux with endpoint wave-speed estimate."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    s = np.maximum(np.abs(flux_deriv(spec, a)), np.abs(flux_deriv(spec, b)))
-    return _ret(0.5 * (flux_value(spec, a) + flux_value(spec, b)) - 0.5 * s * (b - a))
-
-
-def lax_friedrichs_flux(spec: FluxSpec, a, b, lam: float):
-    """Classical Lax-Friedrichs flux; ``lam`` is the mesh ratio dt/dx."""
-    if lam is None or lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return _ret(
-        0.5 * (flux_value(spec, a) + flux_value(spec, b)) - (b - a) / (2.0 * lam)
-    )
-
-
-def engquist_osher_flux(spec: FluxSpec, a, b):
-    """Engquist-Osher flux: split f' into positive and negative parts,
-    integrate each from 0, and upwind the pieces."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if spec is FluxSpec.BURGERS:
-        return _ret(0.5 * np.maximum(a, 0.0) ** 2 + 0.5 * np.minimum(b, 0.0) ** 2)
-    if spec is FluxSpec.CUBIC:
-        # f' = u^2 >= 0: the negative part vanishes and the flux is pure upwind
-        return flux_value(spec, a)
-    return _ret(a + 0.0 * b)
-
-
-def upwind_flux(spec: FluxSpec, a, b):
-    """Upwind flux for the linear law (unit rightward wave speed)."""
-    if spec is not FluxSpec.LINEAR:
-        raise ValueError(f"upwind flux is defined only for the linear law, got {spec}")
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return _ret(a + 0.0 * b)
-
-
 def numerical_flux(numflux: NumericalFluxSpec, spec: FluxSpec, a, b):
-    """Evaluate the chosen numerical flux F(a, b)."""
-    if numflux.kind is NumFluxKind.GODUNOV:
-        return godunov_flux(spec, a, b)
-    if numflux.kind is NumFluxKind.RUSANOV:
-        return rusanov_flux(spec, a, b)
-    if numflux.kind is NumFluxKind.LAX_FRIEDRICHS:
-        return lax_friedrichs_flux(spec, a, b, numflux.lam)
-    if numflux.kind is NumFluxKind.ENGQUIST_OSHER:
-        return engquist_osher_flux(spec, a, b)
-    return upwind_flux(spec, a, b)
+    """Evaluate the chosen numerical flux F(a, b) in closed form.
+
+    With ``a+ = max(a, 0)`` and ``b- = min(b, 0)``:
+
+    - Godunov (exact Riemann solution): ``max(f(a+), f(b-))`` for Burgers,
+      whose f is convex with its minimum at 0; ``f(a)`` for the cubic and
+      linear laws, whose f is nondecreasing.
+    - Engquist-Osher (f' split into its positive and negative parts):
+      ``f(a+) + f(b-)`` for Burgers, ``f(a)`` for the cubic and linear laws.
+    - Upwind: ``f(a)``, linear law only.
+    - Rusanov: ``(f(a) + f(b))/2 - s (b - a)/2`` with the endpoint speed
+      ``s = max(|f'(a)|, |f'(b)|)``.
+    - Lax-Friedrichs: ``(f(a) + f(b))/2 - (b - a)/(2 lam)``.
+    """
+    kind = numflux.kind
+    if kind is NumFluxKind.LAX_FRIEDRICHS:
+        if numflux.lam is None:
+            raise ValueError("the Lax-Friedrichs flux needs the mesh ratio lam")
+        return 0.5 * (flux_value(spec, a) + flux_value(spec, b)) - (b - a) / (2.0 * numflux.lam)
+    if kind is NumFluxKind.RUSANOV:
+        if spec is FluxSpec.BURGERS:
+            s = np.maximum(np.abs(a), np.abs(b))
+        elif spec is FluxSpec.CUBIC:
+            s = np.maximum(a * a, b * b)
+        else:
+            s = 1.0
+        return 0.5 * (flux_value(spec, a) + flux_value(spec, b)) - 0.5 * s * (b - a)
+    if kind is NumFluxKind.UPWIND and spec is not FluxSpec.LINEAR:
+        raise ValueError(f"upwind flux is defined only for the linear law, got {spec}")
+    if spec is not FluxSpec.BURGERS:
+        return flux_value(spec, a)
+    pos = np.maximum(a, 0.0)
+    neg = np.minimum(b, 0.0)
+    if kind is NumFluxKind.GODUNOV:
+        return np.maximum(flux_value(spec, pos), flux_value(spec, neg))
+    # 0.5 * u**2 and flux_value's 0.5 * u * u round apart for |u| < 1.5e-154
+    return 0.5 * pos**2 + 0.5 * neg**2
 
 
 @dataclass(frozen=True)

@@ -7,20 +7,15 @@ periodic wraps around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .diagnostics import total_variation
-from .flux import (
-    FluxSpec,
-    NumericalFluxSpec,
-    NumFluxKind,
-    max_wave_speed,
-    numerical_flux,
-)
+from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind, max_wave_speed, numerical_flux
 from .mesh import CellField, Grid
 
 
@@ -42,6 +37,10 @@ class SchemeConfig:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not 0.0 <= self.t_final < np.inf:
             raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
+        if self.numflux.kind is NumFluxKind.UPWIND and self.flux is not FluxSpec.LINEAR:
+            raise ValueError(
+                f"the upwind flux is only valid with the linear law, got {self.flux.value}"
+            )
 
 
 @dataclass(frozen=True)
@@ -85,28 +84,32 @@ def _pad(values: np.ndarray, boundary: Boundary) -> np.ndarray:
     return np.concatenate((values[:1], values, values[-1:]))
 
 
-def step(
-    state: CellField,
-    config: SchemeConfig,
-    dt: float,
-    flux_lambda: Optional[float] = None,
-) -> CellField:
+def _fill_lambda(numflux: NumericalFluxSpec, lam: float) -> NumericalFluxSpec:
+    """``numflux`` with mesh ratio ``lam`` if it is a Lax-Friedrichs flux without one.
+
+    ``lam`` overflows to inf on data of subnormal size, where max|f'| is tiny;
+    it is clamped to the largest float, a valid ratio whose ``2 lam`` in the
+    flux is inf all the same.
+    """
+    if numflux.kind is NumFluxKind.LAX_FRIEDRICHS and numflux.lam is None:
+        return replace(numflux, lam=min(lam, sys.float_info.max))
+    return numflux
+
+
+def step(state: CellField, config: SchemeConfig, dt: float) -> CellField:
     """One explicit update of duration ``dt``.
 
-    ``flux_lambda`` fixes the mesh ratio fed to the Lax-Friedrichs flux;
-    by default it is taken from the flux spec, falling back to dt/dx.
+    A Lax-Friedrichs flux without a mesh ratio uses dt/dx.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     grid = state.grid
-    numflux = config.numflux
-    if numflux.kind is NumFluxKind.LAX_FRIEDRICHS and numflux.lam is None:
-        lam = flux_lambda if flux_lambda is not None else dt / grid.dx
-        numflux = NumericalFluxSpec(numflux.kind, lam)
+    ratio = dt / grid.dx
+    numflux = _fill_lambda(config.numflux, ratio)
     w = _pad(state.values, config.boundary)
     with np.errstate(invalid="ignore", over="ignore"):
         face = numerical_flux(numflux, config.flux, w[:-1], w[1:])
-        out = state.values - (dt / grid.dx) * (face[1:] - face[:-1])
+        out = state.values - ratio * (face[1:] - face[:-1])
     finite = np.isfinite(out)
     if not finite.all():
         bad = int(np.argmin(finite))
@@ -131,7 +134,7 @@ def evolve(
     time; ``store_all`` additionally keeps the state of every step.
     """
     snapshot_times = [float(t) for t in snapshot_times]
-    if any(t < 0.0 or t > config.t_final for t in snapshot_times):
+    if any(not 0.0 <= t <= config.t_final for t in snapshot_times):
         raise ValueError(f"snapshot times must lie in [0, {config.t_final}]")
     if sorted(snapshot_times) != snapshot_times:
         raise ValueError("snapshot times must be sorted")
@@ -140,7 +143,8 @@ def evolve(
     v0 = initial.values
     dt = cfl_timestep(grid, config.flux, float(v0.min()), float(v0.max()), config.cfl)
     periodic = config.boundary is Boundary.PERIODIC
-    flux_lambda = dt / grid.dx  # frozen for the whole run, incl. the short last step
+    # the mesh ratio is frozen for the whole run, incl. the short last step
+    config = replace(config, numflux=_fill_lambda(config.numflux, dt / grid.dx))
 
     times = [0.0]
     tv = [total_variation(initial, periodic=periodic)]
@@ -155,7 +159,7 @@ def evolve(
     guard = 1e-12 * max(1.0, config.t_final)
     while t < config.t_final - guard:
         dt_i = min(dt, config.t_final - t)
-        state = step(state, config, dt_i, flux_lambda=flux_lambda)
+        state = step(state, config, dt_i)
         t = min(t + dt_i, config.t_final)
         times.append(t)
         tv.append(total_variation(state, periodic=periodic))

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from roughwave import Boundary, FluxSpec, NumFluxKind, StudyResult, config_from_dict
+from roughwave import experiments
 from roughwave.cli import ConfigError, parse_config, run, write_csv
 
 MINIMAL = """\
@@ -243,9 +244,22 @@ def test_module_entry_point_writes_csv(tmp_path):
     assert (out / "tvscale.csv").read_text().startswith("study,hurst,sample,k,dx,tv,slope\n")
 
 
-def test_runtime_failure_exits_2(tmp_path, capsys):
-    # snapshot time beyond t_final passes config validation but fails in the solver
-    cfg = write(tmp_path, MINIMAL + "t_final = 0.5\nsnapshot_times = 0.75\n")
+@pytest.mark.parametrize("times", ["nan", "0.4,0.2", "0.75", "-0.1"])
+@pytest.mark.parametrize("command", ["tvdecay", "solve"])
+def test_bad_snapshot_times_exit_1_and_write_nothing(tmp_path, capsys, command, times):
+    cfg = write(tmp_path, MINIMAL + f"t_final = 0.5\nsnapshot_times = {times}\n")
+    out = tmp_path / "snap"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "snapshot_times" in capsys.readouterr().err
+
+
+def test_runtime_failure_exits_2(tmp_path, capsys, monkeypatch):
+    def failing_evolve(*args, **kwargs):
+        raise FloatingPointError("non-finite value in cell 3")
+
+    monkeypatch.setattr(experiments, "evolve", failing_evolve)
+    cfg = write(tmp_path, MINIMAL + "t_final = 0.5\nsnapshot_times = 0.25\n")
     out = tmp_path / "r"
     assert run(["tvdecay", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -14,6 +14,7 @@ from roughwave import (
     sample_seed,
     total_variation,
 )
+from roughwave import experiments
 from roughwave.experiments import _slope_or_none
 
 GODUNOV = NumericalFluxSpec(NumFluxKind.GODUNOV)
@@ -55,6 +56,11 @@ def test_study_config_validation():
         burgers_cfg(beta=-1.0)
     with pytest.raises(ValueError):
         burgers_cfg(cfl=2.0)
+    with pytest.raises(ValueError, match="upwind"):
+        burgers_cfg(numflux=NumericalFluxSpec(NumFluxKind.UPWIND))
+    for times in ((float("nan"),), (0.5, 0.25), (1.5,), (-0.1,)):
+        with pytest.raises(ValueError, match="snapshot_times"):
+            burgers_cfg(snapshot_times=times)
 
 
 def test_unknown_study_rejected():
@@ -282,10 +288,14 @@ def test_sharpness_single_step_closed_form():
     assert ratio == pytest.approx(2 * 0.5 * l0 / total_variation(u0), rel=1e-2)
 
 
-def test_worker_failure_carries_sample_identity():
-    cfg = burgers_cfg(snapshot_times=(2.0,), t_final=1.0, resolutions=(5,),
+def test_worker_failure_carries_sample_identity(monkeypatch):
+    def failing_evolve(*args, **kwargs):
+        raise FloatingPointError("non-finite value in cell 3")
+
+    monkeypatch.setattr(experiments, "evolve", failing_evolve)
+    cfg = burgers_cfg(snapshot_times=(0.5,), t_final=1.0, resolutions=(5,),
                       reference_exponent=7, n_samples=1)
-    with pytest.raises(RuntimeError, match="sample 0"):
+    with pytest.raises(RuntimeError, match="sample 0.*non-finite"):
         run_samples_parallel("tvdecay", cfg)
 
 

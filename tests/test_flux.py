@@ -6,16 +6,20 @@ from roughwave import (
     NumericalFluxSpec,
     NumFluxKind,
     check_monotone,
-    engquist_osher_flux,
-    flux_deriv,
     flux_value,
-    godunov_flux,
-    lax_friedrichs_flux,
     max_wave_speed,
     numerical_flux,
-    rusanov_flux,
-    upwind_flux,
 )
+
+GODUNOV = NumericalFluxSpec(NumFluxKind.GODUNOV)
+RUSANOV = NumericalFluxSpec(NumFluxKind.RUSANOV)
+ENGQUIST_OSHER = NumericalFluxSpec(NumFluxKind.ENGQUIST_OSHER)
+UPWIND = NumericalFluxSpec(NumFluxKind.UPWIND)
+
+
+def lax_friedrichs(lam):
+    return NumericalFluxSpec(NumFluxKind.LAX_FRIEDRICHS, lam)
+
 
 ALL_SPECS = (FluxSpec.BURGERS, FluxSpec.CUBIC, FluxSpec.LINEAR)
 TWO_POINT_FLUXES = (
@@ -38,55 +42,65 @@ def dense_extremum(spec, a, b, n=100_000):
 
 
 def test_flux_closed_forms():
+    # max_wave_speed over a one-point interval is |f'| there
     assert flux_value(FluxSpec.BURGERS, 2.0) == 2.0
-    assert flux_deriv(FluxSpec.BURGERS, 2.0) == 2.0
+    assert max_wave_speed(FluxSpec.BURGERS, 2.0, 2.0) == 2.0
     assert flux_value(FluxSpec.CUBIC, -1.0) == pytest.approx(-1 / 3, rel=1e-15)
-    assert flux_deriv(FluxSpec.CUBIC, -1.0) == 1.0
+    assert max_wave_speed(FluxSpec.CUBIC, -1.0, -1.0) == 1.0
     assert flux_value(FluxSpec.LINEAR, 0.37) == 0.37
-    assert flux_deriv(FluxSpec.LINEAR, -5.0) == 1.0
+    assert max_wave_speed(FluxSpec.LINEAR, -5.0, -5.0) == 1.0
 
 
 def test_flux_vectorized():
     u = np.array([-1.0, 0.0, 2.0])
     assert np.array_equal(flux_value(FluxSpec.BURGERS, u), [0.5, 0.0, 2.0])
-    assert np.array_equal(flux_deriv(FluxSpec.CUBIC, u), [1.0, 0.0, 4.0])
+    assert np.array_equal(flux_value(FluxSpec.CUBIC, u), [-1 / 3, 0.0, 8 / 3])
+    v = np.array([0.5, -1.0, -1.0])
+    assert np.array_equal(numerical_flux(GODUNOV, FluxSpec.BURGERS, u, v), [0.0, 0.5, 2.0])
+    assert np.array_equal(numerical_flux(ENGQUIST_OSHER, FluxSpec.BURGERS, u, v),
+                          [0.0, 0.5, 2.5])
 
 
 def test_godunov_examples():
-    assert godunov_flux(FluxSpec.BURGERS, -1.0, 1.0) == 0.0
-    assert godunov_flux(FluxSpec.BURGERS, 1.0, -1.0) == 0.5
+    assert numerical_flux(GODUNOV, FluxSpec.BURGERS, -1.0, 1.0) == 0.0
+    assert numerical_flux(GODUNOV, FluxSpec.BURGERS, 1.0, -1.0) == 0.5
     for spec in ALL_SPECS:
         for c in (-0.7, 0.0, 1.3):
-            assert godunov_flux(spec, c, c) == pytest.approx(flux_value(spec, c), abs=1e-15)
+            assert numerical_flux(GODUNOV, spec, c, c) == pytest.approx(
+                flux_value(spec, c), abs=1e-15
+            )
 
 
 def test_godunov_matches_dense_oracle():
     rng = np.random.default_rng(424242)
     pairs = rng.uniform(-1, 1, size=(10_000, 2))
     for spec in (FluxSpec.BURGERS, FluxSpec.CUBIC):
-        got = godunov_flux(spec, pairs[:, 0], pairs[:, 1])
+        got = numerical_flux(GODUNOV, spec, pairs[:, 0], pairs[:, 1])
         want = np.array([dense_extremum(spec, a, b, n=4097) for a, b in pairs])
         assert np.max(np.abs(got - want)) <= 1e-10
 
 
 def test_rusanov_examples():
-    assert rusanov_flux(FluxSpec.BURGERS, 1.0, -1.0) == pytest.approx(1.5, abs=1e-15)
-    assert rusanov_flux(FluxSpec.LINEAR, 0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert rusanov_flux(FluxSpec.CUBIC, 0.5, 0.5) == pytest.approx(
+    assert numerical_flux(RUSANOV, FluxSpec.BURGERS, 1.0, -1.0) == pytest.approx(1.5, abs=1e-15)
+    assert numerical_flux(RUSANOV, FluxSpec.LINEAR, 0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
+    # endpoint speed max(a^2, b^2) = 1 for the cubic law
+    assert numerical_flux(RUSANOV, FluxSpec.CUBIC, 0.5, -1.0) == pytest.approx(
+        (1 / 24 - 1 / 3) / 2 + 0.75, abs=1e-15
+    )
+    assert numerical_flux(RUSANOV, FluxSpec.CUBIC, 0.5, 0.5) == pytest.approx(
         flux_value(FluxSpec.CUBIC, 0.5), abs=1e-15
     )
 
 
 def test_lax_friedrichs_examples():
-    assert lax_friedrichs_flux(FluxSpec.BURGERS, 1.0, -1.0, 0.5) == pytest.approx(2.5)
-    assert lax_friedrichs_flux(FluxSpec.LINEAR, 0.0, 0.0, 0.25) == 0.0
-    assert lax_friedrichs_flux(FluxSpec.BURGERS, 0.3, 0.3, 2.0) == pytest.approx(
+    assert numerical_flux(lax_friedrichs(0.5), FluxSpec.BURGERS, 1.0, -1.0) == pytest.approx(2.5)
+    assert numerical_flux(lax_friedrichs(0.25), FluxSpec.LINEAR, 0.0, 0.0) == 0.0
+    assert numerical_flux(lax_friedrichs(2.0), FluxSpec.BURGERS, 0.3, 0.3) == pytest.approx(
         flux_value(FluxSpec.BURGERS, 0.3), abs=1e-15
     )
-    with pytest.raises(ValueError):
-        lax_friedrichs_flux(FluxSpec.BURGERS, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        lax_friedrichs_flux(FluxSpec.BURGERS, 0.0, 0.0, -1.0)
+    for lam in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lam"):
+            numerical_flux(lax_friedrichs(lam), FluxSpec.BURGERS, 0.0, 0.0)
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
@@ -94,20 +108,22 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
 
 def eo_integral_oracle(spec, a, b, n=200_001):
     """Quadrature of the derivative splitting, anchored at 0."""
+    deriv = {FluxSpec.BURGERS: lambda s: s, FluxSpec.CUBIC: lambda s: s * s,
+             FluxSpec.LINEAR: np.ones_like}[spec]
 
     def part(x, clip):
         s = np.linspace(0.0, x, n)
-        return _trapezoid(clip(flux_deriv(spec, s), 0.0), s)
+        return _trapezoid(clip(deriv(s), 0.0), s)
 
     return part(a, np.maximum) + part(b, np.minimum) + flux_value(spec, 0.0)
 
 
 def test_engquist_osher_examples():
-    assert engquist_osher_flux(FluxSpec.BURGERS, 1.0, -1.0) == pytest.approx(1.0)
+    assert numerical_flux(ENGQUIST_OSHER, FluxSpec.BURGERS, 1.0, -1.0) == pytest.approx(1.0)
     # cubic has f' >= 0 everywhere, so the flux is pure upwind: f(a)
-    assert engquist_osher_flux(FluxSpec.CUBIC, -1.0, 1.0) == pytest.approx(-1 / 3)
+    assert numerical_flux(ENGQUIST_OSHER, FluxSpec.CUBIC, -1.0, 1.0) == pytest.approx(-1 / 3)
     for c in (-0.5, 0.0, 0.8):
-        assert engquist_osher_flux(FluxSpec.BURGERS, c, c) == pytest.approx(
+        assert numerical_flux(ENGQUIST_OSHER, FluxSpec.BURGERS, c, c) == pytest.approx(
             flux_value(FluxSpec.BURGERS, c), abs=1e-15
         )
 
@@ -116,15 +132,16 @@ def test_engquist_osher_matches_integral_oracle():
     rng = np.random.default_rng(99)
     for spec in ALL_SPECS:
         for a, b in rng.uniform(-1, 1, size=(25, 2)):
-            got = engquist_osher_flux(spec, a, b)
+            got = numerical_flux(ENGQUIST_OSHER, spec, a, b)
             assert got == pytest.approx(eo_integral_oracle(spec, a, b), abs=1e-8)
 
 
 def test_upwind_examples():
-    assert upwind_flux(FluxSpec.LINEAR, 3.0, 7.0) == 3.0
-    assert upwind_flux(FluxSpec.LINEAR, 0.0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        upwind_flux(FluxSpec.BURGERS, 1.0, 2.0)
+    assert numerical_flux(UPWIND, FluxSpec.LINEAR, 3.0, 7.0) == 3.0
+    assert numerical_flux(UPWIND, FluxSpec.LINEAR, 0.0, 0.0) == 0.0
+    for spec in (FluxSpec.BURGERS, FluxSpec.CUBIC):
+        with pytest.raises(ValueError):
+            numerical_flux(UPWIND, spec, 1.0, 2.0)
 
 
 def test_max_wave_speed():
@@ -162,9 +179,9 @@ def test_local_lipschitz_bound():
 def test_godunov_engquist_osher_upwind_agree_for_linear():
     rng = np.random.default_rng(8)
     a, b = rng.uniform(-1, 1, (2, 1000))
-    g = godunov_flux(FluxSpec.LINEAR, a, b)
-    e = engquist_osher_flux(FluxSpec.LINEAR, a, b)
-    u = upwind_flux(FluxSpec.LINEAR, a, b)
+    g = numerical_flux(GODUNOV, FluxSpec.LINEAR, a, b)
+    e = numerical_flux(ENGQUIST_OSHER, FluxSpec.LINEAR, a, b)
+    u = numerical_flux(UPWIND, FluxSpec.LINEAR, a, b)
     assert np.array_equal(g, u)
     assert np.array_equal(e, u)
 

@@ -51,6 +51,8 @@ def test_scheme_config_validation():
         burgers_config(t_final=float("nan"))
     with pytest.raises(ValueError):
         burgers_config(t_final=float("inf"))
+    with pytest.raises(ValueError, match="upwind.*linear"):
+        burgers_config(numflux=NumericalFluxSpec(NumFluxKind.UPWIND))
 
 
 def test_cfl_timestep_examples():
@@ -197,6 +199,8 @@ def test_evolve_validates_snapshot_times():
         evolve(state, burgers_config(t_final=0.5), snapshot_times=[0.3, 0.1])
     with pytest.raises(ValueError):
         evolve(state, burgers_config(t_final=0.5), snapshot_times=[-0.1])
+    with pytest.raises(ValueError):
+        evolve(state, burgers_config(t_final=0.5), snapshot_times=[float("nan")])
 
 
 def test_evolve_store_all_keeps_every_step():
@@ -278,3 +282,17 @@ def test_evolve_lax_friedrichs_default_lambda():
     traj = evolve(u0, cfg)
     assert np.all(np.diff(traj.per_step_tv) <= 1e-12)
     assert np.all(np.abs(traj.final.values) <= 1.0 + 1e-12)
+
+
+def test_evolve_lax_friedrichs_on_subnormal_data():
+    # the Lax-Friedrichs mesh ratio dt/dx = cfl / max|f'| overflows here
+    u0 = CellField(make_grid(0, 1, 2), np.array([0.0, 2.2e-309]))
+    cfg = SchemeConfig(
+        flux=FluxSpec.BURGERS,
+        numflux=NumericalFluxSpec(NumFluxKind.LAX_FRIEDRICHS),
+        t_final=0.25,
+        boundary=Boundary.PERIODIC,
+    )
+    traj = evolve(u0, cfg)
+    assert traj.times[-1] == 0.25
+    assert np.all(np.abs(traj.final.values) <= 2.2e-309)
