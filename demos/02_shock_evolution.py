@@ -29,7 +29,7 @@ scheme = SchemeConfig(
 )
 
 snapshot_times = [0.0, 1 / 256, 0.05, 0.25, 0.5, 1.0]
-traj = evolve(u0, scheme, snapshot_times=snapshot_times)
+traj = evolve(u0, scheme, snapshot_times=snapshot_times, track_tv=True)
 
 print(f"{grid.n_cells} cells, dt = {traj.dt_used:.2e}, {len(traj.times) - 1} steps")
 print()

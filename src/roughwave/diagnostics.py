@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,8 +21,13 @@ def total_variation(field: CellField, periodic: bool = False) -> float:
 
     With ``periodic=True`` the wrap-around jump |v_0 - v_{n-1}| is included.
     """
-    v = field.values
-    tv = float(np.sum(np.abs(np.diff(v))))
+    return _variation(field.values, periodic)
+
+
+def _variation(v: np.ndarray, periodic: bool, scratch: Optional[np.ndarray] = None) -> float:
+    """``total_variation`` of the values ``v``; in place in ``scratch`` if given."""
+    d = None if scratch is None else scratch[: v.size - 1]
+    tv = float(np.sum(np.abs(np.subtract(v[1:], v[:-1], out=d), out=d)))
     if periodic and v.size > 1:
         tv += abs(float(v[0]) - float(v[-1]))
     return tv
@@ -65,6 +70,8 @@ def tv_time_integral(traj: "Trajectory") -> float:
     Every recorded time point is weighted by the nominal step, except the
     last one which is weighted by the actual (possibly shortened) final step.
     """
+    if traj.per_step_tv is None:
+        raise ValueError("the trajectory has no per-step TV; evolve it with track_tv=True")
     times = np.asarray(traj.times, dtype=float)
     if times.size < 2:
         return 0.0
@@ -135,14 +142,6 @@ def lip_bound_rhs(b: BoundInputs) -> float:
     return 2.0 * b.m_support * (
         b.lip_plus_0 * b.dt + math.log1p(b.beta * b.t_n * b.lip_plus_0) / b.beta
     )
-
-
-def sharpness_ratio(traj: "Trajectory", b: BoundInputs) -> float:
-    """Bound divided by the measured time-integrated TV (>= 1 if the bound holds)."""
-    denom = tv_time_integral(traj)
-    if denom <= 0:
-        raise ValueError("time-integrated total variation is zero")
-    return lip_bound_rhs(b) / denom
 
 
 def kuznetsov_bound(b: BoundInputs, tv_integral: float, l1_init_err: float) -> float:

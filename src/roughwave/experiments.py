@@ -77,8 +77,8 @@ class StudyConfig:
             )
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
+        if self.beta is not None and not 0.0 < self.beta < np.inf:
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         # fail fast on scheme-level problems (cfl range, t_final, flux pairing)
         _scheme(self)
         times = self.snapshot_times
@@ -295,7 +295,7 @@ def _sharpness_sample(cfg, hurst, sample):
     points = []
     for k in cfg.resolutions:
         u0_k = _coarse(cfg, u0_ref, k)
-        traj = evolve(u0_k, scheme)
+        traj = evolve(u0_k, scheme, track_tv=True)
         bound = BoundInputs(
             beta=beta,
             lip_plus_0=lip_plus(u0_k),

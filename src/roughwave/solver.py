@@ -14,7 +14,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .diagnostics import total_variation
+from .diagnostics import _variation
 from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind, max_wave_speed, numerical_flux
 from .mesh import CellField, Grid
 
@@ -52,17 +52,17 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """One evolution: time points, per-step total variation and snapshots.
+    """One evolution: time points, snapshots and, with ``track_tv``, per-step TV.
 
     ``per_step_tv`` holds TV(v(t)) at every entry of ``times`` (periodic TV
-    under periodic boundaries, interior TV otherwise).  ``dt_used`` is the
-    fixed nominal step; the final step may be shorter to land on t_final.
+    under periodic boundaries, interior TV otherwise), or None.  ``dt_used``
+    is the fixed nominal step; the final step may be shorter to land on t_final.
     """
 
     grid: Grid
     times: np.ndarray
     snapshots: Tuple[Snapshot, ...]
-    per_step_tv: np.ndarray
+    per_step_tv: Optional[np.ndarray]
     dt_used: float
     final: CellField
     all_fields: Optional[Tuple[CellField, ...]] = None
@@ -78,12 +78,6 @@ def cfl_timestep(grid: Grid, spec: FluxSpec, u_min: float, u_max: float, cfl: fl
     return cfl * grid.dx / speed
 
 
-def _pad(values: np.ndarray, boundary: Boundary) -> np.ndarray:
-    if boundary is Boundary.PERIODIC:
-        return np.concatenate((values[-1:], values, values[:1]))
-    return np.concatenate((values[:1], values, values[-1:]))
-
-
 def _fill_lambda(numflux: NumericalFluxSpec, lam: float) -> NumericalFluxSpec:
     """``numflux`` with mesh ratio ``lam`` if it is a Lax-Friedrichs flux without one.
 
@@ -96,84 +90,92 @@ def _fill_lambda(numflux: NumericalFluxSpec, lam: float) -> NumericalFluxSpec:
     return numflux
 
 
-def step(state: CellField, config: SchemeConfig, dt: float) -> CellField:
-    """One explicit update of duration ``dt``.
+def _advance(w, out, ratio: float, numflux: NumericalFluxSpec, config: SchemeConfig) -> None:
+    """The one update: ``out = v - ratio * (F[1:] - F[:-1])``, in this operation order,
+    for the state ``v = w[1:-1]`` (``w`` has n + 2 cells, its ghost cells filled here)."""
+    w[0], w[-1] = (w[-2], w[1]) if config.boundary is Boundary.PERIODIC else (w[1], w[-2])
+    face = numerical_flux(numflux, config.flux, w[:-1], w[1:])
+    np.subtract(face[1:], face[:-1], out=out)
+    np.multiply(out, ratio, out=out)
+    np.subtract(w[1:-1], out, out=out)
 
-    A Lax-Friedrichs flux without a mesh ratio uses dt/dx.
-    """
+
+def _expose(grid: Grid, values: np.ndarray, dt: float) -> CellField:
+    """A frozen copy of ``values``; FloatingPointError if one is not finite."""
+    try:
+        return CellField(grid, values)
+    except ValueError as exc:  # CellField's finiteness check
+        raise FloatingPointError(f"{exc} after steps of dt={dt}; check the CFL condition") from exc
+
+
+def step(state: CellField, config: SchemeConfig, dt: float) -> CellField:
+    """One explicit update of duration ``dt`` through the kernel ``evolve`` uses; a
+    Lax-Friedrichs flux without a mesh ratio uses dt/dx."""
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    grid = state.grid
-    ratio = dt / grid.dx
-    numflux = _fill_lambda(config.numflux, ratio)
-    w = _pad(state.values, config.boundary)
+    n, ratio = state.grid.n_cells, dt / state.grid.dx
+    w, out = np.empty(n + 2), np.empty(n)
+    w[1:-1] = state.values
     with np.errstate(invalid="ignore", over="ignore"):
-        face = numerical_flux(numflux, config.flux, w[:-1], w[1:])
-        out = state.values - ratio * (face[1:] - face[:-1])
-    finite = np.isfinite(out)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise FloatingPointError(
-            f"non-finite value in cell {bad} after step with dt={dt}; "
-            "check the CFL condition"
-        )
-    return CellField(grid, out)
+        _advance(w, out, ratio, _fill_lambda(config.numflux, ratio), config)
+    return _expose(state.grid, out, dt)
 
 
-def evolve(
-    initial: CellField,
-    config: SchemeConfig,
-    snapshot_times: Sequence[float] = (),
-    store_all: bool = False,
-) -> Trajectory:
+def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[float] = (),
+           store_all: bool = False, track_tv: bool = False) -> Trajectory:
     """March to t_final with a fixed CFL step chosen from the initial range.
 
     The step is valid for all time because monotone schemes obey a maximum
     principle.  The final step is shortened to land exactly on t_final.
     Snapshots are recorded at the first time point at or after each requested
-    time; ``store_all`` additionally keeps the state of every step.
+    time; ``store_all`` also keeps every step and ``track_tv`` fills ``per_step_tv``.
+    Each state handed out is checked: a non-finite cell raises FloatingPointError,
+    and none is missed, since every update subtracts from a cell's own value.
     """
-    snapshot_times = [float(t) for t in snapshot_times]
-    if any(not 0.0 <= t <= config.t_final for t in snapshot_times):
+    pending = [float(t) for t in snapshot_times]
+    if any(not 0.0 <= t <= config.t_final for t in pending):
         raise ValueError(f"snapshot times must lie in [0, {config.t_final}]")
-    if sorted(snapshot_times) != snapshot_times:
+    if sorted(pending) != pending:
         raise ValueError("snapshot times must be sorted")
 
-    grid = initial.grid
-    v0 = initial.values
+    grid, dx, v0 = initial.grid, initial.grid.dx, initial.values
     dt = cfl_timestep(grid, config.flux, float(v0.min()), float(v0.max()), config.cfl)
-    periodic = config.boundary is Boundary.PERIODIC
     # the mesh ratio is frozen for the whole run, incl. the short last step
-    config = replace(config, numflux=_fill_lambda(config.numflux, dt / grid.dx))
+    numflux = _fill_lambda(config.numflux, dt / dx)
+    if dt == np.inf:  # data of subnormal size: one step lands on t_final
+        dt = config.t_final
+    if dt <= 0.0 < config.t_final:  # max|f'| overflowed: the loop would never end
+        raise ValueError(f"dt must be > 0, got {dt}")
+    periodic = config.boundary is Boundary.PERIODIC
 
+    w, w_next, tv_diff = np.empty(v0.size + 2), np.empty(v0.size + 2), np.empty(v0.size)
+    w[1:-1] = v0
     times = [0.0]
-    tv = [total_variation(initial, periodic=periodic)]
+    tv = [_variation(v0, periodic, tv_diff)] if track_tv else None
     snaps: list[Snapshot] = []
     stored: list[CellField] = [initial] if store_all else []
-    pending = list(snapshot_times)
     while pending and pending[0] <= 0.0:
         snaps.append(Snapshot(pending.pop(0), 0.0, initial))
 
-    state = initial
-    t = 0.0
-    guard = 1e-12 * max(1.0, config.t_final)
-    while t < config.t_final - guard:
-        dt_i = min(dt, config.t_final - t)
-        state = step(state, config, dt_i)
-        t = min(t + dt_i, config.t_final)
-        times.append(t)
-        tv.append(total_variation(state, periodic=periodic))
-        if store_all:
-            stored.append(state)
-        while pending and t >= pending[0] - guard:
-            snaps.append(Snapshot(pending.pop(0), t, state))
+    state = initial  # the current state as a CellField, or None until it is exposed
+    t, guard = 0.0, 1e-12 * max(1.0, config.t_final)
+    with np.errstate(invalid="ignore", over="ignore"):
+        while t < config.t_final - guard:
+            dt_i = min(dt, config.t_final - t)
+            _advance(w, w_next[1:-1], dt_i / dx, numflux, config)
+            w, w_next, state = w_next, w, None
+            t = min(t + dt_i, config.t_final)
+            times.append(t)
+            if track_tv:
+                tv.append(_variation(w[1:-1], periodic, tv_diff))
+            if store_all:
+                state = _expose(grid, w[1:-1], dt)
+                stored.append(state)
+            while pending and t >= pending[0] - guard:
+                state = state if state is not None else _expose(grid, w[1:-1], dt)
+                snaps.append(Snapshot(pending.pop(0), t, state))
 
-    return Trajectory(
-        grid=grid,
-        times=np.asarray(times),
-        snapshots=tuple(snaps),
-        per_step_tv=np.asarray(tv),
-        dt_used=dt,
-        final=state,
-        all_fields=tuple(stored) if store_all else None,
-    )
+    return Trajectory(grid=grid, times=np.asarray(times), snapshots=tuple(snaps),
+                      per_step_tv=None if tv is None else np.asarray(tv), dt_used=dt,
+                      final=state if state is not None else _expose(grid, w[1:-1], dt),
+                      all_fields=tuple(stored) if store_all else None)

@@ -107,7 +107,7 @@ def test_criterion_3_tv_decay():
     for s in range(n_samples):
         ref = fbm_initial_field(0.5, make_grid(0, 1, 1 << 12), sample_seed(BASE_SEED, s))
         u0 = restrict(ref, 1 << (12 - k))
-        traj = evolve(u0, scheme, snapshot_times=snap_times)
+        traj = evolve(u0, scheme, snapshot_times=snap_times, track_tv=True)
         tvd_ok &= bool(np.all(np.diff(traj.per_step_tv) <= 1e-12))
         t = np.array([sn.time for sn in traj.snapshots])
         inv = np.array([1.0 / total_variation(sn.field) for sn in traj.snapshots])
@@ -207,7 +207,7 @@ def test_criterion_6_scheme_invariants():
         for boundary in Boundary:
             cfg = SchemeConfig(flux=FluxSpec.BURGERS, numflux=numflux,
                                t_final=0.25, boundary=boundary)
-            traj = evolve(u0, cfg, store_all=True)
+            traj = evolve(u0, cfg, store_all=True, track_tv=True)
             lo, hi = u0.values.min(), u0.values.max()
             if not all(f.values.min() >= lo - 1e-12 and f.values.max() <= hi + 1e-12
                        for f in traj.all_fields):

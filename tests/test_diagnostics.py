@@ -21,7 +21,6 @@ from roughwave import (
     lip_plus,
     make_grid,
     project,
-    sharpness_ratio,
     total_variation,
     tv_time_integral,
 )
@@ -167,7 +166,20 @@ def test_tv_time_integral_constant_state():
         numflux=NumericalFluxSpec(NumFluxKind.GODUNOV),
         t_final=0.1,
     )
-    assert tv_time_integral(evolve(state, cfg)) == 0.0
+    assert tv_time_integral(evolve(state, cfg, track_tv=True)) == 0.0
+
+
+def test_tv_time_integral_needs_tracked_tv():
+    u0 = fbm_initial_field(0.5, make_grid(0, 1, 32), 5)
+    cfg = SchemeConfig(
+        flux=FluxSpec.BURGERS,
+        numflux=NumericalFluxSpec(NumFluxKind.GODUNOV),
+        t_final=0.1,
+    )
+    traj = evolve(u0, cfg)
+    assert traj.per_step_tv is None
+    with pytest.raises(ValueError, match="track_tv=True"):
+        tv_time_integral(traj)
 
 
 def test_tv_time_integral_matches_store_all_recomputation():
@@ -177,7 +189,7 @@ def test_tv_time_integral_matches_store_all_recomputation():
         numflux=NumericalFluxSpec(NumFluxKind.GODUNOV),
         t_final=0.3,
     )
-    traj = evolve(u0, cfg, store_all=True)
+    traj = evolve(u0, cfg, store_all=True, track_tv=True)
     weights = np.full(len(traj.times), traj.dt_used)
     weights[-1] = traj.times[-1] - traj.times[-2]
     want = sum(w * total_variation(f) for w, f in zip(weights, traj.all_fields))
@@ -228,19 +240,6 @@ def test_lip_bound_rhs_rejects_nonpositive_seminorm():
         lip_bound_rhs(BoundInputs(beta=0.125, lip_plus_0=0.0, dt=0.1, t_n=1.0))
     with pytest.raises(ValueError):
         lip_bound_rhs(BoundInputs(beta=0.125, lip_plus_0=-2.0, dt=0.1, t_n=1.0))
-
-
-def test_sharpness_ratio_literal():
-    traj = literal_trajectory([0.0, 0.1], [2.0, 2.0], 0.1)
-    b = BoundInputs(beta=0.125, lip_plus_0=10.0, dt=0.1, t_n=0.1, m_support=0.5)
-    assert sharpness_ratio(traj, b) == pytest.approx(lip_bound_rhs(b) / 0.4, rel=1e-14)
-
-
-def test_sharpness_ratio_zero_denominator():
-    traj = literal_trajectory([0.0, 0.1], [0.0, 0.0], 0.1)
-    b = BoundInputs(beta=0.125, lip_plus_0=1.0, dt=0.1, t_n=0.1)
-    with pytest.raises(ValueError):
-        sharpness_ratio(traj, b)
 
 
 def test_kuznetsov_bound_zero_data():

@@ -52,8 +52,9 @@ def test_study_config_validation():
         burgers_cfg(reference_exponent=7)
     with pytest.raises(ValueError):
         burgers_cfg(n_samples=0)
-    with pytest.raises(ValueError):
-        burgers_cfg(beta=-1.0)
+    for beta in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="beta"):
+            burgers_cfg(beta=beta)
     with pytest.raises(ValueError):
         burgers_cfg(cfl=2.0)
     with pytest.raises(ValueError, match="upwind"):
@@ -279,7 +280,7 @@ def test_sharpness_single_step_closed_form():
     cfl = 0.01  # tiny step: the one-step TV drop scales away with cfl
     dt = cfl * dx / speed
     scheme = SchemeConfig(flux=FluxSpec.BURGERS, numflux=GODUNOV, t_final=dt, cfl=cfl)
-    traj = evolve(u0, scheme)
+    traj = evolve(u0, scheme, track_tv=True)
     assert len(traj.times) == 2
     l0 = lip_plus(u0)
     bound = BoundInputs(beta=0.125, lip_plus_0=l0, dt=traj.dt_used,

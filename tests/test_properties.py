@@ -7,8 +7,13 @@ and equation pair the package accepts, on small random grids.
 - L1-contraction (Crandall-Majda 1980): one step never moves two periodic
   solutions apart in L1;
 - the Godunov closed form equals a sampling min/max of f over the Riemann
-  fan, for all three laws.
+  fan, for all three laws;
+- ``evolve`` and a loop of ``step`` calls over the same dt schedule give the
+  same bits: they share one update.
 """
+
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,12 +28,14 @@ from roughwave import (
     NumericalFluxSpec,
     NumFluxKind,
     SchemeConfig,
+    cfl_timestep,
     evolve,
     flux_value,
     l1_distance,
     make_grid,
     numerical_flux,
     step,
+    total_variation,
 )
 
 PAIRS = [
@@ -58,7 +65,7 @@ def field(vals):
 @few
 @given(vals=states)
 def test_maximum_principle_and_periodic_tvd_conservation(kind, spec, boundary, vals):
-    traj = evolve(field(vals), scheme(kind, spec, boundary), store_all=True)
+    traj = evolve(field(vals), scheme(kind, spec, boundary), store_all=True, track_tv=True)
     lo, hi = vals.min(), vals.max()
     for f in traj.all_fields:
         assert lo - 1e-12 <= f.values.min() and f.values.max() <= hi + 1e-12
@@ -78,6 +85,32 @@ def test_periodic_l1_contraction(kind, spec, pair):
         before = l1_distance(u, v)
         u, v = step(u, cfg, dt), step(v, cfg, dt)
         assert l1_distance(u, v) <= before + 1e-12
+
+
+@pytest.mark.parametrize("boundary", list(Boundary), ids=lambda b: b.value)
+@pytest.mark.parametrize("kind, spec", PAIRS, ids=PAIR_IDS)
+@few
+@given(vals=states, times=st.lists(st.floats(0.0, 0.25), max_size=3).map(sorted))
+def test_evolve_equals_a_loop_of_steps(kind, spec, boundary, vals, times):
+    u0, cfg = field(vals), scheme(kind, spec, boundary)
+    traj = evolve(u0, cfg, snapshot_times=times, track_tv=True)
+    dt, t_final = traj.dt_used, cfg.t_final
+    if kind is NumFluxKind.LAX_FRIEDRICHS:  # evolve freezes lam = dt/dx of the CFL step
+        dt_cfl = cfl_timestep(u0.grid, spec, vals.min(), vals.max(), cfg.cfl)
+        lam = min(dt_cfl / u0.grid.dx, sys.float_info.max)
+        cfg = replace(cfg, numflux=NumericalFluxSpec(kind, lam))
+    states, clock, t = [u0], [0.0], 0.0
+    while t < t_final - 1e-12 * max(1.0, t_final):
+        dt_i = min(dt, t_final - t)
+        states.append(step(states[-1], cfg, dt_i))
+        t = min(t + dt_i, t_final)
+        clock.append(t)
+    periodic = boundary is Boundary.PERIODIC
+    assert np.array_equal(traj.times, clock)
+    assert np.array_equal(traj.final.values, states[-1].values)
+    assert list(traj.per_step_tv) == [total_variation(f, periodic) for f in states]
+    for snap in traj.snapshots:
+        assert np.array_equal(snap.field.values, states[clock.index(snap.time)].values)
 
 
 @pytest.mark.parametrize("spec", list(FluxSpec), ids=lambda s: s.value)

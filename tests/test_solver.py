@@ -143,7 +143,7 @@ def test_step_reports_first_nonfinite_cell():
 
 def test_evolve_zero_final_time():
     state = random_field(16, 3)
-    traj = evolve(state, burgers_config(t_final=0.0), snapshot_times=[0.0])
+    traj = evolve(state, burgers_config(t_final=0.0), snapshot_times=[0.0], track_tv=True)
     assert np.array_equal(traj.times, [0.0])
     assert traj.per_step_tv[0] == pytest.approx(total_variation(state))
     assert len(traj.snapshots) == 1
@@ -170,7 +170,7 @@ def test_evolve_exact_advection_circular_shift():
 def test_evolve_lands_exactly_on_t_final():
     state = random_field(32, 5)
     cfg = burgers_config(t_final=0.1234)
-    traj = evolve(state, cfg)
+    traj = evolve(state, cfg, track_tv=True)
     assert traj.times[-1] == 0.1234
     last = traj.times[-1] - traj.times[-2]
     assert last <= traj.dt_used + 1e-15
@@ -226,7 +226,7 @@ def test_evolve_conserves_mass_periodic():
 def test_evolve_is_tvd_periodic(numflux):
     u0 = fbm_initial_field(0.5, make_grid(0, 1, 128), 11)
     cfg = burgers_config(numflux=numflux, boundary=Boundary.PERIODIC, t_final=0.5)
-    traj = evolve(u0, cfg)
+    traj = evolve(u0, cfg, track_tv=True)
     assert np.all(np.diff(traj.per_step_tv) <= 1e-12)
 
 
@@ -279,7 +279,7 @@ def test_evolve_lax_friedrichs_default_lambda():
         t_final=0.5,
         boundary=Boundary.PERIODIC,
     )
-    traj = evolve(u0, cfg)
+    traj = evolve(u0, cfg, track_tv=True)
     assert np.all(np.diff(traj.per_step_tv) <= 1e-12)
     assert np.all(np.abs(traj.final.values) <= 1.0 + 1e-12)
 
@@ -296,3 +296,32 @@ def test_evolve_lax_friedrichs_on_subnormal_data():
     traj = evolve(u0, cfg)
     assert traj.times[-1] == 0.25
     assert np.all(np.abs(traj.final.values) <= 2.2e-309)
+
+
+def test_evolve_subnormal_data_gets_a_finite_step():
+    # cfl * dx / max|f'| overflows to inf; the one step lands on t_final
+    u0 = CellField(make_grid(0, 1, 2), np.array([0.0, 1e-310]))
+    traj = evolve(u0, burgers_config(t_final=0.5))
+    assert traj.dt_used == 0.5
+    assert np.array_equal(traj.times, [0.0, 0.5])
+
+
+def test_evolve_rejects_a_zero_cfl_step():
+    # max|f'| = u^2 overflows to inf on the cubic law, so dt = 0 would never advance
+    u0 = CellField(make_grid(0, 1, 2), np.array([0.0, 1e160]))
+    cfg = SchemeConfig(flux=FluxSpec.CUBIC, numflux=GODUNOV, t_final=1.0)
+    with pytest.raises(ValueError, match="dt must be > 0"):
+        evolve(u0, cfg)
+
+
+@pytest.mark.parametrize("snapshot_times", [(), (4.0,)], ids=["final", "snapshot"])
+@pytest.mark.parametrize("track_tv", [False, True])
+@pytest.mark.parametrize("store_all", [False, True])
+def test_evolve_blow_up_raises(snapshot_times, track_tv, store_all):
+    # (b - a)/(2 lam) with lam far below dt/dx makes Lax-Friedrichs unstable;
+    # the run overflows long before t = 4
+    u0 = fbm_initial_field(0.5, make_grid(0, 1, 64), 3)
+    cfg = SchemeConfig(flux=FluxSpec.LINEAR, t_final=5.0,
+                       numflux=NumericalFluxSpec(NumFluxKind.LAX_FRIEDRICHS, lam=1e-3))
+    with pytest.raises(FloatingPointError, match="non-finite value in cell"):
+        evolve(u0, cfg, snapshot_times=snapshot_times, store_all=store_all, track_tv=track_tv)
