@@ -3,7 +3,7 @@ persistence, and a self-check of the flux and PRNG contracts.
 
 Config files are line-oriented ``key = value`` text.  Recognized keys:
 equation, numflux, hurst, resolutions, reference_exponent, t_final, samples,
-base_seed, cfl, boundary, snapshot_times, beta.  Lists are comma separated.  Blank
+base_seed, cfl, boundary, snapshot_times.  Lists are comma separated.  Blank
 lines and lines starting with ``#`` are ignored; unknown and duplicate keys
 are errors.
 """
@@ -40,7 +40,7 @@ _REQUIRED_KEYS = (
     "samples",
     "base_seed",
 )
-_OPTIONAL_KEYS = ("t_final", "cfl", "boundary", "snapshot_times", "beta")
+_OPTIONAL_KEYS = ("t_final", "cfl", "boundary", "snapshot_times")
 
 
 def parse_config(path) -> StudyConfig:
@@ -109,7 +109,6 @@ def parse_config(path) -> StudyConfig:
             lambda v: tuple(float(x) for x in v.split(",")) if v.strip() else (),
             default=(),
         ),
-        beta=get("beta", float),
     )
     try:
         return StudyConfig(**cfg_kwargs)

@@ -40,10 +40,8 @@ def test_parse_minimal_config_fills_defaults(tmp_path):
 
 
 def test_parse_config_full(tmp_path):
-    text = (MINIMAL + "cfl = 0.25\nboundary = periodic\nt_final = 2.0\n"
-            "snapshot_times = 0.5,1.0\nbeta = 0.05\n")
+    text = MINIMAL + "cfl = 0.25\nboundary = periodic\nt_final = 2.0\nsnapshot_times = 0.5,1.0\n"
     cfg = parse_config(write(tmp_path, text))
-    assert cfg.beta == 0.05
     assert cfg.cfl == 0.25
     assert cfg.boundary is Boundary.PERIODIC
     assert cfg.t_final == 2.0
@@ -199,15 +197,6 @@ def test_sharpness_without_known_beta_exits_1(tmp_path, capsys):
     assert run(["sharpness", "--config", str(cfg), "--out", str(out)]) == 1
     assert not out.exists()
     assert "beta" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("beta", ["nan", "inf"])
-def test_non_finite_beta_exits_1_and_writes_nothing(tmp_path, capsys, beta):
-    cfg = write(tmp_path, MINIMAL + f"beta = {beta}\n")
-    out = tmp_path / "sharp"
-    assert run(["sharpness", "--config", str(cfg), "--out", str(out)]) == 1
-    assert not out.exists()
-    assert "beta must be finite" in capsys.readouterr().err
 
 
 def test_tvdecay_without_snapshots_exits_1(tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import roughwave.solver as solver
 from roughwave import (
     Boundary,
     CellField,
@@ -317,11 +318,23 @@ def test_evolve_rejects_a_zero_cfl_step():
 @pytest.mark.parametrize("snapshot_times", [(), (4.0,)], ids=["final", "snapshot"])
 @pytest.mark.parametrize("track_tv", [False, True])
 @pytest.mark.parametrize("store_all", [False, True])
-def test_evolve_blow_up_raises(snapshot_times, track_tv, store_all):
+def test_evolve_blow_up_raises(monkeypatch, snapshot_times, track_tv, store_all):
     # (b - a)/(2 lam) with lam far below dt/dx makes Lax-Friedrichs unstable;
     # the run overflows long before t = 4
     u0 = fbm_initial_field(0.5, make_grid(0, 1, 64), 3)
     cfg = SchemeConfig(flux=FluxSpec.LINEAR, t_final=5.0,
                        numflux=NumericalFluxSpec(NumFluxKind.LAX_FRIEDRICHS, lam=1e-3))
+    dt = cfl_timestep(u0.grid, FluxSpec.LINEAR, u0.values.min(), u0.values.max(), cfg.cfl)
+    state, good_steps = u0, 0
+    with pytest.raises(FloatingPointError):
+        while True:
+            state, good_steps = step(state, cfg, dt), good_steps + 1
+    assert good_steps + 64 < 5.0 / dt
+
+    calls = []
+    flux = solver.numerical_flux
+    monkeypatch.setattr(solver, "numerical_flux", lambda *a: calls.append(a) or flux(*a))
     with pytest.raises(FloatingPointError, match="non-finite value in cell"):
         evolve(u0, cfg, snapshot_times=snapshot_times, store_all=store_all, track_tv=track_tv)
+    # the run stops within 64 steps of its first non-finite state, not at t_final
+    assert good_steps < len(calls) <= good_steps + (1 if store_all else 64)
