@@ -8,7 +8,6 @@ from .diagnostics import (
     BoundInputs,
     default_beta,
     fit_rate,
-    kuznetsov_bound,
     l1_distance,
     lip_bound_rhs,
     lip_plus,
@@ -37,12 +36,11 @@ from .initial_data import (
     SplitMix64,
     fbm_initial_field,
     fbm_midpoint,
-    holder_cap,
     midpoint_scale,
     normalize_to_unit,
     sample_seed,
 )
-from .mesh import CellField, Grid, make_grid, project, restrict
+from .mesh import CellField, Grid, make_grid, restrict
 from .solver import (
     Boundary,
     SchemeConfig,
@@ -80,8 +78,6 @@ __all__ = [
     "fbm_midpoint",
     "fit_rate",
     "flux_value",
-    "holder_cap",
-    "kuznetsov_bound",
     "l1_distance",
     "lip_bound_rhs",
     "lip_plus",
@@ -90,7 +86,6 @@ __all__ = [
     "midpoint_scale",
     "normalize_to_unit",
     "numerical_flux",
-    "project",
     "restrict",
     "run_samples_parallel",
     "sample_seed",

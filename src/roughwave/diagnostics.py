@@ -1,5 +1,5 @@
 """Measurement functionals: total variation, one-sided Lipschitz seminorm,
-L1 distances, time-integrated TV, a-priori error bounds and rate fits."""
+L1 distances, time-integrated TV, the Lip+ bound on it and rate fits."""
 
 from __future__ import annotations
 
@@ -82,18 +82,12 @@ def tv_time_integral(traj: "Trajectory") -> float:
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Ingredients of the a-priori error and TV-integral bounds.
+    """Ingredients of the bound on the time-integrated TV.
 
     beta        one-step decay rate of the one-sided Lipschitz seminorm
     lip_plus_0  Lip+ seminorm of the initial data (1/time units)
     dt, t_n     time step and final time of the run
     m_support   half-width bound on the support of the data
-    c_flux      local Lipschitz constant of the numerical flux
-    lip_f       Lipschitz constant of f on the data range
-    tv0         total variation of the initial data
-    eps, eps0   space and time mollification widths
-    dx          mesh width
-    c_kernel    smoothing-kernel constant (unknown in general; default 1)
     """
 
     beta: float
@@ -101,13 +95,6 @@ class BoundInputs:
     dt: float = 0.0
     t_n: float = 0.0
     m_support: float = 0.5
-    c_flux: float = 0.0
-    lip_f: float = 0.0
-    tv0: float = 0.0
-    eps: float = 1.0
-    eps0: float = 1.0
-    dx: float = 0.0
-    c_kernel: float = 1.0
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
@@ -115,8 +102,6 @@ class BoundInputs:
                 raise ValueError(f"{name} must be finite")
         if self.beta <= 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.eps <= 0 or self.eps0 <= 0:
-            raise ValueError(f"eps and eps0 must be > 0, got {self.eps}, {self.eps0}")
 
 
 def default_beta(spec: FluxSpec, kind: NumFluxKind) -> float:
@@ -141,19 +126,6 @@ def lip_bound_rhs(b: BoundInputs) -> float:
         )
     return 2.0 * b.m_support * (
         b.lip_plus_0 * b.dt + math.log1p(b.beta * b.t_n * b.lip_plus_0) / b.beta
-    )
-
-
-def kuznetsov_bound(b: BoundInputs, tv_integral: float, l1_init_err: float) -> float:
-    """Mollification-based L1 error bound at the final time.
-
-    2 ||u0 - v0||_1 + TV(v0) (2 eps + eps0 Lf + 2 CF max(eps0, dt))
-    + C (CF dx / eps + Lf dt / eps0) * integral of TV over time.
-    """
-    return (
-        2.0 * l1_init_err
-        + b.tv0 * (2.0 * b.eps + b.eps0 * b.lip_f + 2.0 * b.c_flux * max(b.eps0, b.dt))
-        + b.c_kernel * (b.c_flux * b.dx / b.eps + b.lip_f * b.dt / b.eps0) * tv_integral
     )
 
 

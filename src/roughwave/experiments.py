@@ -34,7 +34,7 @@ from .diagnostics import (
     tv_time_integral,
 )
 from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind
-from .initial_data import fbm_initial_field, sample_seed
+from .initial_data import MAX_LEVEL, fbm_initial_field, sample_seed
 from .mesh import CellField, make_grid, restrict
 from .solver import Boundary, SchemeConfig, evolve
 
@@ -70,10 +70,10 @@ class StudyConfig:
             raise ValueError(f"resolution exponents must be >= 1, got {self.resolutions}")
         if list(self.resolutions) != sorted(set(self.resolutions)):
             raise ValueError("resolutions must be strictly increasing")
-        if self.reference_exponent <= max(self.resolutions):
+        if not max(self.resolutions) < self.reference_exponent <= MAX_LEVEL:
             raise ValueError(
                 f"reference_exponent={self.reference_exponent} must exceed "
-                f"every resolution in {self.resolutions}"
+                f"every resolution in {self.resolutions} and be at most {MAX_LEVEL}"
             )
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
@@ -409,7 +409,8 @@ def run_samples_parallel(study: str, cfg: StudyConfig, workers: int = 1) -> Stud
     spec = STUDIES[study]
     tasks = spec.tasks(cfg)
     runner = functools.partial(_run_one, study, cfg)
-    if min(workers, len(tasks)) > 1:
+    workers = min(workers, len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = _assemble(spec, cfg, zip(tasks, pool.map(runner, tasks)))
     else:

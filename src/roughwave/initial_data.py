@@ -1,5 +1,5 @@
 """Seeded random initial data: fractional Brownian motion by recursive
-midpoint displacement, plus a deterministic Hölder test profile.
+midpoint displacement.
 
 The random number generator is pinned to an exact bit recipe (splitmix64
 for the integer stream, Box-Muller for normals) so that every experiment is
@@ -32,8 +32,8 @@ class SplitMix64:
 
     Normals consume two uniforms u1, u2 = (u64 >> 11) * 2^-53 mapped onto
     (0, 1] (a zero draw becomes 2^-53) and yield the cosine branch first;
-    the sine partner is cached for the next draw.  Block draws produce the
-    identical stream as repeated single draws.
+    the sine partner is cached for the next draw, so draws in chunks give
+    the same stream as one block.
     """
 
     def __init__(self, seed: int):
@@ -55,15 +55,6 @@ class SplitMix64:
         z = z ^ (z >> np.uint64(31))
         self.state = (self.state + count * GOLDEN_GAMMA) & _MASK64
         return z
-
-    def uniform(self) -> float:
-        """One uniform draw in (0, 1]."""
-        u = (self.next_u64() >> 11) * _U53_SCALE
-        return u if u > 0.0 else _U53_SCALE
-
-    def normal(self) -> float:
-        """One standard normal draw."""
-        return float(self.normals(1)[0])
 
     def normals(self, count: int) -> np.ndarray:
         """``count`` standard normal draws as an array."""
@@ -175,16 +166,3 @@ def fbm_initial_field(hurst: float, grid: Grid, seed: int) -> CellField:
     level = n.bit_length() - 1
     path = normalize_to_unit(fbm_midpoint(hurst, level, SplitMix64(seed)))
     return CellField(grid, path.points[:-1])
-
-
-def holder_cap(alpha: float, x):
-    """Deterministic C^alpha test profile on [0, 1].
-
-    max(0, (1/4)^alpha - |x - 1/2|^alpha): a cap supported on (1/4, 3/4)
-    whose only roughness is the kink at x = 1/2.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    x = np.asarray(x, dtype=float)
-    out = np.maximum(0.0, 0.25**alpha - np.abs(x - 0.5) ** alpha)
-    return float(out) if out.ndim == 0 else out

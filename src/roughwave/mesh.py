@@ -1,9 +1,8 @@
-"""Uniform 1D grids, cell-average projection and fine-to-coarse restriction."""
+"""Uniform 1D grids, piecewise-constant cell fields and fine-to-coarse restriction."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,9 +35,6 @@ class Grid:
     def cell_midpoints(self) -> np.ndarray:
         return self.x_left + (np.arange(self.n_cells) + 0.5) * self.dx
 
-    def cell_edges(self) -> np.ndarray:
-        return self.x_left + np.arange(self.n_cells + 1) * self.dx
-
 
 @dataclass(frozen=True)
 class CellField:
@@ -67,43 +63,6 @@ class CellField:
 def make_grid(x_left: float, x_right: float, n_cells: int) -> Grid:
     """Build a uniform grid on ``[x_left, x_right]`` with ``n_cells`` cells."""
     return Grid(float(x_left), float(x_right), int(n_cells))
-
-
-def project(
-    f: Callable[[np.ndarray], np.ndarray],
-    grid: Grid,
-    quadrature_points_per_cell: int = 8,
-) -> CellField:
-    """Cell averages of ``f`` by the composite midpoint rule.
-
-    Each cell is split into ``quadrature_points_per_cell`` sub-intervals and
-    ``f`` is averaged over their midpoints.  Exact for functions that are
-    constant on each cell; second-order accurate otherwise.  ``f`` may be
-    vectorized over numpy arrays or a plain scalar function.
-    """
-    q = int(quadrature_points_per_cell)
-    if q < 1:
-        raise ValueError(f"quadrature_points_per_cell must be >= 1, got {q}")
-    n = grid.n_cells
-    sub = grid.dx / q
-    pts = grid.x_left + (np.arange(n * q) + 0.5) * sub
-    vals = _evaluate(f, pts)
-    finite = np.isfinite(vals)
-    if not finite.all():
-        cell = int(np.argmin(finite)) // q
-        raise ValueError(f"f evaluated to a non-finite value in cell {cell}")
-    return CellField(grid, vals.reshape(n, q).mean(axis=1))
-
-
-def _evaluate(f, pts):
-    try:
-        vals = np.asarray(f(pts), dtype=float)
-        if vals.shape != pts.shape:
-            raise TypeError
-        return vals
-    except (TypeError, ValueError):
-        # scalar-only callable
-        return np.array([float(f(p)) for p in pts])
 
 
 def restrict(fine: CellField, factor: int) -> CellField:

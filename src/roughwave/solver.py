@@ -65,7 +65,6 @@ class Trajectory:
     per_step_tv: Optional[np.ndarray]
     dt_used: float
     final: CellField
-    all_fields: Optional[Tuple[CellField, ...]] = None
 
 
 def cfl_timestep(grid: Grid, spec: FluxSpec, u_min: float, u_max: float, cfl: float) -> float:
@@ -122,13 +121,14 @@ def step(state: CellField, config: SchemeConfig, dt: float) -> CellField:
 
 
 def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[float] = (),
-           store_all: bool = False, track_tv: bool = False) -> Trajectory:
+           track_tv: bool = False) -> Trajectory:
     """March to t_final with a fixed CFL step chosen from the initial range.
 
     The step is valid for all time because monotone schemes obey a maximum
     principle.  The final step is shortened to land exactly on t_final.
     Snapshots are recorded at the first time point at or after each requested
-    time; ``store_all`` also keeps every step and ``track_tv`` fills ``per_step_tv``.
+    time (``snapshot_times=evolve(initial, config).times`` keeps every step), and
+    ``track_tv`` fills ``per_step_tv``.
     Each state handed out, and every 64th step, is checked: a non-finite cell raises
     FloatingPointError (none is missed: each update subtracts from a cell's own value).
     """
@@ -153,7 +153,6 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
     times = [0.0]
     tv = [_variation(v0, periodic, tv_diff)] if track_tv else None
     snaps: list[Snapshot] = []
-    stored: list[CellField] = [initial] if store_all else []
     while pending and pending[0] <= 0.0:
         snaps.append(Snapshot(pending.pop(0), 0.0, initial))
 
@@ -168,15 +167,12 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
             times.append(t)
             if track_tv:
                 tv.append(_variation(w[1:-1], periodic, tv_diff))
-            if store_all or len(times) % 64 == 0:  # a blow-up raises within 64 steps
+            if len(times) % 64 == 0:  # a blow-up raises within 64 steps
                 state = _expose(grid, w[1:-1], dt)
-            if store_all:
-                stored.append(state)
             while pending and t >= pending[0] - guard:
                 state = state if state is not None else _expose(grid, w[1:-1], dt)
                 snaps.append(Snapshot(pending.pop(0), t, state))
 
     return Trajectory(grid=grid, times=np.asarray(times), snapshots=tuple(snaps),
                       per_step_tv=None if tv is None else np.asarray(tv), dt_used=dt,
-                      final=state if state is not None else _expose(grid, w[1:-1], dt),
-                      all_fields=tuple(stored) if store_all else None)
+                      final=state if state is not None else _expose(grid, w[1:-1], dt))

@@ -207,15 +207,16 @@ def test_criterion_6_scheme_invariants():
         for boundary in Boundary:
             cfg = SchemeConfig(flux=FluxSpec.BURGERS, numflux=numflux,
                                t_final=0.25, boundary=boundary)
-            traj = evolve(u0, cfg, store_all=True, track_tv=True)
+            traj = evolve(u0, cfg, snapshot_times=evolve(u0, cfg).times, track_tv=True)
+            fields = [s.field for s in traj.snapshots]
             lo, hi = u0.values.min(), u0.values.max()
             if not all(f.values.min() >= lo - 1e-12 and f.values.max() <= hi + 1e-12
-                       for f in traj.all_fields):
+                       for f in fields):
                 problems.append(f"maximum principle ({boundary.value}), trial {trial}")
             if boundary is Boundary.PERIODIC:
                 if not np.all(np.diff(traj.per_step_tv) <= 1e-12):
                     problems.append(f"TVD, trial {trial}")
-                masses = [f.values.sum() * grid.dx for f in traj.all_fields]
+                masses = [f.values.sum() * grid.dx for f in fields]
                 if np.max(np.abs(np.diff(masses))) > 1e-10 * max(1.0, abs(masses[0])):
                     problems.append(f"conservation, trial {trial}")
 
@@ -287,8 +288,8 @@ def test_criterion_9_lip_plus_decay():
     for s in range(8):
         ref = fbm_initial_field(0.5, make_grid(0, 1, 1 << 10), sample_seed(BASE_SEED, s))
         u0 = restrict(ref, 4)
-        traj = evolve(u0, scheme, store_all=True)
-        lips = np.array([lip_plus(f) for f in traj.all_fields])
+        traj = evolve(u0, scheme, snapshot_times=evolve(u0, scheme).times)
+        lips = np.array([lip_plus(snap.field) for snap in traj.snapshots])
         dts = np.diff(traj.times)
         for n in range(len(dts)):
             if lips[n] > 0:

@@ -222,6 +222,14 @@ def test_duplicate_hurst_exits_1(tmp_path, capsys):
     assert "distinct" in capsys.readouterr().err
 
 
+def test_reference_exponent_above_max_level_exits_1(tmp_path, capsys):
+    cfg = write(tmp_path, MINIMAL.replace("reference_exponent = 7", "reference_exponent = 27"))
+    out = tmp_path / "deep"
+    assert run(["tvscale", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "at most 26" in capsys.readouterr().err
+
+
 def test_non_integer_workers_env_exits_1(tmp_path, capsys, monkeypatch):
     cfg = write(tmp_path, MINIMAL)
     out = tmp_path / "env"

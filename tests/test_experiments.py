@@ -50,6 +50,8 @@ def test_study_config_validation():
         burgers_cfg(resolutions=(5, 5, 6))
     with pytest.raises(ValueError):
         burgers_cfg(reference_exponent=7)
+    with pytest.raises(ValueError, match="at most 26"):
+        burgers_cfg(reference_exponent=27)
     with pytest.raises(ValueError):
         burgers_cfg(n_samples=0)
     for beta in (-1.0, float("nan"), float("inf")):
@@ -125,6 +127,22 @@ def test_study_rows_identical_across_worker_counts():
     parallel = run_samples_parallel("converge", cfg, workers=2)
     assert serial.rows == parallel.rows
     assert serial.columns == parallel.columns
+
+
+def test_pool_is_sized_by_the_task_count(monkeypatch):
+    started = []
+
+    class RecordingPool(experiments.ProcessPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            started.append((self._max_workers, len(self._processes or {})))
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    cfg = burgers_cfg(n_samples=2, t_final=0.125)
+    assert len(experiments.STUDIES["tvscale"].tasks(cfg)) == 2
+    run_samples_parallel("tvscale", cfg, workers=4)
+    assert len(started) == 1
+    assert max(started[0]) <= 2
 
 
 def test_study_rows_reproducible_from_metadata():

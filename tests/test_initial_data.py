@@ -9,7 +9,6 @@ from roughwave import (
     fbm_initial_field,
     fbm_midpoint,
     fit_rate,
-    holder_cap,
     make_grid,
     midpoint_scale,
     normalize_to_unit,
@@ -37,11 +36,9 @@ def test_splitmix64_streams_are_deterministic():
     assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
 
 
-def test_uniform_lies_in_half_open_unit_interval():
-    rng = SplitMix64(7)
-    u = np.array([rng.uniform() for _ in range(100_000)])
-    assert np.all(u > 0.0)
-    assert np.all(u <= 1.0)
+def test_normals_are_finite():
+    # a uniform draw of 0 is mapped to 2^-53, so log(u1) never gives inf
+    assert np.all(np.isfinite(SplitMix64(7).normals(100_000)))
 
 
 def test_box_muller_zero_log_gives_zero():
@@ -58,7 +55,7 @@ def test_normal_moments():
 def test_normal_block_matches_single_draws():
     block = SplitMix64(123).normals(1001)
     single_rng = SplitMix64(123)
-    singles = np.array([single_rng.normal() for _ in range(1001)])
+    singles = np.array([single_rng.normals(1)[0] for _ in range(1001)])
     assert np.array_equal(block, singles)
 
 
@@ -117,7 +114,7 @@ def test_fbm_midpoint_consumes_fixed_draw_count():
     twin = SplitMix64(314)
     twin.normals(1 << k)
     assert rng.state == twin.state
-    assert rng.normal() == twin.normal()
+    assert rng.normals(1)[0] == twin.normals(1)[0]
 
 
 def test_fbm_increment_variance_matches_recursion():
@@ -198,17 +195,3 @@ def test_fbm_tv_blowup_rate():
         slopes.append(fit_rate(points)[0])
     assert abs(np.mean(slopes) - (-0.5)) < 0.1
 
-
-def test_holder_cap_examples():
-    assert holder_cap(0.5, 0.5) == pytest.approx(0.5, rel=1e-15)
-    assert holder_cap(0.6, 0.25) == 0.0
-    assert holder_cap(0.6, 0.1) == 0.0
-    assert holder_cap(0.6, 0.9) == 0.0
-    for t in (0.05, 0.1, 0.2):
-        assert holder_cap(0.3, 0.5 - t) == pytest.approx(holder_cap(0.3, 0.5 + t), rel=1e-14)
-    out = holder_cap(0.5, np.array([0.0, 0.5, 1.0]))
-    assert np.array_equal(out, [0.0, 0.5, 0.0])
-    with pytest.raises(ValueError):
-        holder_cap(0.0, 0.5)
-    with pytest.raises(ValueError):
-        holder_cap(1.5, 0.5)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roughwave import CellField, fit_rate, make_grid, project, restrict
+from roughwave import CellField, make_grid, restrict
 
 RTOL = 1e-12
 
@@ -29,7 +29,6 @@ def test_grid_equality_is_structural():
 def test_grid_geometry():
     g = make_grid(0, 1, 4)
     assert np.allclose(g.cell_midpoints(), [0.125, 0.375, 0.625, 0.875])
-    assert np.allclose(g.cell_edges(), [0, 0.25, 0.5, 0.75, 1.0])
 
 
 def test_cellfield_validates_shape_and_finiteness():
@@ -44,73 +43,6 @@ def test_cellfield_values_are_frozen():
     f = CellField(make_grid(0, 1, 2), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         f.values[0] = 5.0
-
-
-def test_project_constant():
-    f = project(lambda x: 3.0 + 0.0 * x, make_grid(-2, 5, 7))
-    assert np.all(f.values == 3.0)
-
-
-def test_project_linear_single_cell():
-    f = project(lambda x: x, make_grid(0, 1, 1), quadrature_points_per_cell=1)
-    assert f.values[0] == pytest.approx(0.5, abs=1e-15)
-    f8 = project(lambda x: x, make_grid(0, 1, 1), quadrature_points_per_cell=8)
-    assert f8.values[0] == pytest.approx(0.5, abs=1e-15)
-
-
-def test_project_exact_for_piecewise_constant():
-    g = make_grid(0, 1, 4)
-    f = project(lambda x: np.floor(4 * x), g, quadrature_points_per_cell=5)
-    assert np.array_equal(f.values, [0.0, 1.0, 2.0, 3.0])
-
-
-def test_project_accepts_scalar_only_callable():
-    import math
-
-    f = project(lambda x: math.sin(x), make_grid(0, 1, 8))
-    g = project(np.sin, make_grid(0, 1, 8))
-    assert np.allclose(f.values, g.values, rtol=0, atol=0)
-
-
-def test_project_reports_offending_cell():
-    def f(x):
-        return np.where(x > 0.5, np.inf, 1.0)
-
-    with pytest.raises(ValueError, match="cell 2"):
-        project(f, make_grid(0, 1, 4), quadrature_points_per_cell=2)
-
-
-def test_project_rejects_bad_quadrature():
-    with pytest.raises(ValueError):
-        project(lambda x: x, make_grid(0, 1, 2), quadrature_points_per_cell=0)
-
-
-def test_project_is_linear():
-    g = make_grid(0, 1, 16)
-    f = lambda x: np.sin(3 * x)
-    h = lambda x: x**2
-    combo = project(lambda x: 2.5 * f(x) - 0.75 * h(x), g)
-    parts = 2.5 * project(f, g).values - 0.75 * project(h, g).values
-    assert np.allclose(combo.values, parts, rtol=RTOL, atol=1e-15)
-
-
-def test_project_kink_function_first_order():
-    # L1 projection error of |x-1/2|^0.6 decays ~dx; oracle = dense midpoint
-    # quadrature of the exact cell errors
-    f = lambda x: np.abs(x - 0.5) ** 0.6
-
-    def l1_error(field, per_cell=400):
-        g = field.grid
-        pts = g.x_left + (np.arange(g.n_cells * per_cell) + 0.5) * (g.dx / per_cell)
-        vals = f(pts).reshape(g.n_cells, per_cell)
-        return float(np.mean(np.abs(vals - field.values[:, None])))
-
-    points = []
-    for k in range(6, 13):
-        g = make_grid(0, 1, 1 << k)
-        points.append((g.dx, l1_error(project(f, g))))
-    slope, _ = fit_rate(points)
-    assert 0.9 < slope < 1.1  # measured 0.996
 
 
 def test_restrict_mean():
@@ -128,9 +60,12 @@ def test_restrict_factor_one_is_identity():
 def test_restrict_commutes_with_project_for_aligned_data():
     coarse = make_grid(0, 1, 4)
     fine = make_grid(0, 1, 16)
-    f = lambda x: np.floor(4 * x)  # constant on every coarse cell
+    # floor(4x) is constant on every coarse cell, so its cell means are its
+    # midpoint values on both grids
+    f = lambda x: np.floor(4 * x)
     assert np.array_equal(
-        restrict(project(f, fine), 4).values, project(f, coarse).values
+        restrict(CellField(fine, f(fine.cell_midpoints())), 4).values,
+        f(coarse.cell_midpoints()),
     )
 
 

@@ -65,10 +65,11 @@ def field(vals):
 @few
 @given(vals=states)
 def test_maximum_principle_and_periodic_tvd_conservation(kind, spec, boundary, vals):
-    traj = evolve(field(vals), scheme(kind, spec, boundary), store_all=True, track_tv=True)
+    u0, cfg = field(vals), scheme(kind, spec, boundary)
+    traj = evolve(u0, cfg, snapshot_times=evolve(u0, cfg).times, track_tv=True)
     lo, hi = vals.min(), vals.max()
-    for f in traj.all_fields:
-        assert lo - 1e-12 <= f.values.min() and f.values.max() <= hi + 1e-12
+    for s in traj.snapshots:
+        assert lo - 1e-12 <= s.field.values.min() and s.field.values.max() <= hi + 1e-12
     if boundary is Boundary.PERIODIC:
         assert np.all(np.diff(traj.per_step_tv) <= 1e-12)
         assert traj.final.values.sum() == pytest.approx(vals.sum(), abs=1e-12)

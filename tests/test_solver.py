@@ -204,13 +204,14 @@ def test_evolve_validates_snapshot_times():
         evolve(state, burgers_config(t_final=0.5), snapshot_times=[float("nan")])
 
 
-def test_evolve_store_all_keeps_every_step():
+def test_evolve_dense_snapshots_keep_every_step():
     state = random_field(16, 8)
-    traj = evolve(state, burgers_config(t_final=0.05), store_all=True)
-    assert traj.all_fields is not None
-    assert len(traj.all_fields) == len(traj.times)
-    assert traj.all_fields[0] is state
-    assert np.array_equal(traj.all_fields[-1].values, traj.final.values)
+    cfg = burgers_config(t_final=0.05)
+    plain = evolve(state, cfg)
+    traj = evolve(state, cfg, snapshot_times=plain.times)
+    assert [s.time for s in traj.snapshots] == list(plain.times)
+    assert traj.snapshots[0].field is state
+    assert np.array_equal(traj.snapshots[-1].field.values, plain.final.values)
 
 
 def test_evolve_conserves_mass_periodic():
@@ -236,11 +237,11 @@ def test_evolve_maximum_principle(boundary):
     for seed in range(5):
         u0 = random_field(64, 100 + seed)
         cfg = burgers_config(boundary=boundary, t_final=0.5)
-        traj = evolve(u0, cfg, store_all=True)
+        traj = evolve(u0, cfg, snapshot_times=evolve(u0, cfg).times)
         lo, hi = u0.values.min(), u0.values.max()
-        for f in traj.all_fields:
-            assert f.values.min() >= lo - 1e-12
-            assert f.values.max() <= hi + 1e-12
+        for s in traj.snapshots:
+            assert s.field.values.min() >= lo - 1e-12
+            assert s.field.values.max() <= hi + 1e-12
 
 
 @pytest.mark.parametrize("numflux", MONOTONE_FLUXES, ids=lambda nf: nf.kind.value)
@@ -264,8 +265,8 @@ def test_evolve_lip_plus_decay_periodic():
         ref = fbm_initial_field(0.5, make_grid(0, 1, 1 << 10), sample_seed(2024, s))
         u0 = restrict(ref, 4)
         cfg = burgers_config(boundary=Boundary.PERIODIC, t_final=1.0)
-        traj = evolve(u0, cfg, store_all=True)
-        lips = np.array([lip_plus(f, periodic=True) for f in traj.all_fields])
+        traj = evolve(u0, cfg, snapshot_times=evolve(u0, cfg).times)
+        lips = np.array([lip_plus(snap.field, periodic=True) for snap in traj.snapshots])
         dts = np.diff(traj.times)
         for n in range(len(dts)):
             if lips[n] > 0:
@@ -317,8 +318,8 @@ def test_evolve_rejects_a_zero_cfl_step():
 
 @pytest.mark.parametrize("snapshot_times", [(), (4.0,)], ids=["final", "snapshot"])
 @pytest.mark.parametrize("track_tv", [False, True])
-@pytest.mark.parametrize("store_all", [False, True])
-def test_evolve_blow_up_raises(monkeypatch, snapshot_times, track_tv, store_all):
+@pytest.mark.parametrize("dense", [False, True])
+def test_evolve_blow_up_raises(monkeypatch, snapshot_times, track_tv, dense):
     # (b - a)/(2 lam) with lam far below dt/dx makes Lax-Friedrichs unstable;
     # the run overflows long before t = 4
     u0 = fbm_initial_field(0.5, make_grid(0, 1, 64), 3)
@@ -330,11 +331,14 @@ def test_evolve_blow_up_raises(monkeypatch, snapshot_times, track_tv, store_all)
         while True:
             state, good_steps = step(state, cfg, dt), good_steps + 1
     assert good_steps + 64 < 5.0 / dt
+    if dense:  # a snapshot at every step time exposes every state
+        snapshot_times = sorted([*np.arange(0.0, cfg.t_final, dt), *snapshot_times])
 
     calls = []
     flux = solver.numerical_flux
     monkeypatch.setattr(solver, "numerical_flux", lambda *a: calls.append(a) or flux(*a))
     with pytest.raises(FloatingPointError, match="non-finite value in cell"):
-        evolve(u0, cfg, snapshot_times=snapshot_times, store_all=store_all, track_tv=track_tv)
-    # the run stops within 64 steps of its first non-finite state, not at t_final
-    assert good_steps < len(calls) <= good_steps + (1 if store_all else 64)
+        evolve(u0, cfg, snapshot_times=snapshot_times, track_tv=track_tv)
+    # the run stops at its first non-finite state if every state is exposed, else
+    # within 64 steps of it, not at t_final
+    assert good_steps < len(calls) <= good_steps + (1 if dense else 64)
