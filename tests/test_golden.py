@@ -4,8 +4,12 @@ Each command runs through ``cli.run`` on one small config.  The manifest is
 hashed without ``duration_seconds`` (wall time) and ``config_path`` (the
 temporary directory), re-serialized the way the CLI writes it.  The ``solve``
 CSV is pinned as well for every numerical flux and equation pair the package
-accepts, under both boundaries.  A change that alters any output bit fails
-here; re-pin a hash only with a change that is meant to alter that output.
+accepts, under both boundaries.  Two deeper
+tables pin the per-cell studies at sizes where their rows are built and
+written in chunks: ``fbm`` at k = 8-12 for three Hurst exponents (23,808
+rows) and ``solve`` at k = 9 with three snapshots (2,560 rows).  A change
+that alters any output bit fails here; re-pin a hash only with a change that
+is meant to alter that output.
 """
 
 import hashlib
@@ -101,6 +105,35 @@ PAIR_GOLDEN = {
     ("upwind", "linear", "periodic"): "629d88e40382d0f52d0adb0e77d991114ff0c6205486056652ff1203dc191a77",
 }
 
+DEEP_CONFIG = {
+    "fbm": """\
+equation = burgers
+numflux = godunov
+hurst = 0.25,0.5,0.75
+resolutions = 8,9,10,11,12
+reference_exponent = 13
+samples = 1
+base_seed = 2024
+""",
+    "solve": """\
+equation = burgers
+numflux = godunov
+hurst = 0.5
+resolutions = 9
+reference_exponent = 10
+samples = 1
+base_seed = 2024
+t_final = 0.25
+snapshot_times = 0.0625,0.125,0.1875
+""",
+}
+
+# CSV SHA-256 of each command run on its DEEP_CONFIG
+DEEP_GOLDEN = {
+    "fbm": "636466ac8e9253ecb0b279e57b1ca76ec6aa850a104c842c6962bef37c39602e",
+    "solve": "0eb541b2789365391e5def6a1553be883c6f3016acd3c6f12e0d03731dd4eaf2",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -128,3 +161,9 @@ def test_golden_solve_per_flux_pair(numflux, equation, boundary, tmp_path):
     config = PAIR_CONFIG.format(numflux=numflux, equation=equation, boundary=boundary)
     csv_hash, _ = output_hashes("solve", tmp_path, config)
     assert csv_hash == PAIR_GOLDEN[numflux, equation, boundary]
+
+
+@pytest.mark.parametrize("command", sorted(DEEP_GOLDEN))
+def test_golden_deep_per_cell_tables(command, tmp_path):
+    csv_hash, _ = output_hashes(command, tmp_path, DEEP_CONFIG[command])
+    assert csv_hash == DEEP_GOLDEN[command]
