@@ -191,11 +191,9 @@ def _solve_sample(cfg, hurst, sample):
     for snap in traj.snapshots:
         frames.setdefault(snap.time, snap.field)
     frames.setdefault(float(traj.times[-1]), traj.final)
-    mids = u0.grid.cell_midpoints()
     rows = []
     for t, field in frames.items():
-        for x, u in zip(mids, field.values):
-            rows.append(("solve", hurst, sample, k, float(t), float(x), float(u)))
+        rows.extend(_cell_rows(("solve", hurst, sample, k, float(t)), field))
     return rows, {}
 
 
@@ -203,9 +201,15 @@ def _fbm_sample(cfg, hurst, sample):
     rows = []
     for k in cfg.resolutions:
         field = _field(cfg, hurst, sample, k)
-        for x, u in zip(field.grid.cell_midpoints(), field.values):
-            rows.append(("fbm", hurst, sample, k, float(x), float(u)))
+        rows.extend(_cell_rows(("fbm", hurst, sample, k), field))
     return rows, {}
+
+
+def _cell_rows(labels, field):
+    """One row per cell, built in C: the labels, the cell midpoint, the value."""
+    n, mids = field.grid.n_cells, field.grid.cell_midpoints()
+    return zip(*(itertools.repeat(label, n) for label in labels), mids.tolist(),
+               field.values.tolist())
 
 
 def _converge_sample(cfg, hurst, sample):
