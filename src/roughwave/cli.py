@@ -194,9 +194,12 @@ def _selfcheck(out) -> int:
         print(f"[{'ok' if ok else 'FAIL'}] splitmix64 seed=0 output {i}: "
               f"0x{g:016X} (expected 0x{e:016X})", file=out)
 
-    kinds = (NumFluxKind.GODUNOV, NumFluxKind.RUSANOV, NumFluxKind.ENGQUIST_OSHER)
-    probes = [(NumericalFluxSpec(kind), eq) for kind in kinds for eq in FluxSpec]
-    probes += [(NumericalFluxSpec(NumFluxKind.LAX_FRIEDRICHS, lam=1.0), eq) for eq in FluxSpec]
+    probes = []
+    for kind in (NumFluxKind.GODUNOV, NumFluxKind.RUSANOV, NumFluxKind.ENGQUIST_OSHER):
+        for eq in (FluxSpec.BURGERS, FluxSpec.CUBIC, FluxSpec.LINEAR):
+            probes.append((NumericalFluxSpec(kind), eq))
+    for eq in (FluxSpec.BURGERS, FluxSpec.CUBIC, FluxSpec.LINEAR):
+        probes.append((NumericalFluxSpec(NumFluxKind.LAX_FRIEDRICHS, lam=1.0), eq))
     probes.append((NumericalFluxSpec(NumFluxKind.UPWIND), FluxSpec.LINEAR))
     for numflux, eq in probes:
         report = check_monotone(numflux, eq, box=(-1.0, 1.0), samples_per_axis=64)
