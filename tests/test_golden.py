@@ -4,12 +4,11 @@ Each command runs through ``cli.run`` on one small config.  The manifest is
 hashed without ``duration_seconds`` (wall time) and ``config_path`` (the
 temporary directory), re-serialized the way the CLI writes it.  The ``solve``
 CSV is pinned as well for every numerical flux and equation pair the package
-accepts, under both boundaries.  Two deeper
-tables pin the per-cell studies at sizes where their rows are built and
-written in chunks: ``fbm`` at k = 8-12 for three Hurst exponents (23,808
-rows) and ``solve`` at k = 9 with three snapshots (2,560 rows).  A change
-that alters any output bit fails here; re-pin a hash only with a change that
-is meant to alter that output.
+accepts, under both boundaries, and the two per-cell studies on deeper
+tables: ``fbm`` at k = 8-12 for three Hurst exponents (23,808 rows) and
+``solve`` at k = 9 with three snapshots (2,560 rows).  A change that alters
+any output bit fails here; re-pin a hash only with a change that is meant to
+alter that output.
 """
 
 import hashlib
