@@ -129,7 +129,7 @@ _CHUNK_ROWS = 1 << 12
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-def _format_column(name, column) -> list:
+def _format_column(name, column):
     """One column's cells as text: formatted once if they repeat one value,
     else in one C-level pass if all are floats (numpy's float64 too), all
     ints or all strs, else by ``_format_cell`` one at a time."""
