@@ -89,11 +89,14 @@ def _fill_lambda(numflux: NumericalFluxSpec, lam: float) -> NumericalFluxSpec:
     return numflux
 
 
-def _advance(w, out, ratio: float, numflux: NumericalFluxSpec, config: SchemeConfig) -> None:
+def _advance(w, out, ratio: float, numflux: NumericalFluxSpec, config: SchemeConfig,
+             work) -> None:
     """The one update: ``out = v - ratio * (F[1:] - F[:-1])``, in this operation order,
-    for the state ``v = w[1:-1]`` (``w`` has n + 2 cells, its ghost cells filled here)."""
+    for the state ``v = w[1:-1]`` (``w`` has n + 2 cells, its ghost cells filled here);
+    F is evaluated in ``work``, four float64 arrays of n + 1 faces (see ``numerical_flux``)
+    made once per run, so a step allocates no array."""
     w[0], w[-1] = (w[-2], w[1]) if config.boundary is Boundary.PERIODIC else (w[1], w[-2])
-    face = numerical_flux(numflux, config.flux, w[:-1], w[1:])
+    face = numerical_flux(numflux, config.flux, w[:-1], w[1:], work)
     np.subtract(face[1:], face[:-1], out=out)
     np.multiply(out, ratio, out=out)
     np.subtract(w[1:-1], out, out=out)
@@ -116,7 +119,8 @@ def step(state: CellField, config: SchemeConfig, dt: float) -> CellField:
     w, out = np.empty(n + 2), np.empty(n)
     w[1:-1] = state.values
     with np.errstate(invalid="ignore", over="ignore"):
-        _advance(w, out, ratio, _fill_lambda(config.numflux, ratio), config)
+        _advance(w, out, ratio, _fill_lambda(config.numflux, ratio), config,
+                 tuple(np.empty((4, n + 1))))
     return _expose(state.grid, out, dt)
 
 
@@ -146,9 +150,12 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
         dt = config.t_final
     if dt <= 0.0 < config.t_final:  # max|f'| overflowed: the loop would never end
         raise ValueError(f"dt must be > 0, got {dt}")
+    if config.t_final > dt * 2**53:  # t + dt would round back to t before t_final
+        raise ValueError(f"float time cannot reach t_final={config.t_final} in steps of dt={dt}")
     periodic = config.boundary is Boundary.PERIODIC
 
     w, w_next, tv_diff = np.empty(v0.size + 2), np.empty(v0.size + 2), np.empty(v0.size)
+    work = tuple(np.empty((4, v0.size + 1)))  # the flux's buffers
     w[1:-1] = v0
     times = [0.0]
     tv = [_variation(v0, periodic, tv_diff)] if track_tv else None
@@ -157,13 +164,14 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
         snaps.append(Snapshot(pending.pop(0), 0.0, initial))
 
     state = initial  # the current state as a CellField, or None until it is exposed
-    t, guard = 0.0, 1e-12 * max(1.0, config.t_final)
+    t_final, t, guard = config.t_final, 0.0, 1e-12 * max(1.0, config.t_final)
+    ratio = np.array(dt / dx)  # 0-d: numpy would convert a float operand on every step
     with np.errstate(invalid="ignore", over="ignore"):
-        while t < config.t_final - guard:
-            dt_i = min(dt, config.t_final - t)
-            _advance(w, w_next[1:-1], dt_i / dx, numflux, config)
+        while t < t_final - guard:
+            dt_i = min(dt, t_final - t)
+            _advance(w, w_next[1:-1], ratio if dt_i == dt else dt_i / dx, numflux, config, work)
             w, w_next, state = w_next, w, None
-            t = min(t + dt_i, config.t_final)
+            t = min(t + dt_i, t_final)
             times.append(t)
             if track_tv:
                 tv.append(_variation(w[1:-1], periodic, tv_diff))

@@ -316,6 +316,15 @@ def test_evolve_rejects_a_zero_cfl_step():
         evolve(u0, cfg)
 
 
+def test_evolve_rejects_a_step_float_time_cannot_add():
+    # dt = 2.5e-301: once t passes dt * 2^53, t + dt rounds back to t and the
+    # loop would never end
+    u0 = CellField(make_grid(0, 1, 2), np.array([0.0, 1e300]))
+    with pytest.raises(ValueError, match="float time cannot reach t_final"):
+        evolve(u0, burgers_config())
+    assert evolve(u0, burgers_config(t_final=0.0)).times.tolist() == [0.0]
+
+
 @pytest.mark.parametrize("snapshot_times", [(), (4.0,)], ids=["final", "snapshot"])
 @pytest.mark.parametrize("track_tv", [False, True])
 @pytest.mark.parametrize("dense", [False, True])
