@@ -89,17 +89,28 @@ def _fill_lambda(numflux: NumericalFluxSpec, lam: float) -> NumericalFluxSpec:
     return numflux
 
 
-def _advance(w, out, ratio: float, numflux: NumericalFluxSpec, config: SchemeConfig,
-             work) -> None:
+def _workspace(n: int):
+    """The buffers of one run, with the views ``_advance`` reads, made once: two states
+    of n + 2 cells as (w, w[:-1], w[1:], w[1:-1]), the state being ``w[1:-1]``, and the
+    flux's four (n + 1)-face arrays (see ``numerical_flux``) with the face row's halves."""
+    states, work = np.empty((2, n + 2)), tuple(np.empty((4, n + 1)))
+    return *((w, w[:-1], w[1:], w[1:-1]) for w in states), (work, work[0][1:], work[0][:-1])
+
+
+def _advance(cells, out, ratio: float, numflux: NumericalFluxSpec, config: SchemeConfig,
+             faces) -> None:
     """The one update: ``out = v - ratio * (F[1:] - F[:-1])``, in this operation order,
-    for the state ``v = w[1:-1]`` (``w`` has n + 2 cells, its ghost cells filled here);
-    F is evaluated in ``work``, four float64 arrays of n + 1 faces (see ``numerical_flux``)
-    made once per run, so a step allocates no array."""
+    for the state ``v`` of ``cells`` (its ghost cells filled here), with F evaluated in
+    ``faces`` (both from ``_workspace``), so a step allocates no array."""
+    w, left, right, v = cells
+    work, hi, lo = faces
     w[0], w[-1] = (w[-2], w[1]) if config.boundary is Boundary.PERIODIC else (w[1], w[-2])
-    face = numerical_flux(numflux, config.flux, w[:-1], w[1:], work)
-    np.subtract(face[1:], face[:-1], out=out)
+    face = numerical_flux(numflux, config.flux, left, right, work)
+    if face is not work[0]:  # the linear law's upwind-type fluxes return ``left`` itself
+        hi, lo = face[1:], face[:-1]
+    np.subtract(hi, lo, out=out)
     np.multiply(out, ratio, out=out)
-    np.subtract(w[1:-1], out, out=out)
+    np.subtract(v, out, out=out)
 
 
 def _expose(grid: Grid, values: np.ndarray, dt: float) -> CellField:
@@ -116,11 +127,10 @@ def step(state: CellField, config: SchemeConfig, dt: float) -> CellField:
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     n, ratio = state.grid.n_cells, dt / state.grid.dx
-    w, out = np.empty(n + 2), np.empty(n)
-    w[1:-1] = state.values
+    cells, (*_, out), faces = _workspace(n)
+    cells[3][...] = state.values
     with np.errstate(invalid="ignore", over="ignore"):
-        _advance(w, out, ratio, _fill_lambda(config.numflux, ratio), config,
-                 tuple(np.empty((4, n + 1))))
+        _advance(cells, out, ratio, _fill_lambda(config.numflux, ratio), config, faces)
     return _expose(state.grid, out, dt)
 
 
@@ -154,9 +164,9 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
         raise ValueError(f"float time cannot reach t_final={config.t_final} in steps of dt={dt}")
     periodic = config.boundary is Boundary.PERIODIC
 
-    w, w_next, tv_diff = np.empty(v0.size + 2), np.empty(v0.size + 2), np.empty(v0.size)
-    work = tuple(np.empty((4, v0.size + 1)))  # the flux's buffers
-    w[1:-1] = v0
+    (cells, cells_next, faces), tv_diff = _workspace(v0.size), np.empty(v0.size)
+    v = cells[3]
+    v[...] = v0
     times = [0.0]
     tv = [_variation(v0, periodic, tv_diff)] if track_tv else None
     snaps: list[Snapshot] = []
@@ -169,18 +179,20 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
     with np.errstate(invalid="ignore", over="ignore"):
         while t < t_final - guard:
             dt_i = min(dt, t_final - t)
-            _advance(w, w_next[1:-1], ratio if dt_i == dt else dt_i / dx, numflux, config, work)
-            w, w_next, state = w_next, w, None
+            _advance(cells, cells_next[3], ratio if dt_i == dt else dt_i / dx, numflux, config,
+                     faces)
+            cells, cells_next, state = cells_next, cells, None
+            v = cells[3]
             t = min(t + dt_i, t_final)
             times.append(t)
             if track_tv:
-                tv.append(_variation(w[1:-1], periodic, tv_diff))
+                tv.append(_variation(v, periodic, tv_diff))
             if len(times) % 64 == 0:  # a blow-up raises within 64 steps
-                state = _expose(grid, w[1:-1], dt)
+                state = _expose(grid, v, dt)
             while pending and t >= pending[0] - guard:
-                state = state if state is not None else _expose(grid, w[1:-1], dt)
+                state = state if state is not None else _expose(grid, v, dt)
                 snaps.append(Snapshot(pending.pop(0), t, state))
 
     return Trajectory(grid=grid, times=np.asarray(times), snapshots=tuple(snaps),
                       per_step_tv=None if tv is None else np.asarray(tv), dt_used=dt,
-                      final=state if state is not None else _expose(grid, w[1:-1], dt))
+                      final=state if state is not None else _expose(grid, v, dt))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from roughwave import (
     sample_seed,
     total_variation,
 )
+from roughwave import initial_data
 from roughwave.initial_data import FbmPath
 
 
@@ -195,3 +197,117 @@ def test_fbm_tv_blowup_rate():
         slopes.append(fit_rate(points)[0])
     assert abs(np.mean(slopes) - (-0.5)) < 0.1
 
+
+
+# --- bit identity with the one-block recipe --------------------------------
+#
+# The oracle below is the recipe the chunked, in-place generator replaced: one
+# splitmix64 block per draw, Box-Muller on fresh arrays, and one midpoint
+# update per level.  The generator must reproduce it bit for bit.
+
+_MASK = 0xFFFFFFFFFFFFFFFF
+
+
+class OracleSplitMix64:
+    def __init__(self, seed):
+        self.state = int(seed) & _MASK
+        self._spare_normal = None
+
+    def _u64_block(self, count):
+        steps = np.arange(1, count + 1, dtype=np.uint64)
+        z = np.uint64(self.state) + steps * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+        self.state = (self.state + count * 0x9E3779B97F4A7C15) & _MASK
+        return z
+
+    def normals(self, count):
+        out = np.empty(count)
+        k = 0
+        if self._spare_normal is not None and count > 0:
+            out[0] = self._spare_normal
+            self._spare_normal = None
+            k = 1
+        need = count - k
+        if need <= 0:
+            return out
+        pairs = (need + 1) // 2
+        u = (self._u64_block(2 * pairs) >> np.uint64(11)).astype(np.float64)
+        u *= 2.0**-53
+        u[u == 0.0] = 2.0**-53
+        r = np.sqrt(-2.0 * np.log(u[0::2]))
+        ang = (2.0 * np.pi) * u[1::2]
+        woven = np.empty(2 * pairs)
+        woven[0::2] = r * np.cos(ang)
+        woven[1::2] = r * np.sin(ang)
+        out[k:] = woven[:need]
+        if need % 2 == 1:
+            self._spare_normal = float(woven[need])
+        return out
+
+
+def oracle_midpoint(hurst, level_k, rng):
+    n = 1 << level_k
+    pts = np.zeros(n + 1)
+    pts[n] = rng.normals(1)[0]
+    for level in range(level_k):
+        stride = n >> level
+        noise = rng.normals(1 << level)
+        left = pts[0:n:stride]
+        right = pts[stride : n + 1 : stride]
+        pts[stride >> 1 :: stride] = 0.5 * (left + right) + midpoint_scale(hurst, level) * noise
+    return pts
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+_CHUNK = initial_data._DRAW_CHUNK
+_COUNTS = (0, 1, 7, 8, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)
+
+
+@pytest.mark.parametrize("spare", [False, True])
+@pytest.mark.parametrize("count", _COUNTS)
+def test_normals_bits_match_oracle(count, spare):
+    rng, oracle = SplitMix64(2718), OracleSplitMix64(2718)
+    if spare:  # an odd draw leaves a spare normal pending on both streams
+        assert np.array_equal(_bits(rng.normals(3)), _bits(oracle.normals(3)))
+        assert rng._spare_normal is not None
+    assert np.array_equal(_bits(rng.normals(count)), _bits(oracle.normals(count)))
+    assert rng.state == oracle.state
+    assert rng._spare_normal == oracle._spare_normal
+    assert np.array_equal(_bits(rng.normals(5)), _bits(oracle.normals(5)))
+
+
+def test_normals_in_draw_chunks_match_oracle_block():
+    rng = SplitMix64(99)
+    chunks = [rng.normals(n) for n in (1, _CHUNK, _CHUNK, 17)]
+    assert np.array_equal(_bits(np.concatenate(chunks)),
+                          _bits(OracleSplitMix64(99).normals(2 * _CHUNK + 18)))
+
+
+@pytest.mark.parametrize("seed", [7, sample_seed(2024, 3)])
+@pytest.mark.parametrize("hurst", [0.25, 0.5, 0.75])
+def test_fbm_bits_match_oracle(hurst, seed):
+    for k in range(1, 19):
+        pts = oracle_midpoint(hurst, k, OracleSplitMix64(seed))
+        path = fbm_midpoint(hurst, k, SplitMix64(seed))
+        assert np.array_equal(_bits(path.points), _bits(pts)), k
+        unit = pts / float(np.max(np.abs(pts)))
+        field = fbm_initial_field(hurst, make_grid(0, 1, 1 << k), seed)
+        assert np.array_equal(_bits(field.values), _bits(unit[:-1])), k
+        assert np.array_equal(_bits(normalize_to_unit(path).points), _bits(unit)), k
+
+
+def test_fbm_initial_field_allocation_peak():
+    # the path buffer plus CellField's copy, and chunk-sized temporaries
+    grid = make_grid(0, 1, 1 << 18)
+    tracemalloc.start()
+    try:
+        field = fbm_initial_field(0.5, grid, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * field.values.nbytes
