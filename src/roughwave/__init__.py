@@ -31,15 +31,7 @@ from .flux import (
     max_wave_speed,
     numerical_flux,
 )
-from .initial_data import (
-    FbmPath,
-    SplitMix64,
-    fbm_initial_field,
-    fbm_midpoint,
-    midpoint_scale,
-    normalize_to_unit,
-    sample_seed,
-)
+from .initial_data import SplitMix64, fbm_initial_field, sample_seed
 from .mesh import CellField, Grid, make_grid, restrict
 from .solver import (
     Boundary,
@@ -56,7 +48,6 @@ __all__ = [
     "BoundInputs",
     "Boundary",
     "CellField",
-    "FbmPath",
     "FluxSpec",
     "Grid",
     "MonotoneReport",
@@ -75,7 +66,6 @@ __all__ = [
     "default_beta",
     "evolve",
     "fbm_initial_field",
-    "fbm_midpoint",
     "fit_rate",
     "flux_value",
     "l1_distance",
@@ -83,8 +73,6 @@ __all__ = [
     "lip_plus",
     "make_grid",
     "max_wave_speed",
-    "midpoint_scale",
-    "normalize_to_unit",
     "numerical_flux",
     "restrict",
     "run_samples_parallel",

@@ -20,7 +20,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .experiments import STUDIES, StudyConfig, StudyResult, check_study, run_samples_parallel
+from .experiments import (STUDIES, StudyConfig, StudyResult, check_study, config_from_dict,
+                          run_samples_parallel)
 from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind, check_monotone
 from .initial_data import SplitMix64
 from .solver import Boundary
@@ -30,16 +31,36 @@ class ConfigError(ValueError):
     """Invalid configuration file or command-line override."""
 
 
-_REQUIRED_KEYS = (
-    "equation",
-    "numflux",
-    "hurst",
-    "resolutions",
-    "reference_exponent",
-    "samples",
-    "base_seed",
-)
-_OPTIONAL_KEYS = ("t_final", "cfl", "boundary", "snapshot_times")
+def _choice(enum):
+    names = sorted(m.value for m in enum)
+
+    def parse(value):
+        if value.lower() not in names:
+            raise ValueError(f"expected one of {names}, got '{value}'")
+        return value.lower()
+
+    return parse
+
+
+def _numbers(kind):
+    return lambda value: [kind(x) for x in value.split(",")]
+
+
+# config-file key (a ``config_to_dict`` key) -> (parser into its manifest form, required)
+_KEYS = {
+    "equation": (_choice(FluxSpec), True),
+    "numflux": (_choice(NumFluxKind), True),
+    "hurst": (_numbers(float), True),
+    "resolutions": (_numbers(int), True),
+    "reference_exponent": (int, True),
+    "samples": (int, True),
+    "base_seed": (int, True),
+    "t_final": (float, False),
+    "cfl": (float, False),
+    "boundary": (_choice(Boundary), False),
+    "snapshot_times": (lambda value: [float(x) for x in value.split(",")] if value else [], False),
+}
+_REQUIRED_KEYS = tuple(key for key, (_, required) in _KEYS.items() if required)
 
 
 def parse_config(path) -> StudyConfig:
@@ -57,7 +78,7 @@ def parse_config(path) -> StudyConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _REQUIRED_KEYS + _OPTIONAL_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
         if key in entries:
             first = entries[key][0]
@@ -70,47 +91,16 @@ def parse_config(path) -> StudyConfig:
     if missing:
         raise ConfigError(f"{path}: missing required keys: {', '.join(missing)}")
 
-    def get(key, parser, default=None):
-        if key not in entries:
-            return default
-        lineno, value = entries[key]
-        try:
-            return parser(value)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {exc}") from exc
-
-    def choice(enum):
-        table = {m.value: m for m in enum}
-
-        def parse(value):
-            v = value.lower()
-            if v not in table:
-                raise ValueError(f"expected one of {sorted(table)}, got '{value}'")
-            return table[v]
-
-        return parse
-
-    cfg_kwargs = dict(
-        equation=get("equation", choice(FluxSpec)),
-        numflux=NumericalFluxSpec(get("numflux", choice(NumFluxKind))),
-        hurst_list=get("hurst", lambda v: tuple(float(x) for x in v.split(","))),
-        resolutions=get("resolutions", lambda v: tuple(int(x) for x in v.split(","))),
-        reference_exponent=get("reference_exponent", int),
-        n_samples=get("samples", int),
-        base_seed=get("base_seed", int),
-        t_final=get("t_final", float, default=1.0),
-        cfl=get("cfl", float, default=0.5),
-        boundary=get("boundary", choice(Boundary), default=Boundary.OUTFLOW),
-        snapshot_times=get(
-            "snapshot_times",
-            lambda v: tuple(float(x) for x in v.split(",")) if v.strip() else (),
-            default=(),
-        ),
-    )
+    data = {}
+    for key, (parser, _) in _KEYS.items():
+        if key in entries:
+            lineno, value = entries[key]
+            try:
+                data[key] = parser(value)
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad value for '{key}': {exc}") from exc
     try:
-        return StudyConfig(**cfg_kwargs)
+        return config_from_dict(data)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -117,21 +117,17 @@ def config_to_dict(cfg: StudyConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> StudyConfig:
-    """Rebuild a StudyConfig from its ``config_to_dict`` form (manifests)."""
-    return StudyConfig(
-        equation=FluxSpec(data["equation"]),
-        numflux=NumericalFluxSpec(NumFluxKind(data["numflux"]), data.get("numflux_lambda")),
-        hurst_list=tuple(data["hurst"]),
-        resolutions=tuple(data["resolutions"]),
-        reference_exponent=data["reference_exponent"],
-        n_samples=data["samples"],
-        base_seed=data["base_seed"],
-        t_final=data.get("t_final", 1.0),
-        cfl=data.get("cfl", 0.5),
-        boundary=Boundary(data.get("boundary", "outflow")),
-        snapshot_times=tuple(data.get("snapshot_times", ())),
-        beta=data.get("beta"),
+    """Rebuild a StudyConfig from its ``config_to_dict`` form (manifests, parsed
+    config files); a key left out takes StudyConfig's default."""
+    renamed = {"hurst": "hurst_list", "samples": "n_samples"}
+    kwargs = {renamed.get(key, key): value for key, value in data.items()}
+    kwargs["equation"] = FluxSpec(data["equation"])
+    kwargs["numflux"] = NumericalFluxSpec(
+        NumFluxKind(data["numflux"]), kwargs.pop("numflux_lambda", None)
     )
+    if "boundary" in data:
+        kwargs["boundary"] = Boundary(data["boundary"])
+    return StudyConfig(**kwargs)
 
 
 def _scheme(cfg: StudyConfig) -> SchemeConfig:

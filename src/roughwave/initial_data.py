@@ -9,7 +9,6 @@ reproducible from its seed alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,37 +94,23 @@ def sample_seed(base_seed: int, index: int) -> int:
     return (int(base_seed) ^ ((GOLDEN_GAMMA * (int(index) + 1)) & _MASK64)) & _MASK64
 
 
-@dataclass(frozen=True)
-class FbmPath:
-    """Fractional-Brownian-motion values on the dyadic grid j * 2^-level.
-
-    ``points`` has length 2^level + 1 and is pinned to 0 at the left end.
-    """
-
-    hurst: float
-    level: int
-    points: np.ndarray
-
-    def __post_init__(self):
-        p = np.array(self.points, dtype=float)
-        if p.shape != ((1 << self.level) + 1,):
-            raise ValueError(
-                f"points must have length 2^{self.level}+1, got {p.shape}"
-            )
-        if p[0] != 0.0:
-            raise ValueError("left endpoint must be pinned to 0")
-        p.setflags(write=False)
-        object.__setattr__(self, "points", p)
-
-
-def midpoint_scale(hurst: float, level: int) -> float:
+def _midpoint_scale(hurst: float, level: int) -> float:
     """Std dev of the displacement added when bisecting at the given level."""
     return math.sqrt((1.0 - 2.0 ** (2.0 * hurst - 2.0)) / 2.0 ** (2.0 * level * hurst))
 
 
 def _midpoint_points(hurst: float, level_k: int, rng: SplitMix64) -> np.ndarray:
-    """The points of ``fbm_midpoint`` in one fresh array; each level's noise is drawn
-    in chunks of ``_DRAW_CHUNK`` and written straight into its midpoint slots."""
+    """Fractional Brownian motion on the 2^level_k + 1 points j * 2^-level_k,
+    by recursive midpoint displacement, in one fresh array.
+
+    The left endpoint is 0 and the right endpoint is a standard normal draw.
+    Then, level by level (coarse to fine, left to right within a level), each
+    interval is bisected and the midpoint set to the neighbour average plus a
+    fresh Gaussian scaled by ``_midpoint_scale(hurst, level)``.  The traversal
+    order is fixed, so a path is a pure function of (hurst, level, seed).  Each
+    level's noise is drawn in chunks of ``_DRAW_CHUNK`` and written straight
+    into its midpoint slots.
+    """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
     if not 1 <= level_k <= MAX_LEVEL:
@@ -135,7 +120,7 @@ def _midpoint_points(hurst: float, level_k: int, rng: SplitMix64) -> np.ndarray:
     pts[n] = rng.normals(1)[0]
     for level in range(level_k):
         stride = n >> level
-        scale = midpoint_scale(hurst, level)
+        scale = _midpoint_scale(hurst, level)
         mids, lefts, rights = pts[stride >> 1 :: stride], pts[0:n:stride], pts[stride::stride]
         for a in range(0, 1 << level, _DRAW_CHUNK):
             b = a + _DRAW_CHUNK
@@ -148,31 +133,13 @@ def _midpoint_points(hurst: float, level_k: int, rng: SplitMix64) -> np.ndarray:
     return pts
 
 
-def fbm_midpoint(hurst: float, level_k: int, rng: SplitMix64) -> FbmPath:
-    """Fractional Brownian motion by recursive midpoint displacement.
-
-    The left endpoint is 0 and the right endpoint is a standard normal draw.
-    Then, level by level (coarse to fine, left to right within a level), each
-    interval is bisected and the midpoint set to the neighbour average plus a
-    fresh Gaussian scaled by ``midpoint_scale(hurst, level)``.  The traversal
-    order is fixed, so a path is a pure function of (hurst, level, seed).
-    """
-    return FbmPath(hurst=hurst, level=level_k, points=_midpoint_points(hurst, level_k, rng))
-
-
-def normalize_to_unit(path: FbmPath) -> FbmPath:
-    """Rescale so the largest |value| is 1; the zero path is left alone."""
-    peak = max(path.points.max(), -path.points.min())  # max|p|, without a |p| temporary
-    if peak == 0.0:
-        return path
-    return FbmPath(path.hurst, path.level, path.points / peak)
-
-
 def fbm_initial_field(hurst: float, grid: Grid, seed: int) -> CellField:
     """Normalized fBm sample as cell data on a power-of-two grid over [0, 1].
 
-    Cell i takes the path value at its left edge i * 2^-k; the final path
-    point is dropped.  The path is normalized in place, as by ``normalize_to_unit``.
+    Cell i takes the value at its left edge i * 2^-k of the path drawn by
+    ``_midpoint_points`` with ``SplitMix64(seed)``; the final path point is
+    dropped.  The path is rescaled in place so that its largest |value| is 1;
+    a zero path is left alone.
     """
     n = grid.n_cells
     if n < 2 or n & (n - 1) != 0:
@@ -180,7 +147,7 @@ def fbm_initial_field(hurst: float, grid: Grid, seed: int) -> CellField:
     if grid.x_left != 0.0 or grid.x_right != 1.0:
         raise ValueError(f"fBm fields live on [0, 1], got [{grid.x_left}, {grid.x_right}]")
     p = _midpoint_points(hurst, n.bit_length() - 1, SplitMix64(seed))
-    peak = max(p.max(), -p.min())
+    peak = max(p.max(), -p.min())  # max|p|, without a |p| temporary
     if peak != 0.0:
         p /= peak
     return CellField(grid, p[:-1])

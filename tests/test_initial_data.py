@@ -8,16 +8,13 @@ from roughwave import (
     CellField,
     SplitMix64,
     fbm_initial_field,
-    fbm_midpoint,
     fit_rate,
     make_grid,
-    midpoint_scale,
-    normalize_to_unit,
     sample_seed,
     total_variation,
 )
 from roughwave import initial_data
-from roughwave.initial_data import FbmPath
+from roughwave.initial_data import _midpoint_points
 
 
 class ZeroNoise(SplitMix64):
@@ -81,38 +78,51 @@ def test_sample_seed_derivation():
 
 
 def test_midpoint_scale_values():
-    assert midpoint_scale(0.5, 0) == pytest.approx(math.sqrt(0.5), rel=1e-12)
-    assert midpoint_scale(0.75, 2) == pytest.approx(0.19134, abs=5e-6)
+    assert initial_data._midpoint_scale(0.5, 0) == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    assert initial_data._midpoint_scale(0.75, 2) == pytest.approx(0.19134, abs=5e-6)
 
 
-def test_fbm_midpoint_shape_and_pinning():
-    path = fbm_midpoint(0.5, 5, SplitMix64(3))
-    assert path.points.shape == (33,)
-    assert path.points[0] == 0.0
-    assert path.level == 5
+def test_midpoint_points_shape_and_pinning():
+    points = _midpoint_points(0.5, 5, SplitMix64(3))
+    assert points.shape == (33,)
+    assert points[0] == 0.0
 
 
-def test_fbm_midpoint_zero_noise_gives_zero_path():
-    path = fbm_midpoint(0.3, 4, ZeroNoise(0))
-    assert np.all(path.points == 0.0)
+def test_midpoint_points_zero_noise_gives_zero_path():
+    assert np.all(_midpoint_points(0.3, 4, ZeroNoise(0)) == 0.0)
 
 
-def test_fbm_midpoint_validates_arguments():
+def test_fbm_initial_field_leaves_zero_path_alone(monkeypatch):
+    monkeypatch.setattr(initial_data, "SplitMix64", ZeroNoise)
+    field = fbm_initial_field(0.3, make_grid(0, 1, 16), 0)
+    assert np.array_equal(_bits(field.values), _bits(np.zeros(16)))
+
+
+def test_fbm_initial_field_divides_by_largest_magnitude(monkeypatch):
+    # the peak is |-4|, not max p = 2; the final path point is dropped
+    monkeypatch.setattr(initial_data, "_midpoint_points",
+                        lambda hurst, level, rng: np.array([0.0, 2.0, -4.0]))
+    field = fbm_initial_field(0.5, make_grid(0, 1, 2), 0)
+    assert np.array_equal(field.values, [0.0, 0.5])
+
+
+@pytest.mark.parametrize("hurst, level", [(0.0, 4), (1.0, 4), (0.5, 0), (0.5, 27)])
+def test_midpoint_points_validates_arguments(hurst, level):
     with pytest.raises(ValueError):
-        fbm_midpoint(0.0, 4, SplitMix64(0))
-    with pytest.raises(ValueError):
-        fbm_midpoint(1.0, 4, SplitMix64(0))
-    with pytest.raises(ValueError):
-        fbm_midpoint(0.5, 0, SplitMix64(0))
-    with pytest.raises(ValueError):
-        fbm_midpoint(0.5, 27, SplitMix64(0))
+        _midpoint_points(hurst, level, SplitMix64(0))
 
 
-def test_fbm_midpoint_consumes_fixed_draw_count():
+@pytest.mark.parametrize("hurst", [0.0, 1.0, -0.5, 1.5])
+def test_fbm_initial_field_validates_hurst(hurst):
+    with pytest.raises(ValueError, match="hurst"):
+        fbm_initial_field(hurst, make_grid(0, 1, 16), 0)
+
+
+def test_midpoint_points_consumes_fixed_draw_count():
     # 2^k normals in total: 1 endpoint + 2^k - 1 midpoints
     k = 6
     rng = SplitMix64(314)
-    fbm_midpoint(0.5, k, rng)
+    _midpoint_points(0.5, k, rng)
     twin = SplitMix64(314)
     twin.normals(1 << k)
     assert rng.state == twin.state
@@ -128,43 +138,18 @@ def test_fbm_increment_variance_matches_recursion():
     acc = 0.0
     n_seeds = 10_000
     for s in range(n_seeds):
-        p = fbm_midpoint(0.5, k, SplitMix64(sample_seed(99, s)))
-        acc += float(np.mean(np.diff(p.points) ** 2))
+        points = _midpoint_points(0.5, k, SplitMix64(sample_seed(99, s)))
+        acc += float(np.mean(np.diff(points) ** 2))
     emp = acc / n_seeds
     assert abs(emp - oracle) / oracle < 0.10
 
 
-def test_normalize_examples():
-    p = FbmPath(0.5, 1, np.array([0.0, 2.0, -4.0]))
-    out = normalize_to_unit(p)
-    assert np.array_equal(out.points, [0.0, 0.5, -1.0])
-
-
-def test_normalize_zero_path_unchanged():
-    p = FbmPath(0.5, 1, np.zeros(3))
-    assert np.array_equal(normalize_to_unit(p).points, p.points)
-
-
-def test_normalize_is_idempotent_with_unit_peak():
-    p = fbm_midpoint(0.7, 5, SplitMix64(12))
-    once = normalize_to_unit(p)
-    assert np.max(np.abs(once.points)) == 1.0
-    twice = normalize_to_unit(once)
-    assert np.array_equal(once.points, twice.points)
-
-
-def test_fbm_path_validation():
-    with pytest.raises(ValueError):
-        FbmPath(0.5, 2, np.zeros(4))  # needs 2^2 + 1 points
-    with pytest.raises(ValueError):
-        FbmPath(0.5, 1, np.array([1.0, 0.0, 0.0]))  # left endpoint not pinned
-
-
-def test_fbm_initial_field_is_path_prefix():
-    grid = make_grid(0, 1, 64)
-    field = fbm_initial_field(0.5, grid, 2020)
-    path = normalize_to_unit(fbm_midpoint(0.5, 6, SplitMix64(2020)))
-    assert np.array_equal(field.values, path.points[:-1])
+def test_fbm_initial_field_is_unit_peak_path_prefix():
+    field = fbm_initial_field(0.5, make_grid(0, 1, 64), 2020)
+    points = _midpoint_points(0.5, 6, SplitMix64(2020))
+    assert np.abs(points[:-1]).max() == np.abs(points).max()  # the peak is not dropped
+    assert np.array_equal(field.values, points[:-1] / np.abs(points).max())
+    assert np.max(np.abs(field.values)) == 1.0
 
 
 def test_fbm_initial_field_deterministic():
@@ -247,6 +232,10 @@ class OracleSplitMix64:
         return out
 
 
+def oracle_scale(hurst, level):
+    return math.sqrt((1.0 - 2.0 ** (2.0 * hurst - 2.0)) / 2.0 ** (2.0 * level * hurst))
+
+
 def oracle_midpoint(hurst, level_k, rng):
     n = 1 << level_k
     pts = np.zeros(n + 1)
@@ -256,7 +245,7 @@ def oracle_midpoint(hurst, level_k, rng):
         noise = rng.normals(1 << level)
         left = pts[0:n:stride]
         right = pts[stride : n + 1 : stride]
-        pts[stride >> 1 :: stride] = 0.5 * (left + right) + midpoint_scale(hurst, level) * noise
+        pts[stride >> 1 :: stride] = 0.5 * (left + right) + oracle_scale(hurst, level) * noise
     return pts
 
 
@@ -293,12 +282,11 @@ def test_normals_in_draw_chunks_match_oracle_block():
 def test_fbm_bits_match_oracle(hurst, seed):
     for k in range(1, 19):
         pts = oracle_midpoint(hurst, k, OracleSplitMix64(seed))
-        path = fbm_midpoint(hurst, k, SplitMix64(seed))
-        assert np.array_equal(_bits(path.points), _bits(pts)), k
+        path = _midpoint_points(hurst, k, SplitMix64(seed))
+        assert np.array_equal(_bits(path), _bits(pts)), k
         unit = pts / float(np.max(np.abs(pts)))
         field = fbm_initial_field(hurst, make_grid(0, 1, 1 << k), seed)
         assert np.array_equal(_bits(field.values), _bits(unit[:-1])), k
-        assert np.array_equal(_bits(normalize_to_unit(path).points), _bits(unit)), k
 
 
 def test_fbm_initial_field_allocation_peak():

@@ -97,7 +97,7 @@ def test_evolve_equals_a_loop_of_steps(kind, spec, boundary, vals, times):
     traj = evolve(u0, cfg, snapshot_times=times, track_tv=True)
     dt, t_final = traj.dt_used, cfg.t_final
     if kind is NumFluxKind.LAX_FRIEDRICHS:  # evolve freezes lam = dt/dx of the CFL step
-        dt_cfl = cfl_timestep(u0.grid, spec, vals.min(), vals.max(), cfg.cfl)
+        dt_cfl = cfl_timestep(u0.grid, spec, float(vals.min()), float(vals.max()), cfg.cfl)
         lam = min(dt_cfl / u0.grid.dx, sys.float_info.max)
         cfg = replace(cfg, numflux=NumericalFluxSpec(kind, lam))
     states, clock, t = [u0], [0.0], 0.0
