@@ -6,12 +6,13 @@ temporary directory), re-serialized the way the CLI writes it.  The ``solve``
 CSV is pinned as well for every numerical flux and equation pair the package
 accepts, under both boundaries, and the two per-cell studies on deeper
 tables: ``fbm`` at k = 8-12 for three Hurst exponents (23,808 rows) and
-``solve`` at k = 9 with three snapshots (2,560 rows).  A change that alters
-any output bit fails here; re-pin a hash only with a change that is meant to
-alter that output.
+``solve`` at k = 9 with three snapshots (2,560 rows).  The stdout of
+``selfcheck`` is pinned too.  A change that alters any output bit fails
+here; re-pin a hash only with a change that is meant to alter that output.
 """
 
 import hashlib
+import io
 import json
 
 import pytest
@@ -133,6 +134,9 @@ DEEP_GOLDEN = {
     "solve": "0eb541b2789365391e5def6a1553be883c6f3016acd3c6f12e0d03731dd4eaf2",
 }
 
+# SHA-256 of the stdout of ``roughwave selfcheck``
+SELFCHECK_GOLDEN = "016fe42df9c7f805b2767b7265fd69424cb373411983ad8d41613747603c2b61"
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -166,3 +170,9 @@ def test_golden_solve_per_flux_pair(numflux, equation, boundary, tmp_path):
 def test_golden_deep_per_cell_tables(command, tmp_path):
     csv_hash, _ = output_hashes(command, tmp_path, DEEP_CONFIG[command])
     assert csv_hash == DEEP_GOLDEN[command]
+
+
+def test_golden_selfcheck_stdout():
+    out = io.StringIO()
+    assert run(["selfcheck"], out=out) == 0
+    assert _sha256(out.getvalue().encode()) == SELFCHECK_GOLDEN
