@@ -16,6 +16,7 @@ import os
 import re
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -137,48 +138,48 @@ def _format_column(name, column):
     return cells
 
 
-def write_csv(result: StudyResult, path) -> None:
-    """Write the result table as CSV (LF newlines, shortest round-trip floats).
-
-    Rows are formatted a column at a time, ``_CHUNK_ROWS`` at once, and each
-    chunk is streamed to a temporary sibling, renamed into place when complete
-    and deleted on any error.  Labels are written verbatim and ``None`` as an
-    empty cell; a label that would need quoting (``,``, ``"``, CR or LF), a
-    table of one column and a row of the wrong length raise ValueError.
-    """
-    names, rows = result.columns, result.rows
-    if len(names) < 2:
-        raise ValueError(f"a CSV table needs at least two columns, got {names}")
+@contextmanager
+def _atomic_file(path):
+    """A binary file on a temporary sibling of ``path``, renamed onto ``path`` when
+    the block completes and deleted on any error, so no partial file is left."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write((",".join(_format_column("header", names)) + "\n").encode())
-            for i in range(0, len(rows), _CHUNK_ROWS):
-                columns = zip(*rows[i:i + _CHUNK_ROWS], strict=True)
-                cells = [_format_column(n, c) for n, c in zip(names, columns, strict=True)]
-                fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def _write_manifest(path, payload) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes((json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
-    os.replace(tmp, path)
+def write_csv(result: StudyResult, path) -> None:
+    """Write the result table as CSV (LF newlines, shortest round-trip floats).
+
+    Rows are formatted a column at a time, ``_CHUNK_ROWS`` at once, and each
+    chunk is streamed into an ``_atomic_file``.  Labels are written verbatim
+    and ``None`` as an empty cell; a label that would need quoting (``,``,
+    ``"``, CR or LF), a table of one column and a row of the wrong length
+    raise ValueError.
+    """
+    names, rows = result.columns, result.rows
+    if len(names) < 2:
+        raise ValueError(f"a CSV table needs at least two columns, got {names}")
+    with _atomic_file(path) as fh:
+        fh.write((",".join(_format_column("header", names)) + "\n").encode())
+        for i in range(0, len(rows), _CHUNK_ROWS):
+            columns = zip(*rows[i:i + _CHUNK_ROWS], strict=True)
+            cells = [_format_column(n, c) for n, c in zip(names, columns, strict=True)]
+            fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
 
 
 def _selfcheck(out) -> int:
-    """PRNG known-answer tests and monotonicity probes for all fluxes."""
+    """Known answers of the integer stream every fBm draw reads (``SplitMix64.u64``)
+    and monotonicity probes for all fluxes."""
     failures = 0
 
-    rng = SplitMix64(0)
-    got = [rng.next_u64(), rng.next_u64()]
     expected = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
-    for i, (g, e) in enumerate(zip(got, expected)):
+    for i, (g, e) in enumerate(zip(SplitMix64(0).u64(2).tolist(), expected)):
         ok = g == e
         failures += not ok
         print(f"[{'ok' if ok else 'FAIL'}] splitmix64 seed=0 output {i}: "
@@ -264,7 +265,8 @@ def run(argv=None, out=None) -> int:
             "outputs": [csv_path.name],
             "duration_seconds": round(time.monotonic() - started, 6),
         }
-        _write_manifest(out_dir / f"{args.command}_manifest.json", manifest)
+        with _atomic_file(out_dir / f"{args.command}_manifest.json") as fh:
+            fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
         print(f"wrote {csv_path}", file=out)
         return 0
     except ConfigError as exc:

@@ -36,7 +36,7 @@ from .diagnostics import (
 from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind
 from .initial_data import MAX_LEVEL, fbm_initial_field, sample_seed
 from .mesh import CellField, make_grid, restrict
-from .solver import Boundary, SchemeConfig, evolve
+from .solver import Boundary, SchemeConfig, _check_snapshot_times, evolve
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,7 @@ class StudyConfig:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         # fail fast on scheme-level problems (cfl range, t_final, flux pairing)
         _scheme(self)
-        times = self.snapshot_times
-        if any(not 0.0 <= t <= self.t_final for t in times) or list(times) != sorted(times):
-            raise ValueError(
-                f"snapshot_times must be sorted and lie in [0, t_final={self.t_final}], "
-                f"got {times}"
-            )
+        _check_snapshot_times(self.snapshot_times, self.t_final)
 
 
 @dataclass(frozen=True)
@@ -146,8 +141,12 @@ def _field(cfg: StudyConfig, hurst: float, sample: int, k: int) -> CellField:
     return fbm_initial_field(hurst, grid, sample_seed(cfg.base_seed, sample))
 
 
-def _coarse(cfg: StudyConfig, u0_ref: CellField, k: int) -> CellField:
-    return restrict(u0_ref, 1 << (cfg.reference_exponent - k))
+def _reference(cfg: StudyConfig, hurst: float, sample: int):
+    """The sample drawn once at ``reference_exponent``, and a generator of
+    ``(k, its restriction to 2^k cells)`` over the resolutions, built one at a time."""
+    u0_ref = _field(cfg, hurst, sample, cfg.reference_exponent)
+    levels = ((k, restrict(u0_ref, 1 << (cfg.reference_exponent - k))) for k in cfg.resolutions)
+    return u0_ref, levels
 
 
 def _slope_or_none(points) -> Optional[float]:
@@ -210,11 +209,10 @@ def _cell_rows(labels, field):
 
 def _converge_sample(cfg, hurst, sample):
     scheme = _scheme(cfg)
-    u0_ref = _field(cfg, hurst, sample, cfg.reference_exponent)
+    u0_ref, levels = _reference(cfg, hurst, sample)
     ref_final = evolve(u0_ref, scheme).final
     data = []
-    for k in cfg.resolutions:
-        u0_k = _coarse(cfg, u0_ref, k)
+    for k, u0_k in levels:
         final_k = evolve(u0_k, scheme).final
         data.append((k, u0_k.grid.dx, l1_distance(final_k, ref_final)))
 
@@ -254,11 +252,10 @@ def _converge_ensemble(cfg, hurst, summaries):
 
 
 def _scaling_sample(study, measure, cfg, hurst, sample):
-    u0_ref = _field(cfg, hurst, sample, cfg.reference_exponent)
     rows = []
     points = []
-    for k in cfg.resolutions:
-        u0_k = _coarse(cfg, u0_ref, k)
+    _, levels = _reference(cfg, hurst, sample)
+    for k, u0_k in levels:
         val = float(measure(u0_k))
         rows.append((study, hurst, sample, k, float(u0_k.grid.dx), val, None))
         points.append((u0_k.grid.dx, val))
@@ -269,11 +266,10 @@ def _scaling_sample(study, measure, cfg, hurst, sample):
 
 def _tvdecay_sample(cfg, hurst, sample):
     scheme = _scheme(cfg)
-    u0_ref = _field(cfg, hurst, sample, cfg.reference_exponent)
     periodic = cfg.boundary is Boundary.PERIODIC
     rows = []
-    for k in cfg.resolutions:
-        u0_k = _coarse(cfg, u0_ref, k)
+    _, levels = _reference(cfg, hurst, sample)
+    for k, u0_k in levels:
         traj = evolve(u0_k, scheme, snapshot_times=cfg.snapshot_times)
         for snap in traj.snapshots:
             tv = float(total_variation(snap.field, periodic=periodic))
@@ -290,11 +286,10 @@ def _tvdecay_check(cfg):
 def _sharpness_sample(cfg, hurst, sample):
     beta = cfg.beta if cfg.beta is not None else default_beta(cfg.equation, cfg.numflux.kind)
     scheme = _scheme(cfg)
-    u0_ref = _field(cfg, hurst, sample, cfg.reference_exponent)
     rows = []
     points = []
-    for k in cfg.resolutions:
-        u0_k = _coarse(cfg, u0_ref, k)
+    _, levels = _reference(cfg, hurst, sample)
+    for k, u0_k in levels:
         traj = evolve(u0_k, scheme, track_tv=True)
         bound = BoundInputs(
             beta=beta,
@@ -317,6 +312,8 @@ def _sharpness_sample(cfg, hurst, sample):
 
 
 def _sharpness_check(cfg):
+    if cfg.t_final <= 0.0:  # the TV time integral in the ratio's denominator would be 0
+        raise ValueError(f"sharpness needs t_final > 0, got {cfg.t_final}")
     if cfg.beta is None:
         default_beta(cfg.equation, cfg.numflux.kind)  # raises for unsupported pairs
 

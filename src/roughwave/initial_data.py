@@ -27,7 +27,7 @@ _DRAW_CHUNK = 1 << 15
 class SplitMix64:
     """splitmix64 stream with Box-Muller standard normals.
 
-    The integer recipe: state += 0x9E3779B97F4A7C15 (mod 2^64), then mix
+    The integer recipe of ``u64``: state += 0x9E3779B97F4A7C15 (mod 2^64), then mix
     z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
     z *= 0x94D049BB133111EB; z ^= z >> 31.
 
@@ -41,14 +41,11 @@ class SplitMix64:
         self.state = int(seed) & _MASK64
         self._spare_normal: float | None = None
 
-    def next_u64(self) -> int:
-        self.state = (self.state + GOLDEN_GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def _u64_block(self, count: int) -> np.ndarray:
+    def u64(self, count: int) -> np.ndarray:
+        """The next ``count`` words of the integer stream, as a uint64 array."""
+        count = int(count)
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
         z = np.arange(1, count + 1, dtype=np.uint64)
         z *= np.uint64(GOLDEN_GAMMA)
         z += np.uint64(self.state)
@@ -72,7 +69,7 @@ class SplitMix64:
         need = count - len(lead)
         if need == 0:
             return np.array(lead, dtype=float)
-        u = self._u64_block(2 * ((need + 1) // 2))
+        u = self.u64(2 * ((need + 1) // 2))
         u >>= np.uint64(11)
         z = u.view(np.float64)
         z[...] = u.view(np.int64)  # exact: every value is below 2^53

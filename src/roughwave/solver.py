@@ -59,7 +59,6 @@ class Trajectory:
     is the fixed nominal step; the final step may be shorter to land on t_final.
     """
 
-    grid: Grid
     times: np.ndarray
     snapshots: Tuple[Snapshot, ...]
     per_step_tv: Optional[np.ndarray]
@@ -75,6 +74,13 @@ def cfl_timestep(grid: Grid, spec: FluxSpec, u_min: float, u_max: float, cfl: fl
     if speed == 0.0:
         return cfl * grid.dx
     return cfl * grid.dx / speed
+
+
+def _check_snapshot_times(times: Sequence[float], t_final: float) -> None:
+    """ValueError unless ``times`` is sorted and lies in [0, t_final] (NaN does not)."""
+    if any(not 0.0 <= t <= t_final for t in times) or list(times) != sorted(times):
+        raise ValueError(f"snapshot_times must be sorted and lie in [0, t_final={t_final}], "
+                         f"got {tuple(times)}")
 
 
 def _fill_lambda(numflux: NumericalFluxSpec, lam: float) -> NumericalFluxSpec:
@@ -147,10 +153,7 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
     FloatingPointError (none is missed: each update subtracts from a cell's own value).
     """
     pending = [float(t) for t in snapshot_times]
-    if any(not 0.0 <= t <= config.t_final for t in pending):
-        raise ValueError(f"snapshot times must lie in [0, {config.t_final}]")
-    if sorted(pending) != pending:
-        raise ValueError("snapshot times must be sorted")
+    _check_snapshot_times(pending, config.t_final)
 
     grid, dx, v0 = initial.grid, initial.grid.dx, initial.values
     dt = cfl_timestep(grid, config.flux, float(v0.min()), float(v0.max()), config.cfl)
@@ -193,6 +196,6 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
                 state = state if state is not None else _expose(grid, v, dt)
                 snaps.append(Snapshot(pending.pop(0), t, state))
 
-    return Trajectory(grid=grid, times=np.asarray(times), snapshots=tuple(snaps),
+    return Trajectory(times=np.asarray(times), snapshots=tuple(snaps),
                       per_step_tv=None if tv is None else np.asarray(tv), dt_used=dt,
                       final=state if state is not None else _expose(grid, v, dt))

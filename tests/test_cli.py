@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from roughwave import Boundary, FluxSpec, NumFluxKind, StudyResult, config_from_dict
-from roughwave import experiments
+from roughwave import SplitMix64, experiments
 from roughwave.cli import ConfigError, parse_config, run, write_csv
 
 MINIMAL = """\
@@ -116,6 +117,14 @@ def test_selfcheck_passes(capsys):
     assert "selfcheck passed" in out
 
 
+def test_selfcheck_fails_when_the_stream_studies_draw_from_is_wrong(capsys, monkeypatch):
+    monkeypatch.setattr(SplitMix64, "u64", lambda self, count: np.zeros(count, np.uint64))
+    assert run(["selfcheck"]) == 2
+    out = capsys.readouterr().out
+    assert "[FAIL] splitmix64 seed=0 output 0" in out
+    assert "selfcheck: 2 failure(s)" in out
+
+
 def test_fbm_runs_are_byte_identical(tmp_path):
     cfg = write(tmp_path, MINIMAL)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -204,6 +213,14 @@ def test_tvdecay_without_snapshots_exits_1(tmp_path):
     assert run(["tvdecay", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 1
 
 
+def test_sharpness_at_zero_t_final_exits_1_and_writes_nothing(tmp_path, capsys):
+    cfg = write(tmp_path, MINIMAL + "t_final = 0\n")
+    out = tmp_path / "sharp0"
+    assert run(["sharpness", "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "t_final > 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["converge", "solve"])
 @pytest.mark.parametrize("t_final", ["nan", "inf"])
 def test_non_finite_t_final_exits_1_and_writes_nothing(tmp_path, capsys, command, t_final):
@@ -278,4 +295,9 @@ def test_no_tmp_residue_after_runs(tmp_path):
     cfg = write(tmp_path, MINIMAL)
     out = tmp_path / "clean"
     assert run(["tvscale", "--config", str(cfg), "--out", str(out)]) == 0
+    assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
+    # a manifest that cannot be renamed into place: exit 2, and its temporary sibling is gone
+    (out / "tvscale_manifest.json").unlink()
+    (out / "tvscale_manifest.json").mkdir()
+    assert run(["tvscale", "--config", str(cfg), "--out", str(out)]) == 2
     assert not [p for p in os.listdir(out) if p.endswith(".tmp")]

@@ -31,15 +31,12 @@ def field(values, x_left=0.0, x_right=1.0):
 
 
 def literal_trajectory(times, tvs, dt_used):
-    g = make_grid(0, 1, 2)
-    f = field([0.0, 0.0])
     return Trajectory(
-        grid=g,
         times=np.asarray(times, dtype=float),
         snapshots=(),
         per_step_tv=np.asarray(tvs, dtype=float),
         dt_used=dt_used,
-        final=f,
+        final=field([0.0, 0.0]),
     )
 
 

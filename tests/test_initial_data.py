@@ -25,14 +25,22 @@ class ZeroNoise(SplitMix64):
 
 
 def test_splitmix64_known_answers():
-    rng = SplitMix64(0)
-    assert rng.next_u64() == 0xE220A8397B1DCDAF
-    assert rng.next_u64() == 0x6E789E6AA1B965F4
+    assert SplitMix64(0).u64(2).tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
 
 
 def test_splitmix64_streams_are_deterministic():
+    # drawn in chunks or in one block, a seed gives the same words
     a, b = SplitMix64(987654321), SplitMix64(987654321)
-    assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
+    chunks = np.concatenate([a.u64(n) for n in (1, 0, 38, 61)])
+    assert chunks.tolist() == b.u64(100).tolist()
+    assert a.u64(3).tolist() == b.u64(3).tolist()
+
+
+def test_u64_rejects_a_negative_count():
+    rng = SplitMix64(5)
+    with pytest.raises(ValueError, match="count"):
+        rng.u64(-1)
+    assert rng.u64(4).tolist() == SplitMix64(5).u64(4).tolist()
 
 
 def test_normals_are_finite():
