@@ -5,7 +5,6 @@ scaling diagnostics and reproducible experiment drivers."""
 __version__ = "0.1.0"
 
 from .diagnostics import (
-    BoundInputs,
     default_beta,
     fit_rate,
     l1_distance,
@@ -45,7 +44,6 @@ from .solver import (
 
 __all__ = [
     "__version__",
-    "BoundInputs",
     "Boundary",
     "CellField",
     "FluxSpec",

@@ -1,6 +1,12 @@
 """Command-line entry point: config parsing, study execution, CSV + manifest
 persistence, and a self-check of the flux and PRNG contracts.
 
+``roughwave <study> --config FILE --out DIR [--seed N] [--workers N]`` runs one
+study of ``experiments.STUDIES``; ``--seed`` replaces the config's base_seed and
+``--workers`` (default 1) caps the process pool.  ``roughwave selfcheck`` takes
+no options.  Exit codes: 0 success, 1 invalid usage or configuration (nothing
+written), 2 runtime failure (this run leaves no output file).
+
 Config files are line-oriented ``key = value`` text.  Recognized keys:
 equation, numflux, hurst, resolutions, reference_exponent, t_final, samples,
 base_seed, cfl, boundary, snapshot_times.  Lists are comma separated.  Blank
@@ -193,7 +199,7 @@ def _selfcheck(out) -> int:
         probes.append((NumericalFluxSpec(NumFluxKind.LAX_FRIEDRICHS, lam=1.0), eq))
     probes.append((NumericalFluxSpec(NumFluxKind.UPWIND), FluxSpec.LINEAR))
     for numflux, eq in probes:
-        report = check_monotone(numflux, eq, box=(-1.0, 1.0), samples_per_axis=64)
+        report = check_monotone(numflux, eq)
         failures += not report.passed
         label = numflux.kind.value + ("" if numflux.lam is None else f"(lam={numflux.lam})")
         print(f"[{'ok' if report.passed else 'FAIL'}] monotone {label} + {eq.value}: "
@@ -211,44 +217,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"roughwave {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (*STUDIES, "selfcheck"):
+    sub.add_parser("selfcheck")
+    for name in STUDIES:
         p = sub.add_parser(name)
-        p.add_argument("--config", required=name in STUDIES, help="path to key = value config file")
-        p.add_argument("--out", required=name in STUDIES, help="output directory")
-        p.add_argument("--samples", type=int, default=None, help="override sample count")
+        p.add_argument("--config", required=True, help="path to key = value config file")
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override base seed")
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel workers (default: ROUGHWAVE_WORKERS or 1)")
+        p.add_argument("--workers", type=int, default=1, help="parallel workers (default 1)")
     return parser
 
 
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # a usage error exits 1; --help and --version exit 0
+        return 1 if exc.code else 0
     try:
         if args.command == "selfcheck":
             return _selfcheck(out)
 
         cfg = parse_config(args.config)
-        overrides = {"n_samples": args.samples, "base_seed": args.seed}
         try:
-            cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+            if args.seed is not None:
+                cfg = replace(cfg, base_seed=args.seed)
             check_study(args.command, cfg)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-
-        workers = args.workers
-        if workers is None:
-            env = os.environ.get("ROUGHWAVE_WORKERS", "1")
-            try:
-                workers = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"ROUGHWAVE_WORKERS must be an integer, got {env!r}") from exc
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
+        if args.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {args.workers}")
 
         started = time.monotonic()
-        result = run_samples_parallel(args.command, cfg, workers=workers)
+        result = run_samples_parallel(args.command, cfg, workers=args.workers)
 
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -261,12 +261,16 @@ def run(argv=None, out=None) -> int:
             "base_seed": cfg.base_seed,
             "sample_seeds": result.metadata["sample_seeds"],
             "version": __version__,
-            "workers": workers,
+            "workers": args.workers,
             "outputs": [csv_path.name],
             "duration_seconds": round(time.monotonic() - started, 6),
         }
-        with _atomic_file(out_dir / f"{args.command}_manifest.json") as fh:
-            fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+        try:
+            with _atomic_file(out_dir / f"{args.command}_manifest.json") as fh:
+                fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+        except BaseException:  # a CSV goes only with the manifest that describes it
+            csv_path.unlink(missing_ok=True)
+            raise
         print(f"wrote {csv_path}", file=out)
         return 0
     except ConfigError as exc:

@@ -4,7 +4,6 @@ L1 distances, time-integrated TV, the Lip+ bound on it and rate fits."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,30 +79,6 @@ def tv_time_integral(traj: "Trajectory") -> float:
     return float(np.dot(np.asarray(traj.per_step_tv, dtype=float), weights))
 
 
-@dataclass(frozen=True)
-class BoundInputs:
-    """Ingredients of the bound on the time-integrated TV.
-
-    beta        one-step decay rate of the one-sided Lipschitz seminorm
-    lip_plus_0  Lip+ seminorm of the initial data (1/time units)
-    dt, t_n     time step and final time of the run
-    m_support   half-width bound on the support of the data
-    """
-
-    beta: float
-    lip_plus_0: float = 0.0
-    dt: float = 0.0
-    t_n: float = 0.0
-    m_support: float = 0.5
-
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-
-
 def default_beta(spec: FluxSpec, kind: NumFluxKind) -> float:
     """Established decay rate for the one-sided Lipschitz seminorm.
 
@@ -117,16 +92,18 @@ def default_beta(spec: FluxSpec, kind: NumFluxKind) -> float:
     )
 
 
-def lip_bound_rhs(b: BoundInputs) -> float:
-    """Upper bound 2M (L0 dt + (1/beta) log(1 + beta t L0)) on the
-    time-integrated TV, where L0 is the initial Lip+ seminorm."""
-    if b.lip_plus_0 <= 0:
-        raise ValueError(
-            f"bound requires a positive initial Lip+ seminorm, got {b.lip_plus_0}"
-        )
-    return 2.0 * b.m_support * (
-        b.lip_plus_0 * b.dt + math.log1p(b.beta * b.t_n * b.lip_plus_0) / b.beta
-    )
+def lip_bound_rhs(beta: float, lip_plus_0: float, dt: float, t_n: float) -> float:
+    """Upper bound 2M (L0 dt + (1/beta) log(1 + beta t_n L0)) on the time-integrated
+    TV of a run with step ``dt`` to ``t_n``, where L0 = ``lip_plus_0`` is the initial
+    Lip+ seminorm, beta the seminorm's one-step decay rate, and M = 1/2 bounds the
+    half-width of the support of data on [0, 1], so 2M = 1."""
+    if not all(map(math.isfinite, (beta, lip_plus_0, dt, t_n))):
+        raise ValueError(f"bound inputs must be finite, got {(beta, lip_plus_0, dt, t_n)}")
+    if beta <= 0:
+        raise ValueError(f"beta must be > 0, got {beta}")
+    if lip_plus_0 <= 0:
+        raise ValueError(f"bound requires a positive initial Lip+ seminorm, got {lip_plus_0}")
+    return lip_plus_0 * dt + math.log1p(beta * t_n * lip_plus_0) / beta
 
 
 def fit_rate(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:

@@ -22,9 +22,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from . import __version__
 from .diagnostics import (
-    BoundInputs,
     default_beta,
     fit_rate,
     l1_distance,
@@ -291,20 +289,14 @@ def _sharpness_sample(cfg, hurst, sample):
     _, levels = _reference(cfg, hurst, sample)
     for k, u0_k in levels:
         traj = evolve(u0_k, scheme, track_tv=True)
-        bound = BoundInputs(
-            beta=beta,
-            lip_plus_0=lip_plus(u0_k),
-            dt=traj.dt_used,
-            t_n=float(traj.times[-1]),
-            m_support=0.5,
-        )
-        rhs = lip_bound_rhs(bound)
+        l0 = lip_plus(u0_k)
+        rhs = lip_bound_rhs(beta, l0, traj.dt_used, float(traj.times[-1]))
         denom = tv_time_integral(traj)
         if denom <= 0:
             raise ValueError(f"zero time-integrated TV at k={k}")
         ratio = rhs / denom
         rows.append(("sharpness", hurst, sample, k, float(u0_k.grid.dx),
-                     float(bound.lip_plus_0), float(denom), float(rhs), float(ratio), None))
+                     float(l0), float(denom), float(rhs), float(ratio), None))
         points.append((u0_k.grid.dx, ratio))
     slope = _slope_or_none(points)
     rows.append(_slope_row("sharpness", hurst, sample, slope))
@@ -414,8 +406,6 @@ def run_samples_parallel(study: str, cfg: StudyConfig, workers: int = 1) -> Stud
         rows = _assemble(spec, cfg, zip(tasks, map(runner, tasks)))
 
     metadata = {
-        "study": study,
-        "version": __version__,
         "config": config_to_dict(cfg),
         "sample_seeds": [sample_seed(cfg.base_seed, s) for s in sorted({s for _, s in tasks})],
     }

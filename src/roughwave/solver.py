@@ -45,7 +45,6 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class Snapshot:
-    requested_time: float
     time: float
     field: CellField
 
@@ -172,9 +171,8 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
     v[...] = v0
     times = [0.0]
     tv = [_variation(v0, periodic, tv_diff)] if track_tv else None
-    snaps: list[Snapshot] = []
-    while pending and pending[0] <= 0.0:
-        snaps.append(Snapshot(pending.pop(0), 0.0, initial))
+    snaps = [Snapshot(0.0, initial) for t in pending if t <= 0.0]
+    pending = pending[len(snaps):]
 
     state = initial  # the current state as a CellField, or None until it is exposed
     t_final, t, guard = config.t_final, 0.0, 1e-12 * max(1.0, config.t_final)
@@ -194,7 +192,8 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
                 state = _expose(grid, v, dt)
             while pending and t >= pending[0] - guard:
                 state = state if state is not None else _expose(grid, v, dt)
-                snaps.append(Snapshot(pending.pop(0), t, state))
+                del pending[0]
+                snaps.append(Snapshot(t, state))
 
     return Trajectory(times=np.asarray(times), snapshots=tuple(snaps),
                       per_step_tv=None if tv is None else np.asarray(tv), dt_used=dt,

@@ -191,7 +191,7 @@ def test_criterion_6_scheme_invariants():
 
     # monotonicity probes for all five fluxes under CFL
     for numflux, spec in pairs:
-        if not check_monotone(numflux, spec, box=(-1.0, 1.0), samples_per_axis=64).passed:
+        if not check_monotone(numflux, spec).passed:
             problems.append(f"monotone probe {numflux.kind.value}+{spec.value}")
 
     monotone_fluxes = (

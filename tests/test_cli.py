@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from roughwave import Boundary, FluxSpec, NumFluxKind, StudyResult, config_from_dict
-from roughwave import SplitMix64, experiments
+from roughwave import SplitMix64, experiments, sample_seed
 from roughwave.cli import ConfigError, parse_config, run, write_csv
 
 MINIMAL = """\
@@ -163,15 +163,13 @@ def test_converge_csv_and_manifest(tmp_path):
     assert manifest["version"]
 
 
-def test_cli_overrides_samples_and_seed(tmp_path):
+def test_cli_overrides_seed(tmp_path):
     cfg = write(tmp_path, MINIMAL)
     out = tmp_path / "o"
-    assert run(["tvscale", "--config", str(cfg), "--out", str(out),
-                "--samples", "3", "--seed", "99"]) == 0
+    assert run(["tvscale", "--config", str(cfg), "--out", str(out), "--seed", "99"]) == 0
     manifest = json.loads((out / "tvscale_manifest.json").read_text())
-    assert manifest["config"]["samples"] == 3
     assert manifest["config"]["base_seed"] == 99
-    assert len(manifest["sample_seeds"]) == 3
+    assert manifest["sample_seeds"] == [sample_seed(99, s) for s in range(2)]
 
 
 def test_cli_worker_count_does_not_change_output(tmp_path):
@@ -182,13 +180,37 @@ def test_cli_worker_count_does_not_change_output(tmp_path):
     assert (out1 / "tvscale.csv").read_bytes() == (out2 / "tvscale.csv").read_bytes()
 
 
-def test_cli_workers_env_fallback(tmp_path, monkeypatch):
+def test_cli_workers_default_to_1_whatever_the_environment(tmp_path, monkeypatch):
     cfg = write(tmp_path, MINIMAL)
     out = tmp_path / "env"
     monkeypatch.setenv("ROUGHWAVE_WORKERS", "2")
     assert run(["tvscale", "--config", str(cfg), "--out", str(out)]) == 0
     manifest = json.loads((out / "tvscale_manifest.json").read_text())
-    assert manifest["workers"] == 2
+    assert manifest["workers"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["selfcheck", "--workers", "2"],
+    ["selfcheck", "--out", "{out}"],
+    ["tvscale", "--config", "{cfg}", "--out", "{out}", "--samples", "3"],
+    ["tvscale", "--out", "{out}"],
+    ["tvscale", "--config", "{cfg}", "--out", "{out}", "--workers", "x"],
+    ["tvscale", "--config", "{cfg}", "--out", "{out}", "--workers", "0"],
+    ["frobnicate"],
+    [],
+])
+def test_usage_errors_exit_1_and_write_nothing(tmp_path, capsys, argv):
+    cfg, out = write(tmp_path, MINIMAL), tmp_path / "usage"
+    assert run([a.format(cfg=cfg, out=out) for a in argv]) == 1
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["tvscale", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    assert run(argv) == 0
+    assert "roughwave" in capsys.readouterr().out
 
 
 def test_validation_failure_exits_1_and_writes_nothing(tmp_path, capsys):
@@ -247,20 +269,11 @@ def test_reference_exponent_above_max_level_exits_1(tmp_path, capsys):
     assert "at most 26" in capsys.readouterr().err
 
 
-def test_non_integer_workers_env_exits_1(tmp_path, capsys, monkeypatch):
-    cfg = write(tmp_path, MINIMAL)
-    out = tmp_path / "env"
-    monkeypatch.setenv("ROUGHWAVE_WORKERS", "1.5")
-    assert run(["tvscale", "--config", str(cfg), "--out", str(out)]) == 1
-    assert not out.exists()
-    assert "ROUGHWAVE_WORKERS" in capsys.readouterr().err
-
-
 def test_module_entry_point_writes_csv(tmp_path):
     cfg = write(tmp_path, MINIMAL)
     out = tmp_path / "module"
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src), "ROUGHWAVE_WORKERS": "1"}
+    env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run(
         [sys.executable, "-m", "roughwave.cli", "tvscale", "--config", str(cfg), "--out", str(out)],
         env=env, capture_output=True, text=True, timeout=60,
@@ -296,8 +309,9 @@ def test_no_tmp_residue_after_runs(tmp_path):
     out = tmp_path / "clean"
     assert run(["tvscale", "--config", str(cfg), "--out", str(out)]) == 0
     assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
-    # a manifest that cannot be renamed into place: exit 2, and its temporary sibling is gone
+    # a manifest that cannot be renamed into place: exit 2, its temporary sibling is
+    # gone, and so is the CSV no manifest describes
     (out / "tvscale_manifest.json").unlink()
     (out / "tvscale_manifest.json").mkdir()
     assert run(["tvscale", "--config", str(cfg), "--out", str(out)]) == 2
-    assert not [p for p in os.listdir(out) if p.endswith(".tmp")]
+    assert sorted(os.listdir(out)) == ["tvscale_manifest.json"]

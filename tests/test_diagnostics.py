@@ -5,7 +5,6 @@ import pytest
 
 from roughwave import (
     Boundary,
-    BoundInputs,
     CellField,
     FluxSpec,
     NumericalFluxSpec,
@@ -190,13 +189,18 @@ def test_tv_time_integral_matches_snapshot_recomputation():
     assert tv_time_integral(traj) == pytest.approx(want, rel=1e-12)
 
 
-# --- bound inputs and bounds ---
+# --- bounds ---
 
-def test_bound_inputs_validation():
+@pytest.mark.parametrize("bad", [
+    dict(beta=0.0), dict(beta=-1.0), dict(beta=float("nan")), dict(beta=float("inf")),
+    dict(lip_plus_0=0.0), dict(lip_plus_0=-2.0), dict(lip_plus_0=float("inf")),
+    dict(dt=float("inf")), dict(dt=float("nan")), dict(t_n=float("inf")),
+    dict(t_n=float("-inf")),
+])
+def test_lip_bound_rhs_validates_inputs(bad):
+    args = {"beta": 0.125, "lip_plus_0": 3.0, "dt": 0.1, "t_n": 1.0, **bad}
     with pytest.raises(ValueError):
-        BoundInputs(beta=0.0)
-    with pytest.raises(ValueError):
-        BoundInputs(beta=0.125, dt=float("inf"))
+        lip_bound_rhs(**args)
 
 
 def test_default_beta():
@@ -208,28 +212,19 @@ def test_default_beta():
 
 
 def test_lip_bound_rhs_spot_value():
-    b = BoundInputs(beta=0.125, lip_plus_0=10.0, dt=0.01, t_n=1.0, m_support=0.5)
+    # 2M (L0 dt + log1p(beta t_n L0)/beta) with M = 1/2 for data on [0, 1]
     want = 2 * 0.5 * (10 * 0.01 + 8 * math.log(2.25))
-    assert lip_bound_rhs(b) == pytest.approx(want, rel=1e-14)
+    assert lip_bound_rhs(0.125, 10.0, 0.01, 1.0) == pytest.approx(want, rel=1e-14)
     assert want == pytest.approx(6.58744, abs=5e-6)
 
 
 def test_lip_bound_rhs_degenerate_and_monotone():
-    b0 = BoundInputs(beta=0.125, lip_plus_0=3.0, dt=0.0, t_n=0.0)
-    assert lip_bound_rhs(b0) == 0.0
+    assert lip_bound_rhs(0.125, 3.0, 0.0, 0.0) == 0.0
     prev = -1.0
     for t in (0.1, 0.5, 1.0, 2.0):
-        b = BoundInputs(beta=0.125, lip_plus_0=3.0, dt=0.0, t_n=t)
-        cur = lip_bound_rhs(b)
+        cur = lip_bound_rhs(0.125, 3.0, 0.0, t)
         assert cur >= prev
         prev = cur
-
-
-def test_lip_bound_rhs_rejects_nonpositive_seminorm():
-    with pytest.raises(ValueError):
-        lip_bound_rhs(BoundInputs(beta=0.125, lip_plus_0=0.0, dt=0.1, t_n=1.0))
-    with pytest.raises(ValueError):
-        lip_bound_rhs(BoundInputs(beta=0.125, lip_plus_0=-2.0, dt=0.1, t_n=1.0))
 
 
 # --- rate fitting ---

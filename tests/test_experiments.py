@@ -283,7 +283,6 @@ def test_sharpness_single_step_closed_form():
     # 2M (L0 dt + log1p(beta dt L0)/beta) / ((TV0 + TV1) dt); for tiny dt
     # this approaches 2M L0 / TV0
     from roughwave import (
-        BoundInputs,
         SchemeConfig,
         evolve,
         fbm_initial_field,
@@ -301,9 +300,7 @@ def test_sharpness_single_step_closed_form():
     traj = evolve(u0, scheme, track_tv=True)
     assert len(traj.times) == 2
     l0 = lip_plus(u0)
-    bound = BoundInputs(beta=0.125, lip_plus_0=l0, dt=traj.dt_used,
-                        t_n=float(traj.times[-1]), m_support=0.5)
-    ratio = lip_bound_rhs(bound) / tv_time_integral(traj)
+    ratio = lip_bound_rhs(0.125, l0, traj.dt_used, float(traj.times[-1])) / tv_time_integral(traj)
     assert ratio == pytest.approx(2 * 0.5 * l0 / total_variation(u0), rel=1e-2)
 
 
