@@ -253,23 +253,26 @@ def run(argv=None, out=None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / f"{args.command}.csv"
-        write_csv(result, csv_path)
-        manifest = {
-            "command": args.command,
-            "config_path": str(args.config),
-            "config": result.metadata["config"],
-            "base_seed": cfg.base_seed,
-            "sample_seeds": result.metadata["sample_seeds"],
-            "version": __version__,
-            "workers": args.workers,
-            "outputs": [csv_path.name],
-            "duration_seconds": round(time.monotonic() - started, 6),
-        }
-        try:
+        csv_placed = False
+        try:  # the manifest's sibling opens first: a CSV goes only with its manifest
             with _atomic_file(out_dir / f"{args.command}_manifest.json") as fh:
+                write_csv(result, csv_path)
+                csv_placed = True
+                manifest = {
+                    "command": args.command,
+                    "config_path": str(args.config),
+                    "config": result.metadata["config"],
+                    "base_seed": cfg.base_seed,
+                    "sample_seeds": result.metadata["sample_seeds"],
+                    "version": __version__,
+                    "workers": args.workers,
+                    "outputs": [csv_path.name],
+                    "duration_seconds": round(time.monotonic() - started, 6),
+                }
                 fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
-        except BaseException:  # a CSV goes only with the manifest that describes it
-            csv_path.unlink(missing_ok=True)
+        except BaseException:
+            if csv_placed:
+                csv_path.unlink(missing_ok=True)
             raise
         print(f"wrote {csv_path}", file=out)
         return 0

@@ -169,8 +169,8 @@ def _slope_row(study, hurst, sample, slope):
     return (study, hurst, sample, "SLOPE", *blanks, slope)
 
 
-def _slope_ensemble(study, cfg, hurst, summaries):
-    mean, std = _mean_std([s["slope"] for s in summaries])
+def _slope_ensemble(study, cfg, hurst, rows):
+    mean, std = _mean_std([slope for _, _, _, k, *_, slope in rows if k == "SLOPE"])
     return [_slope_row(study, hurst, "MEAN", mean), _slope_row(study, hurst, "STD", std)]
 
 
@@ -187,7 +187,7 @@ def _solve_sample(cfg, hurst, sample):
     rows = []
     for t, field in frames.items():
         rows.extend(_cell_rows(("solve", hurst, sample, k, float(t)), field))
-    return rows, {}
+    return rows
 
 
 def _fbm_sample(cfg, hurst, sample):
@@ -195,7 +195,7 @@ def _fbm_sample(cfg, hurst, sample):
     for k in cfg.resolutions:
         field = _field(cfg, hurst, sample, k)
         rows.extend(_cell_rows(("fbm", hurst, sample, k), field))
-    return rows, {}
+    return rows
 
 
 def _cell_rows(labels, field):
@@ -209,44 +209,33 @@ def _converge_sample(cfg, hurst, sample):
     scheme = _scheme(cfg)
     u0_ref, levels = _reference(cfg, hurst, sample)
     ref_final = evolve(u0_ref, scheme).final
-    data = []
+    rows = []
+    points = []
     for k, u0_k in levels:
-        final_k = evolve(u0_k, scheme).final
-        data.append((k, u0_k.grid.dx, l1_distance(final_k, ref_final)))
-
-    rows = []
-    pairwise = {}
-    prev = None
-    for k, dx, err in data:
+        dx, err = u0_k.grid.dx, l1_distance(evolve(u0_k, scheme).final, ref_final)
         rate = None
-        if prev is not None and err > 0 and prev[1] > 0:
-            rate = math.log(prev[1] / err) / math.log(prev[0] / dx)
-        pairwise[k] = rate
-        rows.append(("converge", hurst, sample, k, float(dx), float(err),
-                     None if rate is None else float(rate), None))
-        prev = (dx, err)
-    regression = _slope_or_none([(dx, err) for _, dx, err in data])
-    rows.append(("converge", hurst, sample, "RATE", None, None, None, regression))
-    summary = {
-        "rate": regression,
-        "errors": {k: err for k, _, err in data},
-        "pairwise": pairwise,
-        "dx": {k: dx for k, dx, _ in data},
-    }
-    return rows, summary
-
-
-def _converge_ensemble(cfg, hurst, summaries):
-    rows = []
-    for k in cfg.resolutions:
-        errs = [s["errors"][k] for s in summaries]
-        mean_pw, _ = _mean_std([s["pairwise"][k] for s in summaries])
-        dx = summaries[0]["dx"][k]
-        rows.append(("converge", hurst, "MEAN", k, float(dx), float(np.mean(errs)), mean_pw, None))
-    mean, std = _mean_std([s["rate"] for s in summaries])
-    rows.append(("converge", hurst, "MEAN", "RATE", None, None, None, mean))
-    rows.append(("converge", hurst, "STD", "RATE", None, None, None, std))
+        if points and err > 0 and points[-1][1] > 0:
+            prev_dx, prev_err = points[-1]
+            rate = math.log(prev_err / err) / math.log(prev_dx / dx)
+        rows.append(("converge", hurst, sample, k, float(dx), float(err), rate, None))
+        points.append((dx, err))
+    rows.append(("converge", hurst, sample, "RATE", None, None, None, _slope_or_none(points)))
     return rows
+
+
+def _converge_ensemble(cfg, hurst, rows):
+    out = []
+    for k in cfg.resolutions:
+        cells = [(dx, l1_error, rate_pairwise)
+                 for _, _, _, row_k, dx, l1_error, rate_pairwise, _ in rows if row_k == k]
+        dx, l1_error, rate_pairwise = zip(*cells)
+        mean_pw, _ = _mean_std(rate_pairwise)
+        out.append(("converge", hurst, "MEAN", k, dx[0], float(np.mean(l1_error)), mean_pw, None))
+    mean, std = _mean_std([rate_regression for _, _, _, k, *_, rate_regression in rows
+                           if k == "RATE"])
+    out.append(("converge", hurst, "MEAN", "RATE", None, None, None, mean))
+    out.append(("converge", hurst, "STD", "RATE", None, None, None, std))
+    return out
 
 
 def _scaling_sample(study, measure, cfg, hurst, sample):
@@ -257,9 +246,8 @@ def _scaling_sample(study, measure, cfg, hurst, sample):
         val = float(measure(u0_k))
         rows.append((study, hurst, sample, k, float(u0_k.grid.dx), val, None))
         points.append((u0_k.grid.dx, val))
-    slope = _slope_or_none(points)
-    rows.append(_slope_row(study, hurst, sample, slope))
-    return rows, {"slope": slope}
+    rows.append(_slope_row(study, hurst, sample, _slope_or_none(points)))
+    return rows
 
 
 def _tvdecay_sample(cfg, hurst, sample):
@@ -273,7 +261,7 @@ def _tvdecay_sample(cfg, hurst, sample):
             tv = float(total_variation(snap.field, periodic=periodic))
             inv = None if tv == 0.0 else 1.0 / tv
             rows.append(("tvdecay", hurst, sample, k, float(snap.time), tv, inv))
-    return rows, {}
+    return rows
 
 
 def _tvdecay_check(cfg):
@@ -298,9 +286,8 @@ def _sharpness_sample(cfg, hurst, sample):
         rows.append(("sharpness", hurst, sample, k, float(u0_k.grid.dx),
                      float(l0), float(denom), float(rhs), float(ratio), None))
         points.append((u0_k.grid.dx, ratio))
-    slope = _slope_or_none(points)
-    rows.append(_slope_row("sharpness", hurst, sample, slope))
-    return rows, {"slope": slope}
+    rows.append(_slope_row("sharpness", hurst, sample, _slope_or_none(points)))
+    return rows
 
 
 def _sharpness_check(cfg):
@@ -314,16 +301,16 @@ def _sharpness_check(cfg):
 class Study:
     """One study of ``STUDIES``.
 
-    ``sample(cfg, hurst, sample)`` returns the rows of one task and a summary;
-    ``ensemble(cfg, hurst, summaries)`` returns the rows that close the block
-    of one Hurst exponent; ``check(cfg)`` raises ValueError for a config the
-    study cannot run; ``tasks(cfg)`` lists the (hurst, sample) tasks, grouped
-    by Hurst exponent in config order.
+    ``sample(cfg, hurst, sample)`` returns the rows of one task and nothing
+    else; ``ensemble(cfg, hurst, rows)`` reads the rows of one Hurst exponent's
+    block and returns the rows that close it; ``check(cfg)`` raises ValueError
+    for a config the study cannot run; ``tasks(cfg)`` lists the (hurst, sample)
+    tasks, grouped by Hurst exponent in config order.
     """
 
     columns: Tuple[str, ...]
-    sample: Callable[[StudyConfig, float, int], Tuple[list, dict]]
-    ensemble: Callable[[StudyConfig, float, list], list] = lambda cfg, hurst, summaries: []
+    sample: Callable[[StudyConfig, float, int], list]
+    ensemble: Callable[[StudyConfig, float, list], list] = lambda cfg, hurst, rows: []
     check: Callable[[StudyConfig], None] = lambda cfg: None
     tasks: Callable[[StudyConfig], list] = lambda cfg: [
         (h, s) for h in cfg.hurst_list for s in range(cfg.n_samples)]
@@ -372,19 +359,18 @@ def _run_one(study: str, cfg: StudyConfig, task: Tuple[float, int]):
 
 
 def _assemble(spec: Study, cfg: StudyConfig, done) -> list:
-    """Rows of the ``(task, (rows, summary))`` pairs in task order, each Hurst
-    block closed by its ensemble rows.
+    """Rows of the ``(task, rows)`` pairs in task order, each Hurst block closed
+    by the ensemble rows read from that block's rows.
 
     The pairs are consumed one at a time and nothing refers to them once this
     returns, so each task's row list is freed once copied.
     """
     rows = []
     for hurst, block in itertools.groupby(done, key=lambda pair: pair[0][0]):
-        summaries = []
-        for _, (sample_rows, summary) in block:
+        start = len(rows)
+        for _, sample_rows in block:
             rows.extend(sample_rows)
-            summaries.append(summary)
-        rows.extend(spec.ensemble(cfg, hurst, summaries))
+        rows.extend(spec.ensemble(cfg, hurst, rows[start:]))
     return rows
 
 

@@ -31,15 +31,14 @@ class SplitMix64:
     z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
     z *= 0x94D049BB133111EB; z ^= z >> 31.
 
-    Normals consume two uniforms u1, u2 = (u64 >> 11) * 2^-53 mapped onto
-    (0, 1] (a zero draw becomes 2^-53) and yield the cosine branch first;
-    the sine partner is cached for the next draw, so draws in chunks give
-    the same stream as one block.
+    Normals come in pairs: two uniforms u1, u2 = (u64 >> 11) * 2^-53 mapped
+    onto (0, 1] (a zero draw becomes 2^-53) give the cosine branch, then the
+    sine branch.  Nothing is cached, so a normal's bits depend only on its
+    position in the stream and draws in chunks give the same stream as one block.
     """
 
     def __init__(self, seed: int):
         self.state = int(seed) & _MASK64
-        self._spare_normal: float | None = None
 
     def u64(self, count: int) -> np.ndarray:
         """The next ``count`` words of the integer stream, as a uint64 array."""
@@ -58,18 +57,11 @@ class SplitMix64:
         return z
 
     def normals(self, count: int) -> np.ndarray:
-        """``count`` standard normal draws as an array (Box-Muller in place on the
-        uniforms' own buffer, which is returned unless a spare normal leads it)."""
-        count = int(count)
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        lead = []
-        if self._spare_normal is not None and count > 0:
-            lead, self._spare_normal = [self._spare_normal], None
-        need = count - len(lead)
-        if need == 0:
-            return np.array(lead, dtype=float)
-        u = self.u64(2 * ((need + 1) // 2))
+        """``count`` standard normal draws, ``count`` even, as an array (Box-Muller in
+        place on the uniforms' own buffer, which is returned)."""
+        if count % 2:
+            raise ValueError(f"normals come in pairs; count must be even, got {count}")
+        u = self.u64(count)
         u >>= np.uint64(11)
         z = u.view(np.float64)
         z[...] = u.view(np.int64)  # exact: every value is below 2^53
@@ -81,9 +73,7 @@ class SplitMix64:
         cos = np.cos(ang)
         np.multiply(r, np.sin(ang, out=ang), out=ang)
         np.multiply(r, cos, out=r)
-        if need % 2 == 1:
-            self._spare_normal = float(z[need])
-        return np.concatenate((lead, z[:need])) if lead else z[:need]
+        return z
 
 
 def sample_seed(base_seed: int, index: int) -> int:
@@ -104,9 +94,10 @@ def _midpoint_points(hurst: float, level_k: int, rng: SplitMix64) -> np.ndarray:
     Then, level by level (coarse to fine, left to right within a level), each
     interval is bisected and the midpoint set to the neighbour average plus a
     fresh Gaussian scaled by ``_midpoint_scale(hurst, level)``.  The traversal
-    order is fixed, so a path is a pure function of (hurst, level, seed).  Each
-    level's noise is drawn in chunks of ``_DRAW_CHUNK`` and written straight
-    into its midpoint slots.
+    order is fixed, so a path is a pure function of (hurst, level, seed).  The
+    right endpoint and level 0's one midpoint are drawn as one pair; each later
+    level's even count of noise is drawn in chunks of ``_DRAW_CHUNK`` and
+    written straight into its midpoint slots.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
@@ -114,8 +105,9 @@ def _midpoint_points(hurst: float, level_k: int, rng: SplitMix64) -> np.ndarray:
         raise ValueError(f"level must lie in [1, {MAX_LEVEL}], got {level_k}")
     n = 1 << level_k
     pts = np.zeros(n + 1)
-    pts[n] = rng.normals(1)[0]
-    for level in range(level_k):
+    pts[n], noise = rng.normals(2)
+    pts[n >> 1] = 0.5 * pts[n] + _midpoint_scale(hurst, 0) * noise
+    for level in range(1, level_k):
         stride = n >> level
         scale = _midpoint_scale(hurst, level)
         mids, lefts, rights = pts[stride >> 1 :: stride], pts[0:n:stride], pts[stride::stride]

@@ -315,3 +315,25 @@ def test_no_tmp_residue_after_runs(tmp_path):
     (out / "tvscale_manifest.json").mkdir()
     assert run(["tvscale", "--config", str(cfg), "--out", str(out)]) == 2
     assert sorted(os.listdir(out)) == ["tvscale_manifest.json"]
+
+
+def test_unopenable_manifest_keeps_the_earlier_pair(tmp_path):
+    # the manifest's temporary sibling cannot be opened: the rerun exits 2 before
+    # its CSV is renamed, so the earlier CSV and manifest stay byte for byte
+    cfg = write(tmp_path, MINIMAL)
+    out = tmp_path / "o"
+    assert run(["tvscale", "--config", str(cfg), "--out", str(out)]) == 0
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    assert sorted(before) == ["tvscale.csv", "tvscale_manifest.json"]
+    (out / "tvscale_manifest.json.tmp").mkdir()
+    assert run(["tvscale", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 2
+    assert {name: (out / name).read_bytes() for name in before} == before
+    assert not (out / "tvscale.csv.tmp").exists()
+
+
+def test_readme_example_config_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(write(tmp_path, block, "readme.cfg"))
+    assert cfg.hurst_list == (0.25, 0.5, 0.75)
+    assert cfg.snapshot_times == (0.25, 0.5, 1.0)

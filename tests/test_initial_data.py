@@ -60,21 +60,27 @@ def test_normal_moments():
 
 
 def test_normal_block_matches_single_draws():
-    block = SplitMix64(123).normals(1001)
+    # the smallest draw is one pair
+    block = SplitMix64(123).normals(1002)
     single_rng = SplitMix64(123)
-    singles = np.array([single_rng.normals(1)[0] for _ in range(1001)])
+    singles = np.concatenate([single_rng.normals(2) for _ in range(501)])
     assert np.array_equal(block, singles)
 
 
 def test_normal_chunked_matches_stream():
     chunked_rng = SplitMix64(5)
-    chunks = [chunked_rng.normals(n) for n in (3, 4, 1, 8, 0, 2)]
+    chunks = [chunked_rng.normals(n) for n in (2, 4, 2, 8, 0, 2)]
     assert np.array_equal(np.concatenate(chunks), SplitMix64(5).normals(18))
 
 
 def test_normals_validates_count():
-    with pytest.raises(ValueError):
-        SplitMix64(0).normals(-1)
+    # normals come in pairs: an odd or negative count raises and draws nothing
+    rng = SplitMix64(0)
+    for count in (-2, -1, 1, 3):
+        with pytest.raises(ValueError, match="count"):
+            rng.normals(count)
+    assert rng.state == 0
+    assert not hasattr(rng, "_spare_normal")
 
 
 def test_sample_seed_derivation():
@@ -134,7 +140,7 @@ def test_midpoint_points_consumes_fixed_draw_count():
     twin = SplitMix64(314)
     twin.normals(1 << k)
     assert rng.state == twin.state
-    assert rng.normals(1)[0] == twin.normals(1)[0]
+    assert np.array_equal(rng.normals(2), twin.normals(2))
 
 
 def test_fbm_increment_variance_matches_recursion():
@@ -262,27 +268,25 @@ def _bits(a):
 
 
 _CHUNK = initial_data._DRAW_CHUNK
-_COUNTS = (0, 1, 7, 8, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3)
+_COUNTS = (0, 2, 6, 8, _CHUNK - 2, _CHUNK, _CHUNK + 2, 2 * _CHUNK + 2)
 
 
-@pytest.mark.parametrize("spare", [False, True])
+@pytest.mark.parametrize("lead", [False, True])
 @pytest.mark.parametrize("count", _COUNTS)
-def test_normals_bits_match_oracle(count, spare):
+def test_normals_bits_match_oracle(count, lead):
     rng, oracle = SplitMix64(2718), OracleSplitMix64(2718)
-    if spare:  # an odd draw leaves a spare normal pending on both streams
-        assert np.array_equal(_bits(rng.normals(3)), _bits(oracle.normals(3)))
-        assert rng._spare_normal is not None
+    if lead:  # a pair drawn first moves both streams on by two uniforms
+        assert np.array_equal(_bits(rng.normals(2)), _bits(oracle.normals(2)))
     assert np.array_equal(_bits(rng.normals(count)), _bits(oracle.normals(count)))
     assert rng.state == oracle.state
-    assert rng._spare_normal == oracle._spare_normal
-    assert np.array_equal(_bits(rng.normals(5)), _bits(oracle.normals(5)))
+    assert np.array_equal(_bits(rng.normals(4)), _bits(oracle.normals(4)))
 
 
 def test_normals_in_draw_chunks_match_oracle_block():
     rng = SplitMix64(99)
-    chunks = [rng.normals(n) for n in (1, _CHUNK, _CHUNK, 17)]
+    chunks = [rng.normals(n) for n in (2, _CHUNK, _CHUNK, 18)]
     assert np.array_equal(_bits(np.concatenate(chunks)),
-                          _bits(OracleSplitMix64(99).normals(2 * _CHUNK + 18)))
+                          _bits(OracleSplitMix64(99).normals(2 * _CHUNK + 20)))
 
 
 @pytest.mark.parametrize("seed", [7, sample_seed(2024, 3)])
