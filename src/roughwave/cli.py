@@ -31,7 +31,7 @@ from .experiments import (STUDIES, StudyConfig, StudyResult, check_study, config
                           run_samples_parallel)
 from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind, check_monotone
 from .initial_data import SplitMix64
-from .solver import Boundary
+from .solver import Boundary, march_name
 
 
 class ConfigError(ValueError):
@@ -266,6 +266,7 @@ def run(argv=None, out=None) -> int:
                     "sample_seeds": result.metadata["sample_seeds"],
                     "version": __version__,
                     "workers": args.workers,
+                    "march": march_name(),
                     "outputs": [csv_path.name],
                     "duration_seconds": round(time.monotonic() - started, 6),
                 }

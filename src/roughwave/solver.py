@@ -2,14 +2,19 @@
 
 The update is v_i <- v_i - (dt/dx) (F(v_i, v_{i+1}) - F(v_{i-1}, v_i)) with
 ghost values taken from the boundary rule: outflow copies the edge cell,
-periodic wraps around.
+periodic wraps around.  ``evolve`` runs it in the C march of ``_march.c`` where
+``gcc`` can build it, and in numpy otherwise, with the same bits.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import sys
+from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
+from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -118,17 +123,92 @@ def _advance(cells, out, ratio: float, numflux: NumericalFluxSpec, config: Schem
     np.subtract(v, out, out=out)
 
 
-def _expose(grid: Grid, values: np.ndarray, dt: float) -> CellField:
-    """A frozen copy of ``values``; FloatingPointError if one is not finite."""
+def _numpy_march(cells, cells_next, count: int, ratio: float, numflux: NumericalFluxSpec,
+                 config: SchemeConfig, faces, tv: Optional[np.ndarray], tv_diff) -> None:
+    """``count`` steps of ``_advance`` from ``cells`` into the two buffers alternately
+    (the state ends in ``cells`` if ``count`` is even), and the TV of each new state
+    into ``tv`` if given."""
+    ratio = np.array(ratio)  # 0-d: numpy would convert a float operand on every step
+    periodic = config.boundary is Boundary.PERIODIC
+    for s in range(count):
+        _advance(cells, cells_next[3], ratio, numflux, config, faces)
+        cells, cells_next = cells_next, cells
+        if tv is not None:
+            tv[s] = _variation(cells[3], periodic, tv_diff)
+
+
+def _compiled_march(cells, cells_next, count: int, ratio: float, numflux: NumericalFluxSpec,
+                    config: SchemeConfig, faces, tv: Optional[np.ndarray], tv_diff) -> None:
+    """``_numpy_march`` in one call of the C ``march``, with the same bits."""
+    two_lam = 2.0 * numflux.lam if numflux.kind is NumFluxKind.LAX_FRIEDRICHS else 0.0
+    _load_march().march(cells[0].ctypes.data, cells_next[0].ctypes.data, cells[3].size, count,
+                        _KINDS.index(numflux.kind), _LAWS.index(config.flux),
+                        config.boundary is Boundary.PERIODIC, ratio, two_lam,
+                        None if tv is None else tv.ctypes.data)
+
+
+_KINDS, _LAWS = list(NumFluxKind), list(FluxSpec)  # in the order of _march.c's enums
+_MARCH_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+@functools.cache
+def _load_march():
+    """The library built from ``_march.c``, or None if there is no compiler or the
+    cache cannot be written (``evolve`` then marches through ``_advance``).
+
+    It is compiled on first use into ``$XDG_CACHE_HOME/roughwave`` (default
+    ``~/.cache/roughwave``, mode 0700) under the SHA-256 of the source and the
+    flags, written under a temporary name and renamed into place, so processes that
+    build it at once do not race.
+    """
+    import ctypes
+    import hashlib
+    import subprocess
+
+    source = Path(__file__).with_name("_march.c")
+    try:
+        key = hashlib.sha256(source.read_bytes() + " ".join(_MARCH_FLAGS).encode()).hexdigest()
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "roughwave"
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        path = cache / f"march-{key}.so"
+        if not path.exists():
+            tmp = cache / f".{path.name}.{os.getpid()}.tmp"
+            try:
+                subprocess.run(["gcc", *_MARCH_FLAGS, "-o", str(tmp), str(source)],
+                               check=True, capture_output=True)
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
+        lib = ctypes.CDLL(str(path))
+    except (OSError, RuntimeError, subprocess.SubprocessError):  # RuntimeError: no home
+        return None
+    lib.march.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                          ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_double,
+                          ctypes.c_double, ctypes.c_void_p)
+    lib.march.restype = None
+    lib.variation.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int)
+    lib.variation.restype = ctypes.c_double
+    return lib
+
+
+def march_name() -> str:
+    """Which march ``evolve`` runs here: ``"compiled"`` or ``"numpy"``."""
+    return "numpy" if _load_march() is None else "compiled"
+
+
+def _expose(grid: Grid, values: np.ndarray, dt: float, step: int) -> CellField:
+    """A frozen copy of ``values``, the state after ``step`` steps; FloatingPointError
+    if one is not finite."""
     try:
         return CellField(grid, values)
     except ValueError as exc:  # CellField's finiteness check
-        raise FloatingPointError(f"{exc} after steps of dt={dt}; check the CFL condition") from exc
+        raise FloatingPointError(f"{exc} at step {step} after steps of dt={dt}; "
+                                 "check the CFL condition") from exc
 
 
 def step(state: CellField, config: SchemeConfig, dt: float) -> CellField:
-    """One explicit update of duration ``dt`` through the kernel ``evolve`` uses; a
-    Lax-Friedrichs flux without a mesh ratio uses dt/dx."""
+    """One explicit update of duration ``dt`` through the kernel of ``evolve``'s numpy
+    march; a Lax-Friedrichs flux without a mesh ratio uses dt/dx."""
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     n, ratio = state.grid.n_cells, dt / state.grid.dx
@@ -136,7 +216,18 @@ def step(state: CellField, config: SchemeConfig, dt: float) -> CellField:
     cells[3][...] = state.values
     with np.errstate(invalid="ignore", over="ignore"):
         _advance(cells, out, ratio, _fill_lambda(config.numflux, ratio), config, faces)
-    return _expose(state.grid, out, dt)
+    return _expose(state.grid, out, dt, 1)
+
+
+def _schedule(dt: float, t_final: float, guard: float):
+    """The time points of a march in steps of ``dt`` to ``t_final``, by the float
+    operations of a step-by-step march, and the length of its last step."""
+    times, t, dt_i = array("d", [0.0]), 0.0, dt
+    while t < t_final - guard:
+        dt_i = min(dt, t_final - t)
+        t = min(t + dt_i, t_final)
+        times.append(t)
+    return np.array(times), dt_i
 
 
 def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[float] = (),
@@ -148,8 +239,11 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
     Snapshots are recorded at the first time point at or after each requested
     time (``snapshot_times=evolve(initial, config).times`` keeps every step), and
     ``track_tv`` fills ``per_step_tv``.
-    Each state handed out, and every 64th step, is checked: a non-finite cell raises
-    FloatingPointError (none is missed: each update subtracts from a cell's own value).
+    The steps run in blocks, through the compiled march if ``_load_march`` finds
+    one and through ``_advance`` otherwise, with the same bits.  Each state handed
+    out, and the state at every 64th time point, is checked: a non-finite cell
+    raises FloatingPointError naming the step (none is missed: each update
+    subtracts from a cell's own value).
     """
     pending = [float(t) for t in snapshot_times]
     _check_snapshot_times(pending, config.t_final)
@@ -166,35 +260,38 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
         raise ValueError(f"float time cannot reach t_final={config.t_final} in steps of dt={dt}")
     periodic = config.boundary is Boundary.PERIODIC
 
+    guard = 1e-12 * max(1.0, config.t_final)
+    times, dt_last = _schedule(dt, config.t_final, guard)
+    n_steps = times.size - 1
+    # the step after which each snapshot is taken (those past the last step are not)
+    snap_steps = [0 if t <= 0.0 else max(1, int(np.searchsorted(times, t - guard)))
+                  for t in pending]
+    # a block of steps ends at every 64th time point, at each snapshot and before a
+    # short last step, whose mesh ratio differs
+    ends = {*range(63, n_steps + 1, 64), *snap_steps, n_steps - (dt_last != dt), n_steps}
+
     (cells, cells_next, faces), tv_diff = _workspace(v0.size), np.empty(v0.size)
-    v = cells[3]
-    v[...] = v0
-    times = [0.0]
-    tv = [_variation(v0, periodic, tv_diff)] if track_tv else None
-    snaps = [Snapshot(0.0, initial) for t in pending if t <= 0.0]
-    pending = pending[len(snaps):]
+    cells[3][...] = v0
+    tv = np.empty(times.size) if track_tv else None
+    if track_tv:
+        tv[0] = _variation(v0, periodic, tv_diff)
+    snaps = [Snapshot(0.0, initial) for s in snap_steps if s == 0]
 
-    state = initial  # the current state as a CellField, or None until it is exposed
-    t_final, t, guard = config.t_final, 0.0, 1e-12 * max(1.0, config.t_final)
-    ratio = np.array(dt / dx)  # 0-d: numpy would convert a float operand on every step
+    march = _numpy_march if _load_march() is None else _compiled_march
+    state, done = initial, 0  # the current state as a CellField, or None until exposed
     with np.errstate(invalid="ignore", over="ignore"):
-        while t < t_final - guard:
-            dt_i = min(dt, t_final - t)
-            _advance(cells, cells_next[3], ratio if dt_i == dt else dt_i / dx, numflux, config,
-                     faces)
-            cells, cells_next, state = cells_next, cells, None
-            v = cells[3]
-            t = min(t + dt_i, t_final)
-            times.append(t)
-            if track_tv:
-                tv.append(_variation(v, periodic, tv_diff))
-            if len(times) % 64 == 0:  # a blow-up raises within 64 steps
-                state = _expose(grid, v, dt)
-            while pending and t >= pending[0] - guard:
-                state = state if state is not None else _expose(grid, v, dt)
-                del pending[0]
-                snaps.append(Snapshot(t, state))
+        for stop in sorted(s for s in ends if 0 < s <= n_steps):
+            count, ratio = stop - done, (dt_last if stop == n_steps else dt) / dx
+            march(cells, cells_next, count, ratio, numflux, config, faces,
+                  None if tv is None else tv[done + 1:stop + 1], tv_diff)
+            if count % 2:
+                cells, cells_next = cells_next, cells
+            done, state = stop, None
+            if (stop + 1) % 64 == 0:  # a blow-up raises within 64 steps
+                state = _expose(grid, cells[3], dt, stop)
+            while len(snaps) < len(snap_steps) and snap_steps[len(snaps)] == stop:
+                state = state if state is not None else _expose(grid, cells[3], dt, stop)
+                snaps.append(Snapshot(float(times[stop]), state))
 
-    return Trajectory(times=np.asarray(times), snapshots=tuple(snaps),
-                      per_step_tv=None if tv is None else np.asarray(tv), dt_used=dt,
-                      final=state if state is not None else _expose(grid, v, dt))
+    return Trajectory(times=times, snapshots=tuple(snaps), per_step_tv=tv, dt_used=dt,
+                      final=state if state is not None else _expose(grid, cells[3], dt, n_steps))

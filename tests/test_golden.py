@@ -1,14 +1,17 @@
 """Golden output hashes: every command's CSV and manifest, byte for byte.
 
 Each command runs through ``cli.run`` on one small config.  The manifest is
-hashed without ``duration_seconds`` (wall time) and ``config_path`` (the
-temporary directory), re-serialized the way the CLI writes it.  The ``solve``
-CSV is pinned as well for every numerical flux and equation pair the package
-accepts, under both boundaries, and the two per-cell studies on deeper
-tables: ``fbm`` at k = 8-12 for three Hurst exponents (23,808 rows) and
-``solve`` at k = 9 with three snapshots (2,560 rows).  The stdout of
-``selfcheck`` is pinned too.  A change that alters any output bit fails
-here; re-pin a hash only with a change that is meant to alter that output.
+hashed without ``duration_seconds`` (wall time), ``config_path`` (the
+temporary directory) and ``march`` (whether this platform compiled the
+march), re-serialized the way the CLI writes it.  The ``solve`` CSV is pinned
+as well for every numerical flux and equation pair the package accepts, under
+both boundaries, and the two per-cell studies on deeper tables: ``fbm`` at
+k = 8-12 for three Hurst exponents (23,808 rows) and ``solve`` at k = 9 with
+three snapshots (2,560 rows).  The stdout of ``selfcheck`` is pinned too.  The
+command hashes and the per-pair hashes are checked under both marches of
+``evolve``, the compiled one and the numpy one, against the same pinned
+values.  A change that alters any output bit fails here; re-pin a hash only
+with a change that is meant to alter that output.
 """
 
 import hashlib
@@ -149,18 +152,18 @@ def output_hashes(command, tmp_path, config=CONFIG):
     out = tmp_path / command
     assert run([command, "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
     manifest = json.loads((out / f"{command}_manifest.json").read_text())
-    del manifest["duration_seconds"], manifest["config_path"]
+    del manifest["duration_seconds"], manifest["config_path"], manifest["march"]
     manifest_bytes = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
     return _sha256((out / f"{command}.csv").read_bytes()), _sha256(manifest_bytes)
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_golden_hashes(command, tmp_path):
+def test_golden_hashes(command, march, tmp_path):
     assert output_hashes(command, tmp_path) == GOLDEN[command]
 
 
 @pytest.mark.parametrize("numflux, equation, boundary", sorted(PAIR_GOLDEN))
-def test_golden_solve_per_flux_pair(numflux, equation, boundary, tmp_path):
+def test_golden_solve_per_flux_pair(numflux, equation, boundary, march, tmp_path):
     config = PAIR_CONFIG.format(numflux=numflux, equation=equation, boundary=boundary)
     csv_hash, _ = output_hashes("solve", tmp_path, config)
     assert csv_hash == PAIR_GOLDEN[numflux, equation, boundary]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -328,7 +330,7 @@ def test_evolve_rejects_a_step_float_time_cannot_add():
 @pytest.mark.parametrize("snapshot_times", [(), (4.0,)], ids=["final", "snapshot"])
 @pytest.mark.parametrize("track_tv", [False, True])
 @pytest.mark.parametrize("dense", [False, True])
-def test_evolve_blow_up_raises(monkeypatch, snapshot_times, track_tv, dense):
+def test_evolve_blow_up_raises(monkeypatch, march, snapshot_times, track_tv, dense):
     # (b - a)/(2 lam) with lam far below dt/dx makes Lax-Friedrichs unstable;
     # the run overflows long before t = 4
     u0 = fbm_initial_field(0.5, make_grid(0, 1, 64), 3)
@@ -343,11 +345,13 @@ def test_evolve_blow_up_raises(monkeypatch, snapshot_times, track_tv, dense):
     if dense:  # a snapshot at every step time exposes every state
         snapshot_times = sorted([*np.arange(0.0, cfg.t_final, dt), *snapshot_times])
 
-    calls = []
+    calls = []  # the numpy march evaluates the flux once per step, the compiled one never
     flux = solver.numerical_flux
     monkeypatch.setattr(solver, "numerical_flux", lambda *a: calls.append(a) or flux(*a))
-    with pytest.raises(FloatingPointError, match="non-finite value in cell"):
+    with pytest.raises(FloatingPointError, match="non-finite value in cell") as raised:
         evolve(u0, cfg, snapshot_times=snapshot_times, track_tv=track_tv)
+    found = int(re.search(r"non-finite value in cell \d+ at step (\d+) ", str(raised.value))[1])
+    assert len(calls) == (found if march == "numpy" else 0)
     # the run stops at its first non-finite state if every state is exposed, else
     # within 64 steps of it, not at t_final
-    assert good_steps < len(calls) <= good_steps + (1 if dense else 64)
+    assert good_steps < found <= good_steps + (1 if dense else 64)
