@@ -1,0 +1,77 @@
+"""The compiled kernels of ``_march.c``, loaded on first use.
+
+``solver`` marches through it, ``initial_data`` draws fBm through it and
+``mesh`` restricts through it; each falls back to its numpy code, with the same
+bits, where ``load`` returns None.  This module imports nothing of the package,
+so every module can import it.
+"""
+
+from __future__ import annotations
+
+import functools
+import os
+from pathlib import Path
+
+_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
+def _sha256(data: bytes) -> str:
+    """The SHA-256 hex digest of ``data``, by CPython's built-in module where there
+    is one: ``hashlib`` loads OpenSSL, some megabytes of resident memory."""
+    try:
+        from _sha256 import sha256  # CPython 3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256  # CPython 3.12+
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
+@functools.cache
+def load():
+    """The library built from ``_march.c``, or None if there is no compiler or the
+    cache cannot be written (the callers then run their numpy code).
+
+    It is compiled on first use into ``$XDG_CACHE_HOME/roughwave`` (default
+    ``~/.cache/roughwave``, mode 0700) under the SHA-256 of the source and the
+    flags, written under a temporary name and renamed into place, so processes that
+    build it at once do not race.
+    """
+    import ctypes
+    import subprocess
+
+    source = Path(__file__).with_name("_march.c")
+    try:
+        key = _sha256(source.read_bytes() + " ".join(_FLAGS).encode())
+        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "roughwave"
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        path = cache / f"march-{key}.so"
+        if not path.exists():
+            tmp = cache / f".{path.name}.{os.getpid()}.tmp"
+            try:
+                subprocess.run(["gcc", *_FLAGS, "-o", str(tmp), str(source)],
+                               check=True, capture_output=True)
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
+        lib = ctypes.CDLL(str(path))
+    except (OSError, RuntimeError, subprocess.SubprocessError):  # RuntimeError: no home
+        return None
+    ptr, i64, i32, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_double
+    signatures = {
+        "march": ((ptr, ptr, i64, i64, i32, i32, i32, f64, f64, ptr), None),
+        "variation": ((ptr, i64, i32), f64),
+        "uniforms": ((ptr, ptr, i64), None),
+        "displace": ((ptr, i64, i64, ptr, ptr, f64), None),
+        "cell_means": ((ptr, ptr, i64, i64), None),
+    }
+    for name, (argtypes, restype) in signatures.items():
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, restype
+    return lib
+
+
+def march_name() -> str:
+    """Which kernels run here: ``"compiled"`` or ``"numpy"``."""
+    return "numpy" if load() is None else "compiled"

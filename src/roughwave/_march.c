@@ -1,11 +1,15 @@
-/* The compiled march of ``solver.evolve``: a block of explicit steps in one call.
+/* The compiled kernels of roughwave, loaded by ``_kernels.load``: the march of
+``solver.evolve`` (a block of explicit steps in one call), the cell means of
+``mesh.restrict`` and the two halves of a draw chunk of fBm, around numpy's log, cos
+and sin.  Each repeats the operations of the numpy code it replaces, in the same
+order, so the bits are the same.
 
-Each step fills the two ghost cells, evaluates the numerical flux at every face and
-writes v - ratio * (F[i+1] - F[i]) with the operations, and their order, of
-``solver._advance`` and ``flux.numerical_flux``, so the bits are those of the numpy
-march.  numpy's NaN-propagating maximum and minimum are written out.  Built with
-``gcc -O2 -ffp-contract=off -shared -fPIC``: a contracted multiply-add would round
-once where numpy rounds twice.
+Each step of the march fills the two ghost cells, evaluates the numerical flux at
+every face and writes v - ratio * (F[i+1] - F[i]) with the operations, and their
+order, of ``solver._advance`` and ``flux.numerical_flux``, so the bits are those of
+the numpy march.  numpy's NaN-propagating maximum and minimum are written out.
+Built with ``gcc -O2 -ffp-contract=off -shared -fPIC``: a contracted multiply-add
+would round once where numpy rounds twice.
 */
 
 #include <math.h>
@@ -106,32 +110,41 @@ static step_fn *const STEPS[N_KINDS][N_LAWS] = {
     [UPWIND] = {NULL, NULL, step_linear_of_a},
 };
 
-/* numpy's pairwise sum (pairwise_sum_DOUBLE) of |v[i+1] - v[i]| for i < count */
-static double pairwise_abs_diff(const double *v, int64_t count)
-{
-    if (count < 8) {
-        double res = 0.0;
-        for (int64_t i = 0; i < count; i++)
-            res += fabs(v[i + 1] - v[i]);
-        return res;
+/* numpy's pairwise sum (pairwise_sum_DOUBLE) of TERM(v, i) for i < count: sequential
+   below 8 terms, eight accumulators up to 128, else halves split at a multiple of 8 */
+#define PAIRWISE_SUM(NAME, TERM)                                                     \
+    static double NAME(const double *v, int64_t count)                               \
+    {                                                                                \
+        if (count < 8) {                                                             \
+            double res = 0.0;                                                        \
+            for (int64_t i = 0; i < count; i++)                                      \
+                res += TERM(v, i);                                                   \
+            return res;                                                              \
+        }                                                                            \
+        if (count <= 128) {                                                          \
+            double r[8];                                                             \
+            int64_t i;                                                               \
+            for (int j = 0; j < 8; j++)                                              \
+                r[j] = TERM(v, j);                                                   \
+            for (i = 8; i < count - (count % 8); i += 8)                             \
+                for (int j = 0; j < 8; j++)                                          \
+                    r[j] += TERM(v, i + j);                                          \
+            double res = ((r[0] + r[1]) + (r[2] + r[3]))                            \
+                         + ((r[4] + r[5]) + (r[6] + r[7]));                          \
+            for (; i < count; i++)                                                   \
+                res += TERM(v, i);                                                   \
+            return res;                                                              \
+        }                                                                            \
+        int64_t half = count / 2;                                                    \
+        half -= half % 8;                                                            \
+        return NAME(v, half) + NAME(v + half, count - half);                         \
     }
-    if (count <= 128) {
-        double r[8];
-        int64_t i;
-        for (int j = 0; j < 8; j++)
-            r[j] = fabs(v[j + 1] - v[j]);
-        for (i = 8; i < count - (count % 8); i += 8)
-            for (int j = 0; j < 8; j++)
-                r[j] += fabs(v[i + j + 1] - v[i + j]);
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < count; i++)
-            res += fabs(v[i + 1] - v[i]);
-        return res;
-    }
-    int64_t half = count / 2;
-    half -= half % 8;
-    return pairwise_abs_diff(v, half) + pairwise_abs_diff(v + half, count - half);
-}
+
+#define ABS_DIFF(v, i) fabs((v)[(i) + 1] - (v)[i])
+#define VALUE(v, i) ((v)[i])
+
+PAIRWISE_SUM(pairwise_abs_diff, ABS_DIFF)
+PAIRWISE_SUM(pairwise_sum, VALUE)
 
 /* diagnostics._variation of the n values v: np.sum of the n - 1 jumps, whose
    reduction starts from 0.0, and the wrap-around jump if periodic */
@@ -159,5 +172,52 @@ void march(double *w, double *w_next, int64_t n, int64_t steps, int kind, int la
         double *swap = w;
         w = w_next;
         w_next = swap;
+    }
+}
+
+/* mesh._cell_means: out[i] = the mean of v[i * factor .. (i + 1) * factor), as numpy's
+   v.reshape(-1, factor).mean(axis=1) gives it: the row's pairwise sum, whose reduction
+   starts from 0.0, divided by factor */
+void cell_means(const double *v, double *out, int64_t rows, int64_t factor)
+{
+    for (int64_t i = 0; i < rows; i++)
+        out[i] = (0.0 + pairwise_sum(v + i * factor, factor)) / (double)factor;
+}
+
+/* The first half of a draw chunk of initial_data._midpoint_points: the ``count``
+   uniforms of SplitMix64.normals from the stream at *state, u = (u64 >> 11) * 2^-53
+   with a zero draw made 2^-53, each angle slot (odd index) times 2 pi.  *state is
+   advanced past them. */
+void uniforms(uint64_t *state, double *z, int64_t count)
+{
+    uint64_t s = *state;
+    for (int64_t i = 0; i < count; i++) {
+        uint64_t x = s += 0x9E3779B97F4A7C15u;
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9u;
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EBu;
+        x ^= x >> 31;
+        double u = (double)(x >> 11) * 0x1p-53;
+        u = u > 0x1p-53 ? u : 0x1p-53;
+        z[i] = i % 2 ? u * (2.0 * 3.141592653589793) : u;
+    }
+    *state = s;
+}
+
+/* The second half, after numpy has put log(u) in the even slots of z, sin(angle) in
+   the odd ones and cos(angle) in c: the normals r cos and r sin of each pair, with
+   r = sqrt(log(u) * -2.0), as SplitMix64.normals forms them, and then the ``count``
+   midpoints pts[j * stride + stride / 2] = (left + right) * 0.5 + noise * scale of
+   the intervals [j * stride, (j + 1) * stride] of pts. */
+void displace(double *pts, int64_t stride, int64_t count, const double *z, const double *c,
+              double scale)
+{
+    int64_t half = stride / 2;
+    for (int64_t j = 0; j < count; j += 2) {
+        double r = sqrt(z[j] * -2.0);
+        double noise[2] = {r * c[j / 2], r * z[j + 1]};
+        for (int m = 0; m < 2; m++) {
+            double *mid = pts + (j + m) * stride + half;
+            *mid = (mid[-half] + mid[half]) * 0.5 + noise[m] * scale;
+        }
     }
 }

@@ -27,11 +27,12 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
+from ._kernels import march_name
 from .experiments import (STUDIES, StudyConfig, StudyResult, check_study, config_from_dict,
                           run_samples_parallel)
 from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind, check_monotone
 from .initial_data import SplitMix64
-from .solver import Boundary, march_name
+from .solver import Boundary
 
 
 class ConfigError(ValueError):

@@ -32,8 +32,8 @@ from .diagnostics import (
     tv_time_integral,
 )
 from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind
-from .initial_data import MAX_LEVEL, fbm_initial_field, sample_seed
-from .mesh import CellField, make_grid, restrict
+from .initial_data import MAX_LEVEL, _unit_path, fbm_initial_field, sample_seed
+from .mesh import CellField, _cell_means, make_grid
 from .solver import Boundary, SchemeConfig, _check_snapshot_times, evolve
 
 
@@ -140,11 +140,14 @@ def _field(cfg: StudyConfig, hurst: float, sample: int, k: int) -> CellField:
 
 
 def _reference(cfg: StudyConfig, hurst: float, sample: int):
-    """The sample drawn once at ``reference_exponent``, and a generator of
+    """The sample drawn once at ``reference_exponent``, as the cell values of
+    ``fbm_initial_field`` (a view of the path, not a CellField), and a generator of
     ``(k, its restriction to 2^k cells)`` over the resolutions, built one at a time."""
-    u0_ref = _field(cfg, hurst, sample, cfg.reference_exponent)
-    levels = ((k, restrict(u0_ref, 1 << (cfg.reference_exponent - k))) for k in cfg.resolutions)
-    return u0_ref, levels
+    ref = cfg.reference_exponent
+    values = _unit_path(hurst, ref, sample_seed(cfg.base_seed, sample))[:-1]
+    levels = ((k, CellField(make_grid(0.0, 1.0, 1 << k), _cell_means(values, 1 << (ref - k))))
+              for k in cfg.resolutions)
+    return values, levels
 
 
 def _slope_or_none(points) -> Optional[float]:
@@ -207,7 +210,8 @@ def _cell_rows(labels, field):
 
 def _converge_sample(cfg, hurst, sample):
     scheme = _scheme(cfg)
-    u0_ref, levels = _reference(cfg, hurst, sample)
+    values, levels = _reference(cfg, hurst, sample)
+    u0_ref = CellField(make_grid(0.0, 1.0, values.size), values)
     ref_final = evolve(u0_ref, scheme).final
     rows = []
     points = []

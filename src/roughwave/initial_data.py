@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from . import _kernels
 from .mesh import CellField, Grid
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -20,7 +21,8 @@ _U53_SCALE = 2.0**-53
 
 # 2^26 + 1 path points is ~0.5 GB of float64; refuse anything deeper
 MAX_LEVEL = 26
-# normals drawn per chunk of a midpoint level (measured best of 2^13 .. 2^16)
+# normals drawn per chunk of a midpoint level: with the compiled kernels at k = 18,
+# 2^14 .. 2^16 are within 4% of each other, and 2^12 and 2^17 10-20% slower
 _DRAW_CHUNK = 1 << 15
 
 
@@ -68,12 +70,24 @@ class SplitMix64:
         z *= _U53_SCALE
         np.maximum(z, _U53_SCALE, out=z)  # a zero draw becomes 2^-53
         r, ang = z[0::2], z[1::2]
-        np.sqrt(np.multiply(np.log(r, out=r), -2.0, out=r), out=r)
         np.multiply(ang, 2.0 * np.pi, out=ang)
-        cos = np.cos(ang)
-        np.multiply(r, np.sin(ang, out=ang), out=ang)
+        cos = _log_cos_sin(z, np.empty(r.size))
+        np.sqrt(np.multiply(r, -2.0, out=r), out=r)
+        np.multiply(r, ang, out=ang)
         np.multiply(r, cos, out=r)
         return z
+
+
+def _log_cos_sin(z: np.ndarray, cos: np.ndarray) -> np.ndarray:
+    """The transcendental part of Box-Muller on uniforms ``z`` whose odd slots hold
+    the angles: log of the even slots and sin of the odd ones in place, the cosines
+    into ``cos``, which is returned.  Both kernels of a draw run these numpy calls,
+    on the same strided views, so that their bits are numpy's."""
+    r, ang = z[0::2], z[1::2]
+    np.log(r, out=r)
+    np.cos(ang, out=cos)
+    np.sin(ang, out=ang)
+    return cos
 
 
 def sample_seed(base_seed: int, index: int) -> int:
@@ -97,7 +111,8 @@ def _midpoint_points(hurst: float, level_k: int, rng: SplitMix64) -> np.ndarray:
     order is fixed, so a path is a pure function of (hurst, level, seed).  The
     right endpoint and level 0's one midpoint are drawn as one pair; each later
     level's even count of noise is drawn in chunks of ``_DRAW_CHUNK`` and
-    written straight into its midpoint slots.
+    written straight into its midpoint slots, by the C ``uniforms`` and
+    ``displace`` where ``_kernels.load`` finds them, with the same bits.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
@@ -107,6 +122,10 @@ def _midpoint_points(hurst: float, level_k: int, rng: SplitMix64) -> np.ndarray:
     pts = np.zeros(n + 1)
     pts[n], noise = rng.normals(2)
     pts[n >> 1] = 0.5 * pts[n] + _midpoint_scale(hurst, 0) * noise
+    lib = _kernels.load()
+    if lib is not None:  # the buffers of the compiled draw, reused by every chunk
+        z, state = np.empty(min(n >> 1, _DRAW_CHUNK)), np.empty(1, np.uint64)
+        cos = np.empty(z.size >> 1)
     for level in range(1, level_k):
         stride = n >> level
         scale = _midpoint_scale(hurst, level)
@@ -114,29 +133,42 @@ def _midpoint_points(hurst: float, level_k: int, rng: SplitMix64) -> np.ndarray:
         for a in range(0, 1 << level, _DRAW_CHUNK):
             b = a + _DRAW_CHUNK
             mid = mids[a:b]
-            noise = rng.normals(mid.size)
-            np.add(lefts[a:b], rights[a:b], out=mid)
-            mid *= 0.5
-            noise *= scale
-            mid += noise
+            if lib is None:
+                noise = rng.normals(mid.size)
+                np.add(lefts[a:b], rights[a:b], out=mid)
+                mid *= 0.5
+                noise *= scale
+                mid += noise
+            else:  # the same draw and update: two C calls around numpy's log, cos, sin
+                chunk = z[:mid.size]
+                state[0] = rng.state
+                lib.uniforms(state.ctypes.data, chunk.ctypes.data, chunk.size)
+                rng.state = int(state[0])
+                _log_cos_sin(chunk, cos[:chunk.size >> 1])
+                lib.displace(pts.ctypes.data + a * stride * pts.itemsize, stride, chunk.size,
+                             chunk.ctypes.data, cos.ctypes.data, scale)
     return pts
+
+
+def _unit_path(hurst: float, level_k: int, seed: int) -> np.ndarray:
+    """The path of ``_midpoint_points`` drawn with ``SplitMix64(seed)``, rescaled in
+    place so that its largest |value| is 1; a zero path is left alone."""
+    p = _midpoint_points(hurst, level_k, SplitMix64(seed))
+    peak = max(p.max(), -p.min())  # max|p|, without a |p| temporary
+    if peak != 0.0:
+        p /= peak
+    return p
 
 
 def fbm_initial_field(hurst: float, grid: Grid, seed: int) -> CellField:
     """Normalized fBm sample as cell data on a power-of-two grid over [0, 1].
 
-    Cell i takes the value at its left edge i * 2^-k of the path drawn by
-    ``_midpoint_points`` with ``SplitMix64(seed)``; the final path point is
-    dropped.  The path is rescaled in place so that its largest |value| is 1;
-    a zero path is left alone.
+    Cell i takes the value at its left edge i * 2^-k of ``_unit_path``; the
+    final path point is dropped.
     """
     n = grid.n_cells
     if n < 2 or n & (n - 1) != 0:
         raise ValueError(f"n_cells must be a power of two >= 2, got {n}")
     if grid.x_left != 0.0 or grid.x_right != 1.0:
         raise ValueError(f"fBm fields live on [0, 1], got [{grid.x_left}, {grid.x_right}]")
-    p = _midpoint_points(hurst, n.bit_length() - 1, SplitMix64(seed))
-    peak = max(p.max(), -p.min())  # max|p|, without a |p| temporary
-    if peak != 0.0:
-        p /= peak
-    return CellField(grid, p[:-1])
+    return CellField(grid, _unit_path(hurst, n.bit_length() - 1, seed)[:-1])

@@ -8,20 +8,22 @@ periodic wraps around.  ``evolve`` runs it in the C march of ``_march.c`` where
 
 from __future__ import annotations
 
-import functools
-import os
 import sys
 from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import _kernels
 from .diagnostics import _variation
 from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind, max_wave_speed, numerical_flux
 from .mesh import CellField, Grid
+
+
+# a march stops once t is within _TIME_GUARD * max(1, t_final) of t_final
+_TIME_GUARD = 1e-12
 
 
 class Boundary(Enum):
@@ -42,6 +44,8 @@ class SchemeConfig:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not 0.0 <= self.t_final < np.inf:
             raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
+        if 0.0 < self.t_final <= _TIME_GUARD:  # evolve's schedule would hold no step
+            raise ValueError(f"t_final must be 0 or above {_TIME_GUARD}, got {self.t_final}")
         if self.numflux.kind is NumFluxKind.UPWIND and self.flux is not FluxSpec.LINEAR:
             raise ValueError(
                 f"the upwind flux is only valid with the linear law, got {self.flux.value}"
@@ -141,59 +145,13 @@ def _compiled_march(cells, cells_next, count: int, ratio: float, numflux: Numeri
                     config: SchemeConfig, faces, tv: Optional[np.ndarray], tv_diff) -> None:
     """``_numpy_march`` in one call of the C ``march``, with the same bits."""
     two_lam = 2.0 * numflux.lam if numflux.kind is NumFluxKind.LAX_FRIEDRICHS else 0.0
-    _load_march().march(cells[0].ctypes.data, cells_next[0].ctypes.data, cells[3].size, count,
-                        _KINDS.index(numflux.kind), _LAWS.index(config.flux),
-                        config.boundary is Boundary.PERIODIC, ratio, two_lam,
-                        None if tv is None else tv.ctypes.data)
+    _kernels.load().march(cells[0].ctypes.data, cells_next[0].ctypes.data, cells[3].size,
+                          count, _KINDS.index(numflux.kind), _LAWS.index(config.flux),
+                          config.boundary is Boundary.PERIODIC, ratio, two_lam,
+                          None if tv is None else tv.ctypes.data)
 
 
 _KINDS, _LAWS = list(NumFluxKind), list(FluxSpec)  # in the order of _march.c's enums
-_MARCH_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-
-
-@functools.cache
-def _load_march():
-    """The library built from ``_march.c``, or None if there is no compiler or the
-    cache cannot be written (``evolve`` then marches through ``_advance``).
-
-    It is compiled on first use into ``$XDG_CACHE_HOME/roughwave`` (default
-    ``~/.cache/roughwave``, mode 0700) under the SHA-256 of the source and the
-    flags, written under a temporary name and renamed into place, so processes that
-    build it at once do not race.
-    """
-    import ctypes
-    import hashlib
-    import subprocess
-
-    source = Path(__file__).with_name("_march.c")
-    try:
-        key = hashlib.sha256(source.read_bytes() + " ".join(_MARCH_FLAGS).encode()).hexdigest()
-        cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "roughwave"
-        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-        path = cache / f"march-{key}.so"
-        if not path.exists():
-            tmp = cache / f".{path.name}.{os.getpid()}.tmp"
-            try:
-                subprocess.run(["gcc", *_MARCH_FLAGS, "-o", str(tmp), str(source)],
-                               check=True, capture_output=True)
-                os.replace(tmp, path)
-            finally:
-                tmp.unlink(missing_ok=True)
-        lib = ctypes.CDLL(str(path))
-    except (OSError, RuntimeError, subprocess.SubprocessError):  # RuntimeError: no home
-        return None
-    lib.march.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                          ctypes.c_int, ctypes.c_int, ctypes.c_int, ctypes.c_double,
-                          ctypes.c_double, ctypes.c_void_p)
-    lib.march.restype = None
-    lib.variation.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int)
-    lib.variation.restype = ctypes.c_double
-    return lib
-
-
-def march_name() -> str:
-    """Which march ``evolve`` runs here: ``"compiled"`` or ``"numpy"``."""
-    return "numpy" if _load_march() is None else "compiled"
 
 
 def _expose(grid: Grid, values: np.ndarray, dt: float, step: int) -> CellField:
@@ -239,8 +197,8 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
     Snapshots are recorded at the first time point at or after each requested
     time (``snapshot_times=evolve(initial, config).times`` keeps every step), and
     ``track_tv`` fills ``per_step_tv``.
-    The steps run in blocks, through the compiled march if ``_load_march`` finds
-    one and through ``_advance`` otherwise, with the same bits.  Each state handed
+    The steps run in blocks, through the compiled march if ``_kernels.load`` finds
+    it and through ``_advance`` otherwise, with the same bits.  Each state handed
     out, and the state at every 64th time point, is checked: a non-finite cell
     raises FloatingPointError naming the step (none is missed: each update
     subtracts from a cell's own value).
@@ -260,7 +218,7 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
         raise ValueError(f"float time cannot reach t_final={config.t_final} in steps of dt={dt}")
     periodic = config.boundary is Boundary.PERIODIC
 
-    guard = 1e-12 * max(1.0, config.t_final)
+    guard = _TIME_GUARD * max(1.0, config.t_final)
     times, dt_last = _schedule(dt, config.t_final, guard)
     n_steps = times.size - 1
     # the step after which each snapshot is taken (those past the last step are not)
@@ -277,7 +235,7 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
         tv[0] = _variation(v0, periodic, tv_diff)
     snaps = [Snapshot(0.0, initial) for s in snap_steps if s == 0]
 
-    march = _numpy_march if _load_march() is None else _compiled_march
+    march = _numpy_march if _kernels.load() is None else _compiled_march
     state, done = initial, 0  # the current state as a CellField, or None until exposed
     with np.errstate(invalid="ignore", over="ignore"):
         for stop in sorted(s for s in ends if 0 < s <= n_steps):

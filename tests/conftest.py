@@ -1,16 +1,17 @@
-"""The ``march`` fixture: a test that takes it runs once under each march of
-``evolve``, the compiled one and the numpy one (``_advance``), which must give the
-same bits.  The numpy march is switched on by replacing the library loader."""
+"""The ``march`` fixture: a test that takes it runs once with the compiled kernels of
+``_march.c`` (the march of ``evolve``, the fBm draw and the restriction) and once
+with their numpy code, which must give the same bits.  The numpy code is switched
+on by replacing the library loader."""
 
 import pytest
 
-import roughwave.solver as solver
+from roughwave import _kernels
 
 
 @pytest.fixture(params=["compiled", "numpy"])
 def march(request, monkeypatch):
     if request.param == "numpy":
-        monkeypatch.setattr(solver, "_load_march", lambda: None)
-    elif solver._load_march() is None:
-        pytest.skip("no C compiler: evolve runs the numpy march only")
+        monkeypatch.setattr(_kernels, "load", lambda: None)
+    elif _kernels.load() is None:
+        pytest.skip("no C compiler: only the numpy kernels run")
     return request.param

@@ -253,6 +253,15 @@ def test_non_finite_t_final_exits_1_and_writes_nothing(tmp_path, capsys, command
     assert "t_final" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["converge", "solve"])
+def test_t_final_within_the_time_guard_exits_1_and_writes_nothing(tmp_path, capsys, command):
+    cfg = write(tmp_path, MINIMAL + "t_final = 5e-13\nsnapshot_times = 5e-13\n")
+    out = tmp_path / "tiny"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "t_final" in capsys.readouterr().err
+
+
 def test_duplicate_hurst_exits_1(tmp_path, capsys):
     cfg = write(tmp_path, MINIMAL.replace("hurst = 0.5", "hurst = 0.5,0.5"))
     out = tmp_path / "dup"

@@ -3,15 +3,16 @@
 Each command runs through ``cli.run`` on one small config.  The manifest is
 hashed without ``duration_seconds`` (wall time), ``config_path`` (the
 temporary directory) and ``march`` (whether this platform compiled the
-march), re-serialized the way the CLI writes it.  The ``solve`` CSV is pinned
+kernels), re-serialized the way the CLI writes it.  The ``solve`` CSV is pinned
 as well for every numerical flux and equation pair the package accepts, under
 both boundaries, and the two per-cell studies on deeper tables: ``fbm`` at
 k = 8-12 for three Hurst exponents (23,808 rows) and ``solve`` at k = 9 with
 three snapshots (2,560 rows).  The stdout of ``selfcheck`` is pinned too.  The
-command hashes and the per-pair hashes are checked under both marches of
-``evolve``, the compiled one and the numpy one, against the same pinned
-values.  A change that alters any output bit fails here; re-pin a hash only
-with a change that is meant to alter that output.
+command hashes, the per-pair hashes and the deep tables are checked with the
+compiled kernels (the march of ``evolve``, the fBm draw, the restriction) and
+with their numpy code, against the same pinned values.  A change that alters any
+output bit fails here; re-pin a hash only with a change that is meant to alter
+that output.
 """
 
 import hashlib
@@ -170,7 +171,7 @@ def test_golden_solve_per_flux_pair(numflux, equation, boundary, march, tmp_path
 
 
 @pytest.mark.parametrize("command", sorted(DEEP_GOLDEN))
-def test_golden_deep_per_cell_tables(command, tmp_path):
+def test_golden_deep_per_cell_tables(command, march, tmp_path):
     csv_hash, _ = output_hashes(command, tmp_path, DEEP_CONFIG[command])
     assert csv_hash == DEEP_GOLDEN[command]
 

@@ -13,12 +13,13 @@ from roughwave import (
     sample_seed,
     total_variation,
 )
-from roughwave import initial_data
+from roughwave import _kernels, initial_data
 from roughwave.initial_data import _midpoint_points
 
 
 class ZeroNoise(SplitMix64):
-    """Degenerate stream: every normal draw is 0."""
+    """Degenerate stream: every normal draw is 0.  The compiled draw does not call
+    ``normals``, so a test that draws with it runs the numpy kernels."""
 
     def normals(self, count):
         return np.zeros(count)
@@ -102,11 +103,13 @@ def test_midpoint_points_shape_and_pinning():
     assert points[0] == 0.0
 
 
-def test_midpoint_points_zero_noise_gives_zero_path():
+def test_midpoint_points_zero_noise_gives_zero_path(monkeypatch):
+    monkeypatch.setattr(_kernels, "load", lambda: None)
     assert np.all(_midpoint_points(0.3, 4, ZeroNoise(0)) == 0.0)
 
 
 def test_fbm_initial_field_leaves_zero_path_alone(monkeypatch):
+    monkeypatch.setattr(_kernels, "load", lambda: None)
     monkeypatch.setattr(initial_data, "SplitMix64", ZeroNoise)
     field = fbm_initial_field(0.3, make_grid(0, 1, 16), 0)
     assert np.array_equal(_bits(field.values), _bits(np.zeros(16)))
@@ -291,11 +294,13 @@ def test_normals_in_draw_chunks_match_oracle_block():
 
 @pytest.mark.parametrize("seed", [7, sample_seed(2024, 3)])
 @pytest.mark.parametrize("hurst", [0.25, 0.5, 0.75])
-def test_fbm_bits_match_oracle(hurst, seed):
+def test_fbm_bits_match_oracle(hurst, seed, march):
     for k in range(1, 19):
-        pts = oracle_midpoint(hurst, k, OracleSplitMix64(seed))
-        path = _midpoint_points(hurst, k, SplitMix64(seed))
+        oracle, rng = OracleSplitMix64(seed), SplitMix64(seed)
+        pts = oracle_midpoint(hurst, k, oracle)
+        path = _midpoint_points(hurst, k, rng)
         assert np.array_equal(_bits(path), _bits(pts)), k
+        assert rng.state == oracle.state, k
         unit = pts / float(np.max(np.abs(pts)))
         field = fbm_initial_field(hurst, make_grid(0, 1, 1 << k), seed)
         assert np.array_equal(_bits(field.values), _bits(unit[:-1])), k

@@ -58,6 +58,22 @@ def test_scheme_config_validation():
         burgers_config(numflux=NumericalFluxSpec(NumFluxKind.UPWIND))
 
 
+@pytest.mark.parametrize("t_final", [5e-324, 5e-13, 1e-12])
+def test_a_t_final_no_step_can_reach_is_rejected(t_final):
+    # a march stops within 1e-12 of t_final: from t = 0 it would take no step, drop
+    # every snapshot and hand back the initial data as the final state
+    with pytest.raises(ValueError, match="t_final"):
+        burgers_config(t_final=t_final)
+
+
+def test_a_t_final_just_past_the_time_guard_takes_its_steps():
+    u0 = random_field(16, 5)
+    traj = evolve(u0, burgers_config(t_final=2e-12), snapshot_times=[2e-12])
+    assert traj.times.tolist() == [0.0, 2e-12]
+    assert [s.time for s in traj.snapshots] == [2e-12]
+    assert traj.final is not u0 and traj.snapshots[0].field is traj.final
+
+
 def test_cfl_timestep_examples():
     g = make_grid(0, 1, 100)
     assert cfl_timestep(g, FluxSpec.BURGERS, -1.0, 1.0, 0.5) == pytest.approx(0.005)
