@@ -22,7 +22,6 @@ from .experiments import (
 )
 from .flux import (
     FluxSpec,
-    MonotoneReport,
     NumericalFluxSpec,
     NumFluxKind,
     check_monotone,
@@ -35,7 +34,6 @@ from .mesh import CellField, Grid, make_grid, restrict
 from .solver import (
     Boundary,
     SchemeConfig,
-    Snapshot,
     Trajectory,
     cfl_timestep,
     evolve,
@@ -48,11 +46,9 @@ __all__ = [
     "CellField",
     "FluxSpec",
     "Grid",
-    "MonotoneReport",
     "NumFluxKind",
     "NumericalFluxSpec",
     "SchemeConfig",
-    "Snapshot",
     "SplitMix64",
     "StudyConfig",
     "StudyResult",

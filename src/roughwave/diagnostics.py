@@ -4,7 +4,7 @@ L1 distances, time-integrated TV, the Lip+ bound on it and rate fits."""
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
 
@@ -23,10 +23,9 @@ def total_variation(field: CellField, periodic: bool = False) -> float:
     return _variation(field.values, periodic)
 
 
-def _variation(v: np.ndarray, periodic: bool, scratch: Optional[np.ndarray] = None) -> float:
-    """``total_variation`` of the values ``v``; in place in ``scratch`` if given."""
-    d = None if scratch is None else scratch[: v.size - 1]
-    tv = float(np.sum(np.abs(np.subtract(v[1:], v[:-1], out=d), out=d)))
+def _variation(v: np.ndarray, periodic: bool) -> float:
+    """``total_variation`` of the values ``v``."""
+    tv = float(np.sum(np.abs(v[1:] - v[:-1])))
     if periodic and v.size > 1:
         tv += abs(float(v[0]) - float(v[-1]))
     return tv

@@ -2,8 +2,7 @@
 
 Three built-in conservation laws are supported: Burgers ``f(u) = u^2/2``,
 a cubic law ``f(u) = u^3/3`` and linear advection ``f(u) = u``.  All flux
-evaluators broadcast over float64 arrays and accept plain floats; given buffers
-(``out``, ``work``) they fill those through the same expressions, bit for bit.
+evaluators broadcast over float64 arrays and accept plain floats.
 """
 
 from __future__ import annotations
@@ -47,23 +46,13 @@ class NumericalFluxSpec:
             raise ValueError(f"lam must be None or finite and > 0, got {self.lam}")
 
 
-# 0-d operands: numpy converts a Python float operand anew on every call
-_ZERO, _HALF, _THREE = np.array(0.0), np.array(0.5), np.array(3.0)
-
-
-def flux_value(spec: FluxSpec, u, out=None):
-    """f(u), written to ``out`` if given (``out`` must not share memory with ``u``)."""
+def flux_value(spec: FluxSpec, u):
+    """f(u)."""
     if spec is FluxSpec.BURGERS:
-        return np.multiply(np.multiply(_HALF, u, out=out), u, out=out)
+        return 0.5 * u * u
     if spec is FluxSpec.CUBIC:
-        return _cube_third(np.square(u, out=out), u, out)
+        return u * u * u / 3.0
     return u
-
-
-def _cube_third(uu, u, out):
-    """u^3/3 as ``((u*u)*u)/3`` from ``uu = u*u``; ``out`` may be ``uu``."""
-    uu = np.multiply(uu, u, out=out)  # rebinding frees u*u of an allocating call here
-    return np.divide(uu, _THREE, out=out)
 
 
 def max_wave_speed(spec: FluxSpec, u_min: float, u_max: float) -> float:
@@ -77,7 +66,7 @@ def max_wave_speed(spec: FluxSpec, u_min: float, u_max: float) -> float:
     return 1.0
 
 
-def numerical_flux(numflux: NumericalFluxSpec, spec: FluxSpec, a, b, work=None):
+def numerical_flux(numflux: NumericalFluxSpec, spec: FluxSpec, a, b):
     """Evaluate the chosen numerical flux F(a, b) in closed form.
 
     With ``a+ = max(a, 0)`` and ``b- = min(b, 0)``:
@@ -92,46 +81,31 @@ def numerical_flux(numflux: NumericalFluxSpec, spec: FluxSpec, a, b, work=None):
       ``s = max(|f'(a)|, |f'(b)|)``.
     - Lax-Friedrichs: ``(f(a) + f(b))/2 - (b - a)/(2 lam)``.
 
-    ``work`` is four float64 arrays shaped like the faces, none sharing memory with
-    ``a`` or ``b``: F goes to ``work[0]``, the rest is scratch, nothing is allocated.
-    Without it each operation allocates; the operations, their order and the bits
-    are the same.  Linear Godunov, Engquist-Osher and upwind return ``a`` itself.
+    Linear Godunov, Engquist-Osher and upwind return ``a`` itself.
     """
-    # without work, each intermediate is freed once used (nesting, rebinding, del): a
-    # standalone call then holds few temporaries at once, which keeps it fast
-    o, p, q, r = (None,) * 4 if work is None else work
     kind = numflux.kind
-    if kind is NumFluxKind.LAX_FRIEDRICHS or kind is NumFluxKind.RUSANOV:
-        if kind is NumFluxKind.LAX_FRIEDRICHS and numflux.lam is None:
+    if kind is NumFluxKind.LAX_FRIEDRICHS:
+        if numflux.lam is None:
             raise ValueError("the Lax-Friedrichs flux needs the mesh ratio lam")
-        rusanov, half_s = kind is NumFluxKind.RUSANOV, _HALF  # s = 1 for the linear law
-        if rusanov and spec is FluxSpec.CUBIC:  # a*a and b*b serve both s and f
-            fa, fb = np.square(a, out=p), np.square(b, out=q)
-            half_s = np.multiply(_HALF, np.maximum(fa, fb, out=r), out=r)
-            fa = _cube_third(fa, a, p)
-            fb = _cube_third(fb, b, q)
+        return (0.5 * (flux_value(spec, a) + flux_value(spec, b))
+                - (b - a) / (2.0 * numflux.lam))
+    if kind is NumFluxKind.RUSANOV:
+        if spec is FluxSpec.BURGERS:
+            s = np.maximum(np.abs(a), np.abs(b))
+        elif spec is FluxSpec.CUBIC:
+            s = np.maximum(a * a, b * b)
         else:
-            if rusanov and spec is FluxSpec.BURGERS:
-                s = np.maximum(np.abs(a, out=p), np.abs(b, out=q), out=r)
-                half_s = np.multiply(_HALF, s, out=r)
-            fa, fb = flux_value(spec, a, p), flux_value(spec, b, q)
-        mean = np.add(fa, fb, out=p)
-        del fa, fb
-        mean = np.multiply(_HALF, mean, out=p)
-        if not rusanov:
-            return np.subtract(mean, np.divide(np.subtract(b, a, out=q), 2.0 * numflux.lam, out=q),
-                               out=o)
-        return np.subtract(mean, np.multiply(half_s, np.subtract(b, a, out=q), out=q), out=o)
+            s = 1.0
+        return 0.5 * (flux_value(spec, a) + flux_value(spec, b)) - 0.5 * s * (b - a)
     if kind is NumFluxKind.UPWIND and spec is not FluxSpec.LINEAR:
         raise ValueError(f"upwind flux is defined only for the linear law, got {spec}")
     if spec is not FluxSpec.BURGERS:
-        return flux_value(spec, a, o)
-    pos, neg = np.maximum(a, _ZERO, out=p), np.minimum(b, _ZERO, out=q)
+        return flux_value(spec, a)
+    pos, neg = np.maximum(a, 0.0), np.minimum(b, 0.0)
     if kind is NumFluxKind.GODUNOV:
-        return np.maximum(flux_value(spec, pos, r), flux_value(spec, neg, o), out=o)
+        return np.maximum(flux_value(spec, pos), flux_value(spec, neg))
     # 0.5 * u**2 and flux_value's 0.5 * u * u round apart for |u| < 1.5e-154
-    return np.add(np.multiply(_HALF, np.square(pos, out=p), out=p),
-                  np.multiply(_HALF, np.square(neg, out=q), out=q), out=o)
+    return 0.5 * pos**2 + 0.5 * neg**2
 
 
 @dataclass(frozen=True)

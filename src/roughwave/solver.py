@@ -103,49 +103,34 @@ def _fill_lambda(numflux: NumericalFluxSpec, lam: float) -> NumericalFluxSpec:
     return numflux
 
 
-def _workspace(n: int):
-    """The buffers of one run, with the views ``_advance`` reads, made once: two states
-    of n + 2 cells as (w, w[:-1], w[1:], w[1:-1]), the state being ``w[1:-1]``, and the
-    flux's four (n + 1)-face arrays (see ``numerical_flux``) with the face row's halves."""
-    states, work = np.empty((2, n + 2)), tuple(np.empty((4, n + 1)))
-    return *((w, w[:-1], w[1:], w[1:-1]) for w in states), (work, work[0][1:], work[0][:-1])
+def _advance(v: np.ndarray, ratio: float, numflux: NumericalFluxSpec,
+             config: SchemeConfig) -> np.ndarray:
+    """The one update ``v - (F[1:] - F[:-1]) * ratio``, in this operation order, with F
+    evaluated on a copy of the state ``v`` padded by the boundary rule's ghost cells."""
+    ghosts = (v[-1:], v[:1]) if config.boundary is Boundary.PERIODIC else (v[:1], v[-1:])
+    w = np.concatenate((ghosts[0], v, ghosts[1]))
+    face = numerical_flux(numflux, config.flux, w[:-1], w[1:])
+    return v - (face[1:] - face[:-1]) * ratio
 
 
-def _advance(cells, out, ratio: float, numflux: NumericalFluxSpec, config: SchemeConfig,
-             faces) -> None:
-    """The one update: ``out = v - ratio * (F[1:] - F[:-1])``, in this operation order,
-    for the state ``v`` of ``cells`` (its ghost cells filled here), with F evaluated in
-    ``faces`` (both from ``_workspace``), so a step allocates no array."""
-    w, left, right, v = cells
-    work, hi, lo = faces
-    w[0], w[-1] = (w[-2], w[1]) if config.boundary is Boundary.PERIODIC else (w[1], w[-2])
-    face = numerical_flux(numflux, config.flux, left, right, work)
-    if face is not work[0]:  # the linear law's upwind-type fluxes return ``left`` itself
-        hi, lo = face[1:], face[:-1]
-    np.subtract(hi, lo, out=out)
-    np.multiply(out, ratio, out=out)
-    np.subtract(v, out, out=out)
-
-
-def _numpy_march(cells, cells_next, count: int, ratio: float, numflux: NumericalFluxSpec,
-                 config: SchemeConfig, faces, tv: Optional[np.ndarray], tv_diff) -> None:
-    """``count`` steps of ``_advance`` from ``cells`` into the two buffers alternately
-    (the state ends in ``cells`` if ``count`` is even), and the TV of each new state
+def _numpy_march(cells: np.ndarray, count: int, ratio: float, numflux: NumericalFluxSpec,
+                 config: SchemeConfig, tv: Optional[np.ndarray]) -> None:
+    """``count`` steps of ``_advance`` from the state ``cells[0, 1:-1]`` into the rows of
+    ``cells`` alternately, ending in ``cells[count % 2]``, and the TV of each new state
     into ``tv`` if given."""
-    ratio = np.array(ratio)  # 0-d: numpy would convert a float operand on every step
     periodic = config.boundary is Boundary.PERIODIC
     for s in range(count):
-        _advance(cells, cells_next[3], ratio, numflux, config, faces)
-        cells, cells_next = cells_next, cells
+        v = cells[(s + 1) % 2, 1:-1]
+        v[...] = _advance(cells[s % 2, 1:-1], ratio, numflux, config)
         if tv is not None:
-            tv[s] = _variation(cells[3], periodic, tv_diff)
+            tv[s] = _variation(v, periodic)
 
 
-def _compiled_march(cells, cells_next, count: int, ratio: float, numflux: NumericalFluxSpec,
-                    config: SchemeConfig, faces, tv: Optional[np.ndarray], tv_diff) -> None:
+def _compiled_march(cells: np.ndarray, count: int, ratio: float, numflux: NumericalFluxSpec,
+                    config: SchemeConfig, tv: Optional[np.ndarray]) -> None:
     """``_numpy_march`` in one call of the C ``march``, with the same bits."""
     two_lam = 2.0 * numflux.lam if numflux.kind is NumFluxKind.LAX_FRIEDRICHS else 0.0
-    _kernels.load().march(cells[0].ctypes.data, cells_next[0].ctypes.data, cells[3].size,
+    _kernels.load().march(cells[0].ctypes.data, cells[1].ctypes.data, cells.shape[1] - 2,
                           count, _KINDS.index(numflux.kind), _LAWS.index(config.flux),
                           config.boundary is Boundary.PERIODIC, ratio, two_lam,
                           None if tv is None else tv.ctypes.data)
@@ -169,12 +154,10 @@ def step(state: CellField, config: SchemeConfig, dt: float) -> CellField:
     march; a Lax-Friedrichs flux without a mesh ratio uses dt/dx."""
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    n, ratio = state.grid.n_cells, dt / state.grid.dx
-    cells, (*_, out), faces = _workspace(n)
-    cells[3][...] = state.values
+    ratio = dt / state.grid.dx
     with np.errstate(invalid="ignore", over="ignore"):
-        _advance(cells, out, ratio, _fill_lambda(config.numflux, ratio), config, faces)
-    return _expose(state.grid, out, dt, 1)
+        values = _advance(state.values, ratio, _fill_lambda(config.numflux, ratio), config)
+    return _expose(state.grid, values, dt, 1)
 
 
 def _schedule(dt: float, t_final: float, guard: float):
@@ -197,8 +180,9 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
     Snapshots are recorded at the first time point at or after each requested
     time (``snapshot_times=evolve(initial, config).times`` keeps every step), and
     ``track_tv`` fills ``per_step_tv``.
-    The steps run in blocks, through the compiled march if ``_kernels.load`` finds
-    it and through ``_advance`` otherwise, with the same bits.  Each state handed
+    The steps run in blocks on one (2, n + 2) state array, through the compiled
+    march if ``_kernels.load`` finds it and through ``_advance`` otherwise, with the
+    same bits; a block of odd length swaps the rows.  Each state handed
     out, and the state at every 64th time point, is checked: a non-finite cell
     raises FloatingPointError naming the step (none is missed: each update
     subtracts from a cell's own value).
@@ -228,11 +212,11 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
     # short last step, whose mesh ratio differs
     ends = {*range(63, n_steps + 1, 64), *snap_steps, n_steps - (dt_last != dt), n_steps}
 
-    (cells, cells_next, faces), tv_diff = _workspace(v0.size), np.empty(v0.size)
-    cells[3][...] = v0
+    cells = np.empty((2, v0.size + 2))  # two states with ghost cells; the state is row 0
+    cells[0, 1:-1] = v0
     tv = np.empty(times.size) if track_tv else None
     if track_tv:
-        tv[0] = _variation(v0, periodic, tv_diff)
+        tv[0] = _variation(v0, periodic)
     snaps = [Snapshot(0.0, initial) for s in snap_steps if s == 0]
 
     march = _numpy_march if _kernels.load() is None else _compiled_march
@@ -240,16 +224,17 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
     with np.errstate(invalid="ignore", over="ignore"):
         for stop in sorted(s for s in ends if 0 < s <= n_steps):
             count, ratio = stop - done, (dt_last if stop == n_steps else dt) / dx
-            march(cells, cells_next, count, ratio, numflux, config, faces,
-                  None if tv is None else tv[done + 1:stop + 1], tv_diff)
+            march(cells, count, ratio, numflux, config,
+                  None if tv is None else tv[done + 1:stop + 1])
             if count % 2:
-                cells, cells_next = cells_next, cells
+                cells = cells[::-1]
             done, state = stop, None
             if (stop + 1) % 64 == 0:  # a blow-up raises within 64 steps
-                state = _expose(grid, cells[3], dt, stop)
+                state = _expose(grid, cells[0, 1:-1], dt, stop)
             while len(snaps) < len(snap_steps) and snap_steps[len(snaps)] == stop:
-                state = state if state is not None else _expose(grid, cells[3], dt, stop)
+                state = state if state is not None else _expose(grid, cells[0, 1:-1], dt, stop)
                 snaps.append(Snapshot(float(times[stop]), state))
 
+    final = state if state is not None else _expose(grid, cells[0, 1:-1], dt, n_steps)
     return Trajectory(times=times, snapshots=tuple(snaps), per_step_tv=tv, dt_used=dt,
-                      final=state if state is not None else _expose(grid, cells[3], dt, n_steps))
+                      final=final)

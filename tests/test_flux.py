@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,32 @@ def test_monotone_probe_catches_bad_cfl():
 def test_lax_friedrichs_requires_lambda_via_dispatch():
     with pytest.raises(ValueError):
         numerical_flux(NumericalFluxSpec(NumFluxKind.LAX_FRIEDRICHS), FluxSpec.BURGERS, 0.1, 0.2)
+
+
+PAIRS = [
+    (kind, spec)
+    for kind in NumFluxKind
+    for spec in FluxSpec
+    if kind is not NumFluxKind.UPWIND or spec is FluxSpec.LINEAR
+]
+# signed zeros, subnormals, values whose squares and cubes overflow, and
+# +-1.2256e-154, whose square Engquist-Osher must form as ``0.5*(u*u)``
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2e-308, 1.4e-154, -1.6e-154,
+           0.5, -1.0, 3.0, 1e154, -1e154, 9.9e153, 1.2e154, -1.7e154,
+           1.225621795641083e-154, -1.225621795641083e-154]
+
+
+@pytest.mark.parametrize("kind, spec", PAIRS, ids=[f"{k.value}-{s.value}" for k, s in PAIRS])
+def test_scalar_inputs_return_the_bits_of_one_element_arrays(kind, spec):
+    mismatches = []
+    for lam in (0.37, 1.0, 3e-7, sys.float_info.max):
+        numflux = NumericalFluxSpec(kind, lam if kind is NumFluxKind.LAX_FRIEDRICHS else None)
+        for a in SPECIAL:
+            for b in SPECIAL:
+                with np.errstate(all="ignore"):
+                    got = numerical_flux(numflux, spec, a, b)
+                    want = numerical_flux(numflux, spec, np.array([a]), np.array([b]))
+                assert isinstance(got, float), (a, b, type(got))
+                if np.float64(got).tobytes() != want.tobytes():
+                    mismatches.append((lam, a, b))
+    assert mismatches == []
