@@ -4,6 +4,11 @@
 ``mesh`` restricts through it; each falls back to its numpy code, with the same
 bits, where ``load`` returns None.  This module imports nothing of the package,
 so every module can import it.
+
+The library is built with ``_FLAGS`` and no ``-march``: on x86-64 its step and
+pairwise-sum templates carry one clone per level (baseline, v3 and v4), picked
+when the library loads, so one cached library serves every CPU that shares the
+cache.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import functools
 import os
 from pathlib import Path
 
-_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_FLAGS = ("-O3", "-ffp-contract=off", "-mprefer-vector-width=512", "-shared", "-fPIC")
 
 
 def _sha256(data: bytes) -> str:
@@ -33,10 +38,10 @@ def load():
     """The library built from ``_march.c``, or None if there is no compiler or the
     cache cannot be written (the callers then run their numpy code).
 
-    It is compiled on first use into ``$XDG_CACHE_HOME/roughwave`` (default
-    ``~/.cache/roughwave``, mode 0700) under the SHA-256 of the source and the
-    flags, written under a temporary name and renamed into place, so processes that
-    build it at once do not race.
+    It is compiled on first use, in about 1 s, into ``$XDG_CACHE_HOME/roughwave``
+    (default ``~/.cache/roughwave``, mode 0700) under the SHA-256 of the source and
+    the flags, written under a temporary name and renamed into place, so processes
+    that build it at once do not race.
     """
     import ctypes
     import subprocess

@@ -8,13 +8,22 @@ Each step of the march fills the two ghost cells, evaluates the numerical flux a
 every face and writes v - ratio * (F[i+1] - F[i]) with the operations, and their
 order, of ``solver._advance`` and ``flux.numerical_flux``, so the bits are those of
 the numpy march.  numpy's NaN-propagating maximum and minimum are written out.
-Built with ``gcc -O2 -ffp-contract=off -shared -fPIC``: a contracted multiply-add
-would round once where numpy rounds twice.
+Built with ``gcc -O3 -ffp-contract=off -mprefer-vector-width=512 -shared -fPIC``: a
+contracted multiply-add would round once where numpy rounds twice.  The step and
+pairwise-sum templates have one clone per x86-64 level, picked when the library
+loads, so that one cached library serves every CPU; their vector loops keep the
+order of every floating-point operation.
 */
 
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+
+#if defined(__x86_64__) && __GNUC__ >= 11 /* the x86-64-v3 and -v4 names */
+#define CLONES __attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))
+#else
+#define CLONES
+#endif
 
 /* the declaration order of flux.NumFluxKind and flux.FluxSpec */
 enum { GODUNOV, RUSANOV, LAX_FRIEDRICHS, ENGQUIST_OSHER, UPWIND, N_KINDS };
@@ -77,17 +86,17 @@ static inline double lax_friedrichs_linear(double a, double b, double two_lam)
 
 typedef void step_fn(const double *w, double *out, int64_t n, double ratio, double two_lam);
 
-/* out[1..n] = w[1..n] - ratio * (F[i+1] - F[i]), face i between w[i] and w[i+1] */
+/* out[1..n] = w[1..n] - (F[i] - F[i-1]) * ratio, face i between w[i] and w[i+1]: the
+   faces into out[0..n], then the update downward, reading out[i - 1] before it is
+   overwritten.  out[0] keeps a face: a ghost cell, refilled before it is read. */
 #define STEP(FLUX)                                                                   \
-    static void step_##FLUX(const double *w, double *out, int64_t n, double ratio,   \
-                            double two_lam)                                          \
+    CLONES static void step_##FLUX(const double *restrict w, double *restrict out,   \
+                                   int64_t n, double ratio, double two_lam)          \
     {                                                                                \
-        double lo = FLUX(w[0], w[1], two_lam);                                       \
-        for (int64_t i = 1; i <= n; i++) {                                           \
-            double hi = FLUX(w[i], w[i + 1], two_lam);                               \
-            out[i] = w[i] - (hi - lo) * ratio;                                       \
-            lo = hi;                                                                 \
-        }                                                                            \
+        for (int64_t i = 0; i <= n; i++)                                             \
+            out[i] = FLUX(w[i], w[i + 1], two_lam);                                  \
+        for (int64_t i = n; i >= 1; i--)                                             \
+            out[i] = w[i] - (out[i] - out[i - 1]) * ratio;                           \
     }
 
 STEP(godunov_burgers)
@@ -113,7 +122,7 @@ static step_fn *const STEPS[N_KINDS][N_LAWS] = {
 /* numpy's pairwise sum (pairwise_sum_DOUBLE) of TERM(v, i) for i < count: sequential
    below 8 terms, eight accumulators up to 128, else halves split at a multiple of 8 */
 #define PAIRWISE_SUM(NAME, TERM)                                                     \
-    static double NAME(const double *v, int64_t count)                               \
+    CLONES static double NAME(const double *v, int64_t count)                        \
     {                                                                                \
         if (count < 8) {                                                             \
             double res = 0.0;                                                        \

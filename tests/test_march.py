@@ -5,7 +5,10 @@
   the per-step TV, or the same exception.  On states that hold inf and nan,
   the two block marches leave the same cells inf and nan.  The data hold signed zeros,
   subnormals and magnitudes up to 1e150; runs end on a short last step or on a
-  whole one, snapshots fall on 64-step block ends, and t_final can be 0.
+  whole one, snapshots fall on 64-step block ends, and t_final can be 0.  The
+  states have 1-1,001 cells, so that they fill the vectors of each clone and
+  leave tails.  Built for one x86-64 level at a time, without clones, the C
+  march gives the bits of the numpy march too.
 - The C total variation equals ``diagnostics._variation`` (numpy's pairwise
   sum) at every length up to 300 and at the lengths where the pairwise
   recursion splits.
@@ -20,6 +23,7 @@
 
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -65,8 +69,10 @@ values = st.one_of(moderate, st.sampled_from([1e150, -1e150, 3.7e149]), st.float
 tiny = st.one_of(st.sampled_from(SPECIAL[:9]), st.floats(-1.5e-154, 1.5e-154))
 # one huge cell makes the CFL step of a nonlinear law so small that t_final falls
 # within the 1e-12 time guard, where no step could reach it: SchemeConfig rejects it
-states = st.one_of(*(arrays(np.float64, st.integers(1, 24), elements=e)
-                     for e in (moderate, values, tiny)))
+# lengths that fill 2-, 4- and 8-lane vectors of the clones and overrun them by a tail
+lengths = st.one_of(st.integers(1, 24), st.integers(25, 300),
+                    st.sampled_from([63, 64, 65, 127, 128, 129, 999, 1000, 1001]))
+states = st.one_of(*(arrays(np.float64, lengths, elements=e) for e in (moderate, values, tiny)))
 bit_settings = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
@@ -122,18 +128,9 @@ def canonical_bits(x):
     return np.where(np.isnan(x), np.nan, x).tobytes()
 
 
-@pytest.mark.parametrize("boundary", list(Boundary), ids=[b.value for b in Boundary])
-@pytest.mark.parametrize("kind, spec", PAIRS, ids=PAIR_IDS)
-@bit_settings
-@given(v=arrays(np.float64, st.integers(1, 24),
-                elements=st.one_of(values, st.sampled_from([np.nan, np.inf, -np.inf]))),
-       count=st.integers(1, 6), ratio=st.sampled_from([0.5, 1e-3, 7.0]))
-def test_march_kernels_agree_on_non_finite_states(kind, spec, boundary, v, count, ratio):
-    # a blow-up is found only at the end of a block: until then both marches carry
-    # the same inf and nan cells, so the cell and the step they report agree
-    compiled_march()
-    numflux = NumericalFluxSpec(kind, 0.3 if kind is NumFluxKind.LAX_FRIEDRICHS else None)
-    cfg = SchemeConfig(spec, numflux, t_final=1.0, boundary=boundary)
+def march_bits(v, count, ratio, numflux, cfg):
+    """The canonical bits of the state and of the TV after ``count`` steps from ``v``,
+    by the compiled march and by the numpy march."""
     results = []
     for march in (solver._compiled_march, solver._numpy_march):
         cells = np.empty((2, v.size + 2))
@@ -142,7 +139,23 @@ def test_march_kernels_agree_on_non_finite_states(kind, spec, boundary, v, count
         with np.errstate(invalid="ignore", over="ignore"):
             march(cells, count, ratio, numflux, cfg, tv)
         results.append([canonical_bits(x) for x in (cells[count % 2, 1:-1], tv)])
-    assert results[0] == results[1]
+    return results
+
+
+@pytest.mark.parametrize("boundary", list(Boundary), ids=[b.value for b in Boundary])
+@pytest.mark.parametrize("kind, spec", PAIRS, ids=PAIR_IDS)
+@bit_settings
+@given(v=arrays(np.float64, lengths,
+                elements=st.one_of(values, st.sampled_from([np.nan, np.inf, -np.inf]))),
+       count=st.integers(1, 6), ratio=st.sampled_from([0.5, 1e-3, 7.0]))
+def test_march_kernels_agree_on_non_finite_states(kind, spec, boundary, v, count, ratio):
+    # a blow-up is found only at the end of a block: until then both marches carry
+    # the same inf and nan cells, so the cell and the step they report agree
+    compiled_march()
+    numflux = NumericalFluxSpec(kind, 0.3 if kind is NumFluxKind.LAX_FRIEDRICHS else None)
+    cfg = SchemeConfig(spec, numflux, t_final=1.0, boundary=boundary)
+    compiled, numpy_bits = march_bits(v, count, ratio, numflux, cfg)
+    assert compiled == numpy_bits
 
 
 def test_marches_agree_on_fbm_runs_with_many_blocks(monkeypatch):
@@ -156,6 +169,51 @@ def test_marches_agree_on_fbm_runs_with_many_blocks(monkeypatch):
             m.setattr(_kernels, "load", lambda: None)
             assert outcome(u0, cfg, (0.0, 0.1, 0.2), True) == compiled
         assert np.frombuffer(compiled[0]).size > 3 * 64
+
+
+CLONES = '__attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))'
+
+
+@pytest.mark.parametrize("level, feature", [("x86-64", None), ("x86-64-v3", "X86_V3"),
+                                            ("x86-64-v4", "X86_V4")])
+def test_each_clone_level_marches_the_numpy_bits(level, feature, tmp_path, monkeypatch,
+                                                  fresh_loader):
+    # the library built from a copy of _march.c without clones, for one level only:
+    # the code each clone runs, and the code of a build off x86-64
+    compiled_march()
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu_features
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__ as cpu_features
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("the levels are x86-64's")
+    if feature is not None and not cpu_features.get(feature):
+        pytest.skip(f"this CPU cannot run {level} code")
+    source = Path(_kernels.__file__).with_name("_march.c").read_text()
+    assert source.count(CLONES) == 1
+    (tmp_path / "_march.c").write_text(source.replace(CLONES, ""))
+    monkeypatch.setattr(_kernels, "__file__", str(tmp_path / "_kernels.py"))
+    monkeypatch.setattr(_kernels, "_FLAGS", (*_kernels._FLAGS, f"-march={level}"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    _kernels.load.cache_clear()
+    lib = _kernels.load()
+    assert lib is not None and lib._name.startswith(str(tmp_path / "cache"))
+
+    rng = np.random.default_rng(18)
+    specials = np.array([*SPECIAL, np.nan, np.inf, -np.inf])
+    for n in [1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 129, 1000]:
+        for scale in (1e-300, 1.0, 1e3):
+            v = rng.standard_normal(n) * scale
+            # a tenth of the cells signed zeros, subnormals, and inf and nan at 1e3
+            spots = rng.random(n) < 0.1
+            v[spots] = rng.choice(specials[:-3] if scale < 1e3 else specials, spots.sum())
+            for kind, spec in PAIRS:
+                numflux = NumericalFluxSpec(kind, 0.3 if kind is NumFluxKind.LAX_FRIEDRICHS
+                                            else None)
+                for boundary in Boundary:
+                    cfg = SchemeConfig(spec, numflux, t_final=1.0, boundary=boundary)
+                    compiled, numpy_bits = march_bits(v, 5, 0.4, numflux, cfg)
+                    assert compiled == numpy_bits, (level, n, scale, kind, spec, boundary)
 
 
 @pytest.mark.parametrize("periodic", [False, True])
