@@ -67,7 +67,7 @@ def load():
     signatures = {
         "march": ((ptr, ptr, i64, i64, i32, i32, i32, f64, f64, ptr), None),
         "variation": ((ptr, i64, i32), f64),
-        "uniforms": ((ptr, ptr, i64), None),
+        "uniforms": ((ctypes.c_uint64, ptr, i64), ctypes.c_uint64),
         "displace": ((ptr, i64, i64, ptr, ptr, f64), None),
         "cell_means": ((ptr, ptr, i64, i64), None),
     }

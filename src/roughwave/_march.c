@@ -7,7 +7,9 @@ order, so the bits are the same.
 Each step of the march fills the two ghost cells, evaluates the numerical flux at
 every face and writes v - ratio * (F[i+1] - F[i]) with the operations, and their
 order, of ``solver._advance`` and ``flux.numerical_flux``, so the bits are those of
-the numpy march.  numpy's NaN-propagating maximum and minimum are written out.
+the numpy march; a block of steps leaves its state in the first of its two buffers,
+where the numpy march keeps it.  Rusanov and Lax-Friedrichs are one template each
+over the law's f.  numpy's NaN-propagating maximum and minimum are written out.
 Built with ``gcc -O3 -ffp-contract=off -mprefer-vector-width=512 -shared -fPIC``: a
 contracted multiply-add would round once where numpy rounds twice.  The step and
 pairwise-sum templates have one clone per x86-64 level, picked when the library
@@ -16,8 +18,8 @@ order of every floating-point operation.
 */
 
 #include <math.h>
-#include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #if defined(__x86_64__) && __GNUC__ >= 11 /* the x86-64-v3 and -v4 names */
 #define CLONES __attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))
@@ -34,6 +36,7 @@ static inline double np_minimum(double x, double y) { return (x <= y || isnan(x)
 
 static inline double burgers(double u) { return (0.5 * u) * u; }
 static inline double cubic(double u) { return ((u * u) * u) / 3.0; }
+static inline double linear(double u) { return u; }
 
 /* F(a, b) of each pair; two_lam is 2 * lam, read by Lax-Friedrichs only */
 static inline double godunov_burgers(double a, double b, double two_lam)
@@ -48,41 +51,12 @@ static inline double engquist_osher_burgers(double a, double b, double two_lam)
 }
 
 static inline double cubic_of_a(double a, double b, double two_lam) { return cubic(a); }
-
 static inline double linear_of_a(double a, double b, double two_lam) { return a; }
 
-static inline double rusanov_burgers(double a, double b, double two_lam)
-{
-    double half_s = 0.5 * np_maximum(fabs(a), fabs(b));
-    return 0.5 * (burgers(a) + burgers(b)) - half_s * (b - a);
-}
-
-static inline double rusanov_cubic(double a, double b, double two_lam)
-{
-    double aa = a * a, bb = b * b;
-    double half_s = 0.5 * np_maximum(aa, bb);
-    return 0.5 * ((aa * a) / 3.0 + (bb * b) / 3.0) - half_s * (b - a);
-}
-
-static inline double rusanov_linear(double a, double b, double two_lam)
-{
-    return 0.5 * (a + b) - 0.5 * (b - a);
-}
-
-static inline double lax_friedrichs_burgers(double a, double b, double two_lam)
-{
-    return 0.5 * (burgers(a) + burgers(b)) - (b - a) / two_lam;
-}
-
-static inline double lax_friedrichs_cubic(double a, double b, double two_lam)
-{
-    return 0.5 * (cubic(a) + cubic(b)) - (b - a) / two_lam;
-}
-
-static inline double lax_friedrichs_linear(double a, double b, double two_lam)
-{
-    return 0.5 * (a + b) - (b - a) / two_lam;
-}
+/* Rusanov's endpoint speed s = max(|f'(a)|, |f'(b)|) of each law */
+static inline double burgers_speed(double a, double b) { return np_maximum(fabs(a), fabs(b)); }
+static inline double cubic_speed(double a, double b) { return np_maximum(a * a, b * b); }
+static inline double linear_speed(double a, double b) { return 1.0; }
 
 typedef void step_fn(const double *w, double *out, int64_t n, double ratio, double two_lam);
 
@@ -103,12 +77,24 @@ STEP(godunov_burgers)
 STEP(engquist_osher_burgers)
 STEP(cubic_of_a)
 STEP(linear_of_a)
-STEP(rusanov_burgers)
-STEP(rusanov_cubic)
-STEP(rusanov_linear)
-STEP(lax_friedrichs_burgers)
-STEP(lax_friedrichs_cubic)
-STEP(lax_friedrichs_linear)
+
+/* Rusanov and Lax-Friedrichs, one template each over the law's f */
+#define RUSANOV_AND_LAX_FRIEDRICHS(LAW)                                              \
+    static inline double rusanov_##LAW(double a, double b, double two_lam)           \
+    {                                                                                \
+        double half_s = 0.5 * LAW##_speed(a, b);                                     \
+        return 0.5 * (LAW(a) + LAW(b)) - half_s * (b - a);                           \
+    }                                                                                \
+    static inline double lax_friedrichs_##LAW(double a, double b, double two_lam)    \
+    {                                                                                \
+        return 0.5 * (LAW(a) + LAW(b)) - (b - a) / two_lam;                          \
+    }                                                                                \
+    STEP(rusanov_##LAW)                                                              \
+    STEP(lax_friedrichs_##LAW)
+
+RUSANOV_AND_LAX_FRIEDRICHS(burgers)
+RUSANOV_AND_LAX_FRIEDRICHS(cubic)
+RUSANOV_AND_LAX_FRIEDRICHS(linear)
 
 static step_fn *const STEPS[N_KINDS][N_LAWS] = {
     [GODUNOV] = {step_godunov_burgers, step_cubic_of_a, step_linear_of_a},
@@ -165,13 +151,14 @@ double variation(const double *v, int64_t n, int periodic)
     return tv;
 }
 
-/* ``steps`` steps from the state w[1..n] of two (n + 2)-cell buffers, alternating:
-   the state ends in ``w`` if ``steps`` is even, else in ``w_next``.  ``tv``, if not
-   NULL, receives the variation after each step. */
+/* ``steps`` steps from the state w[1..n] of two (n + 2)-cell buffers, alternating
+   between them; after an odd count the last state is copied back, so the state always
+   ends in w[1..n].  ``tv``, if not NULL, receives the variation after each step. */
 void march(double *w, double *w_next, int64_t n, int64_t steps, int kind, int law,
            int periodic, double ratio, double two_lam, double *tv)
 {
     step_fn *step = STEPS[kind][law];
+    double *state = w;
     for (int64_t s = 0; s < steps; s++) {
         w[0] = periodic ? w[n] : w[1];
         w[n + 1] = periodic ? w[1] : w[n];
@@ -182,6 +169,8 @@ void march(double *w, double *w_next, int64_t n, int64_t steps, int kind, int la
         w = w_next;
         w_next = swap;
     }
+    if (w != state)
+        memcpy(state + 1, w + 1, (size_t)n * sizeof *w);
 }
 
 /* mesh._cell_means: out[i] = the mean of v[i * factor .. (i + 1) * factor), as numpy's
@@ -194,12 +183,11 @@ void cell_means(const double *v, double *out, int64_t rows, int64_t factor)
 }
 
 /* The first half of a draw chunk of initial_data._midpoint_points: the ``count``
-   uniforms of SplitMix64.normals from the stream at *state, u = (u64 >> 11) * 2^-53
-   with a zero draw made 2^-53, each angle slot (odd index) times 2 pi.  *state is
-   advanced past them. */
-void uniforms(uint64_t *state, double *z, int64_t count)
+   uniforms of SplitMix64.normals from the stream at state ``s``, u = (u64 >> 11) *
+   2^-53 with a zero draw made 2^-53, each angle slot (odd index) times 2 pi.  Returns
+   the state past them. */
+uint64_t uniforms(uint64_t s, double *z, int64_t count)
 {
-    uint64_t s = *state;
     for (int64_t i = 0; i < count; i++) {
         uint64_t x = s += 0x9E3779B97F4A7C15u;
         x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9u;
@@ -209,7 +197,7 @@ void uniforms(uint64_t *state, double *z, int64_t count)
         u = u > 0x1p-53 ? u : 0x1p-53;
         z[i] = i % 2 ? u * (2.0 * 3.141592653589793) : u;
     }
-    *state = s;
+    return s;
 }
 
 /* The second half, after numpy has put log(u) in the even slots of z, sin(angle) in

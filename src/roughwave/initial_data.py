@@ -124,7 +124,7 @@ def _midpoint_points(hurst: float, level_k: int, rng: SplitMix64) -> np.ndarray:
     pts[n >> 1] = 0.5 * pts[n] + _midpoint_scale(hurst, 0) * noise
     lib = _kernels.load()
     if lib is not None:  # the buffers of the compiled draw, reused by every chunk
-        z, state = np.empty(min(n >> 1, _DRAW_CHUNK)), np.empty(1, np.uint64)
+        z = np.empty(min(n >> 1, _DRAW_CHUNK))
         cos = np.empty(z.size >> 1)
     for level in range(1, level_k):
         stride = n >> level
@@ -141,9 +141,7 @@ def _midpoint_points(hurst: float, level_k: int, rng: SplitMix64) -> np.ndarray:
                 mid += noise
             else:  # the same draw and update: two C calls around numpy's log, cos, sin
                 chunk = z[:mid.size]
-                state[0] = rng.state
-                lib.uniforms(state.ctypes.data, chunk.ctypes.data, chunk.size)
-                rng.state = int(state[0])
+                rng.state = lib.uniforms(rng.state, chunk.ctypes.data, chunk.size)
                 _log_cos_sin(chunk, cos[:chunk.size >> 1])
                 lib.displace(pts.ctypes.data + a * stride * pts.itemsize, stride, chunk.size,
                              chunk.ctypes.data, cos.ctypes.data, scale)

@@ -115,20 +115,20 @@ def _advance(v: np.ndarray, ratio: float, numflux: NumericalFluxSpec,
 
 def _numpy_march(cells: np.ndarray, count: int, ratio: float, numflux: NumericalFluxSpec,
                  config: SchemeConfig, tv: Optional[np.ndarray]) -> None:
-    """``count`` steps of ``_advance`` from the state ``cells[0, 1:-1]`` into the rows of
-    ``cells`` alternately, ending in ``cells[count % 2]``, and the TV of each new state
-    into ``tv`` if given."""
+    """``count`` steps of ``_advance`` on the state ``cells[0, 1:-1]``, in place, and the
+    TV of each new state into ``tv`` if given."""
     periodic = config.boundary is Boundary.PERIODIC
+    v = cells[0, 1:-1]
     for s in range(count):
-        v = cells[(s + 1) % 2, 1:-1]
-        v[...] = _advance(cells[s % 2, 1:-1], ratio, numflux, config)
+        v[...] = _advance(v, ratio, numflux, config)
         if tv is not None:
             tv[s] = _variation(v, periodic)
 
 
 def _compiled_march(cells: np.ndarray, count: int, ratio: float, numflux: NumericalFluxSpec,
                     config: SchemeConfig, tv: Optional[np.ndarray]) -> None:
-    """``_numpy_march`` in one call of the C ``march``, with the same bits."""
+    """``_numpy_march`` in one call of the C ``march``, with the same bits; row 1 of
+    ``cells`` is its second buffer."""
     two_lam = 2.0 * numflux.lam if numflux.kind is NumFluxKind.LAX_FRIEDRICHS else 0.0
     _kernels.load().march(cells[0].ctypes.data, cells[1].ctypes.data, cells.shape[1] - 2,
                           count, _KINDS.index(numflux.kind), _LAWS.index(config.flux),
@@ -180,12 +180,13 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
     Snapshots are recorded at the first time point at or after each requested
     time (``snapshot_times=evolve(initial, config).times`` keeps every step), and
     ``track_tv`` fills ``per_step_tv``.
-    The steps run in blocks on one (2, n + 2) state array, through the compiled
-    march if ``_kernels.load`` finds it and through ``_advance`` otherwise, with the
-    same bits; a block of odd length swaps the rows.  Each state handed
-    out, and the state at every 64th time point, is checked: a non-finite cell
-    raises FloatingPointError naming the step (none is missed: each update
-    subtracts from a cell's own value).
+    The steps run in blocks, through the compiled march if ``_kernels.load`` finds
+    it and through ``_advance`` otherwise, with the same bits; each block leaves its
+    state in row 0 of one (2, n + 2) array.  A block ends at every 64th time point,
+    at each snapshot and before a short last step, and the state at each block end
+    is exposed and checked: a non-finite cell raises FloatingPointError naming the
+    step (none is missed: each update subtracts from a cell's own value).  ``final``
+    is the last exposed state.
     """
     pending = [float(t) for t in snapshot_times]
     _check_snapshot_times(pending, config.t_final)
@@ -220,21 +221,15 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
     snaps = [Snapshot(0.0, initial) for s in snap_steps if s == 0]
 
     march = _numpy_march if _kernels.load() is None else _compiled_march
-    state, done = initial, 0  # the current state as a CellField, or None until exposed
+    state, done = initial, 0
     with np.errstate(invalid="ignore", over="ignore"):
         for stop in sorted(s for s in ends if 0 < s <= n_steps):
             count, ratio = stop - done, (dt_last if stop == n_steps else dt) / dx
             march(cells, count, ratio, numflux, config,
                   None if tv is None else tv[done + 1:stop + 1])
-            if count % 2:
-                cells = cells[::-1]
-            done, state = stop, None
-            if (stop + 1) % 64 == 0:  # a blow-up raises within 64 steps
-                state = _expose(grid, cells[0, 1:-1], dt, stop)
+            done, state = stop, _expose(grid, cells[0, 1:-1], dt, stop)
             while len(snaps) < len(snap_steps) and snap_steps[len(snaps)] == stop:
-                state = state if state is not None else _expose(grid, cells[0, 1:-1], dt, stop)
                 snaps.append(Snapshot(float(times[stop]), state))
 
-    final = state if state is not None else _expose(grid, cells[0, 1:-1], dt, n_steps)
     return Trajectory(times=times, snapshots=tuple(snaps), per_step_tv=tv, dt_used=dt,
-                      final=final)
+                      final=state)

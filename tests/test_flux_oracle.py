@@ -1,8 +1,5 @@
 """``numerical_flux`` and ``flux_value`` pinned to a reference transcription.
 
-The file keeps its name from the flux workspace the solver once evaluated
-into; the workspace is gone, and the plain expressions are what is pinned.
-
 - ``numerical_flux`` and the reference expressions below (the oracle) give the
   same bits for all 13 (numflux, law) pairs, on signed zeros, subnormals,
   values whose squares and cubes overflow, and mixed signs, with the kernel's

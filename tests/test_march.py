@@ -3,7 +3,8 @@
 - For all 13 (numflux, law) pairs under both boundaries, ``evolve`` gives the
   same bits under both marches: time points, final state, every snapshot and
   the per-step TV, or the same exception.  On states that hold inf and nan,
-  the two block marches leave the same cells inf and nan.  The data hold signed zeros,
+  the two block marches leave the same cells inf and nan, in row 0 of the state
+  array after odd and even step counts alike.  The data hold signed zeros,
   subnormals and magnitudes up to 1e150; runs end on a short last step or on a
   whole one, snapshots fall on 64-step block ends, and t_final can be 0.  The
   states have 1-1,001 cells, so that they fill the vectors of each clone and
@@ -15,6 +16,9 @@
 - The C cell means equal ``values.reshape(-1, factor).mean(axis=1)`` byte for
   byte, on signed zeros, subnormals and magnitudes from 1e-300 to 1e300, for
   factors 1-4096 and for many rows of 2-128 cells.
+- The C uniforms of a draw chunk equal ``SplitMix64``'s, zero draws included,
+  and return the stream's state past them.
+- ``_march.c`` builds with ``-Wall -Wextra -Werror`` (unused parameters aside).
 - Without a compiler, or without a writable cache, ``evolve``, the fBm draw and
   the restriction run their numpy code with the same bits, and the manifest says
   so; two processes building into one empty cache both succeed and leave one
@@ -24,6 +28,7 @@
 import json
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -52,6 +57,7 @@ from roughwave import (
 )
 from roughwave.cli import run
 from roughwave.diagnostics import _variation
+from roughwave.initial_data import GOLDEN_GAMMA, SplitMix64
 
 PAIRS = [
     (kind, spec)
@@ -129,8 +135,8 @@ def canonical_bits(x):
 
 
 def march_bits(v, count, ratio, numflux, cfg):
-    """The canonical bits of the state and of the TV after ``count`` steps from ``v``,
-    by the compiled march and by the numpy march."""
+    """The canonical bits of the state (row 0 of ``cells``) and of the TV after
+    ``count`` steps from ``v``, by the compiled march and by the numpy march."""
     results = []
     for march in (solver._compiled_march, solver._numpy_march):
         cells = np.empty((2, v.size + 2))
@@ -138,7 +144,7 @@ def march_bits(v, count, ratio, numflux, cfg):
         tv = np.empty(count)
         with np.errstate(invalid="ignore", over="ignore"):
             march(cells, count, ratio, numflux, cfg, tv)
-        results.append([canonical_bits(x) for x in (cells[count % 2, 1:-1], tv)])
+        results.append([canonical_bits(x) for x in (cells[0, 1:-1], tv)])
     return results
 
 
@@ -259,6 +265,36 @@ def test_c_cell_means_equal_numpy_mean(shape, seed, scale, spots):
     out = np.empty(rows)
     cell_means(v.ctypes.data, out.ctypes.data, rows, factor)
     assert out.tobytes() == v.reshape(-1, factor).mean(axis=1).tobytes()
+
+
+# seeds whose stream draws a zero word, and its slot: from -gamma (mod 2^64) the first
+# word is 0, from -2 gamma the second, an angle slot
+ZERO_SLOTS = {-GOLDEN_GAMMA % 2**64: 0, -2 * GOLDEN_GAMMA % 2**64: 1}
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 2**15 + 1])
+@pytest.mark.parametrize("seed", [0, 2024, 2**64 - 1, *ZERO_SLOTS])
+def test_c_uniforms_return_the_stream_state_and_numpy_uniforms(seed, count):
+    uniforms = compiled_march().uniforms
+    rng = SplitMix64(seed)
+    words = rng.u64(count)
+    z = np.empty(count)
+    assert uniforms(seed, z.ctypes.data, count) == rng.state
+    if ZERO_SLOTS.get(seed, count) < count:
+        assert words[ZERO_SLOTS[seed]] == 0
+    u = np.maximum((words >> np.uint64(11)).astype(np.float64) * 2.0**-53, 2.0**-53)
+    u[1::2] *= 2.0 * np.pi
+    assert z.tobytes() == u.tobytes()
+
+
+def test_march_c_builds_without_warnings(tmp_path):
+    if shutil.which("gcc") is None:
+        pytest.skip("no C compiler")
+    source = Path(_kernels.__file__).with_name("_march.c")
+    strict = ("-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror")
+    build = subprocess.run(["gcc", *_kernels._FLAGS, *strict, "-o", str(tmp_path / "march.so"),
+                            str(source)], capture_output=True, text=True)
+    assert build.returncode == 0, build.stderr
 
 
 @pytest.fixture
