@@ -28,8 +28,8 @@ from pathlib import Path
 
 from . import __version__
 from ._kernels import march_name
-from .experiments import (STUDIES, StudyConfig, StudyResult, check_study, config_from_dict,
-                          run_samples_parallel)
+from .experiments import (STUDIES, StudyConfig, StudyResult, _CellRows, check_study,
+                          config_from_dict, run_samples_parallel)
 from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind, check_monotone
 from .initial_data import SplitMix64
 from .solver import Boundary
@@ -164,20 +164,42 @@ def write_csv(result: StudyResult, path) -> None:
     """Write the result table as CSV (LF newlines, shortest round-trip floats).
 
     Rows are formatted a column at a time, ``_CHUNK_ROWS`` at once, and each
-    chunk is streamed into an ``_atomic_file``.  Labels are written verbatim
-    and ``None`` as an empty cell; a label that would need quoting (``,``,
-    ``"``, CR or LF), a table of one column and a row of the wrong length
-    raise ValueError.
+    chunk is streamed into an ``_atomic_file``.  A per-cell table (``_CellRows``)
+    is written a block at a time: its labels formatted once, ``x`` once per
+    distinct grid of the call and ``u`` ``_CHUNK_ROWS`` cells at once.  Labels
+    are written verbatim and ``None`` as an empty cell; a label that would need
+    quoting (``,``, ``"``, CR or LF), a table of one column and a row of the
+    wrong length raise ValueError.
     """
     names, rows = result.columns, result.rows
     if len(names) < 2:
         raise ValueError(f"a CSV table needs at least two columns, got {names}")
     with _atomic_file(path) as fh:
         fh.write((",".join(_format_column("header", names)) + "\n").encode())
-        for i in range(0, len(rows), _CHUNK_ROWS):
-            columns = zip(*rows[i:i + _CHUNK_ROWS], strict=True)
-            cells = [_format_column(n, c) for n, c in zip(names, columns, strict=True)]
-            fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
+        if isinstance(rows, _CellRows):
+            _write_blocks(fh, names, rows.blocks)
+        else:
+            for i in range(0, len(rows), _CHUNK_ROWS):
+                columns = zip(*rows[i:i + _CHUNK_ROWS], strict=True)
+                cells = [_format_column(n, c) for n, c in zip(names, columns, strict=True)]
+                fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
+
+
+def _write_blocks(fh, names, blocks):
+    """The rows of ``_CellBlock``s: each line is the block's label prefix, then
+    the cell's ``x`` and ``u``."""
+    x_text = {}
+    for labels, grid, values in blocks:
+        if len(labels) + 2 != len(names):
+            raise ValueError(f"a block of {len(labels)} labels for the columns {names}")
+        prefix = "".join(_format_column(n, [label])[0] + "," for n, label in zip(names, labels))
+        if grid not in x_text:
+            x_text[grid] = list(map(float.__repr__, grid.cell_midpoints().tolist()))
+        xs, joint = x_text[grid], "\n" + prefix
+        for i in range(0, grid.n_cells, _CHUNK_ROWS):
+            u = map(float.__repr__, values[i:i + _CHUNK_ROWS].tolist())
+            lines = map(",".join, zip(xs[i:i + _CHUNK_ROWS], u))
+            fh.write((prefix + joint.join(lines) + "\n").encode())
 
 
 def _selfcheck(out) -> int:

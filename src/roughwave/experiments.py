@@ -8,17 +8,22 @@ at the reference resolution and restrict it to the coarse grids, so all
 resolutions see the same realization, while ``solve`` and ``fbm`` draw it
 directly at each level.  Rows are assembled in a fixed (hurst, sample, k)
 order and per-sample seeds are derived deterministically, which makes results
-bit-identical regardless of the worker count.
+bit-identical regardless of the worker count.  The two per-cell tables
+(``solve``, ``fbm``) stay arrays, one ``_CellBlock`` per level or frame, and
+their ``StudyResult.rows`` is a read-only ``_CellRows`` view of those blocks.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
+import operator
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -33,7 +38,7 @@ from .diagnostics import (
 )
 from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind
 from .initial_data import MAX_LEVEL, _unit_path, fbm_initial_field, sample_seed
-from .mesh import CellField, _cell_means, make_grid
+from .mesh import CellField, Grid, _cell_means, make_grid
 from .solver import Boundary, SchemeConfig, _check_snapshot_times, evolve
 
 
@@ -82,11 +87,59 @@ class StudyConfig:
         _check_snapshot_times(self.snapshot_times, self.t_final)
 
 
+class _CellBlock(NamedTuple):
+    """The rows of one level or frame of a per-cell table: ``(*labels, x, u)``
+    for each cell, with ``x`` the cell midpoints of ``grid`` and ``u`` ``values``."""
+
+    labels: tuple
+    grid: Grid
+    values: np.ndarray
+
+
+class _CellRows(Sequence):
+    """A read-only sequence of the row tuples of ``blocks``, the rows a per-cell
+    study's ``sample`` would have built one at a time: ``len``, indexing,
+    iteration and ``==`` with any sequence of rows behave as on that tuple."""
+
+    def __init__(self, blocks):
+        self.blocks = tuple(blocks)
+        for block in self.blocks:
+            block.values.setflags(write=False)  # a worker's blocks arrive writable
+        self._starts = [0, *itertools.accumulate(b.grid.n_cells for b in self.blocks)]
+
+    def __len__(self):
+        return self._starts[-1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("row index out of range")
+        b = bisect.bisect_right(self._starts, i) - 1
+        labels, grid, values = self.blocks[b]
+        j = i - self._starts[b]
+        # the two roundings of Grid.cell_midpoints, on one cell
+        return (*labels, grid.x_left + (j + 0.5) * grid.dx, float(values[j]))
+
+    def __iter__(self):
+        for labels, grid, values in self.blocks:
+            yield from zip(*(itertools.repeat(label, grid.n_cells) for label in labels),
+                           grid.cell_midpoints().tolist(), values.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
 @dataclass(frozen=True)
 class StudyResult:
     study: str
     columns: Tuple[str, ...]
-    rows: Tuple[tuple, ...]
+    rows: Sequence[tuple]
     metadata: dict
 
 
@@ -187,25 +240,16 @@ def _solve_sample(cfg, hurst, sample):
     for snap in traj.snapshots:
         frames.setdefault(snap.time, snap.field)
     frames.setdefault(float(traj.times[-1]), traj.final)
-    rows = []
-    for t, field in frames.items():
-        rows.extend(_cell_rows(("solve", hurst, sample, k, float(t)), field))
-    return rows
+    return [_CellBlock(("solve", hurst, sample, k, float(t)), field.grid, field.values)
+            for t, field in frames.items()]
 
 
 def _fbm_sample(cfg, hurst, sample):
-    rows = []
+    blocks = []
     for k in cfg.resolutions:
         field = _field(cfg, hurst, sample, k)
-        rows.extend(_cell_rows(("fbm", hurst, sample, k), field))
-    return rows
-
-
-def _cell_rows(labels, field):
-    """One row per cell, built in C: the labels, the cell midpoint, the value."""
-    n, mids = field.grid.n_cells, field.grid.cell_midpoints()
-    return zip(*(itertools.repeat(label, n) for label in labels), mids.tolist(),
-               field.values.tolist())
+        blocks.append(_CellBlock(("fbm", hurst, sample, k), field.grid, field.values))
+    return blocks
 
 
 def _converge_sample(cfg, hurst, sample):
@@ -306,10 +350,11 @@ class Study:
     """One study of ``STUDIES``.
 
     ``sample(cfg, hurst, sample)`` returns the rows of one task and nothing
-    else; ``ensemble(cfg, hurst, rows)`` reads the rows of one Hurst exponent's
-    block and returns the rows that close it; ``check(cfg)`` raises ValueError
-    for a config the study cannot run; ``tasks(cfg)`` lists the (hurst, sample)
-    tasks, grouped by Hurst exponent in config order.
+    else, or with ``cells`` its ``_CellBlock`` list; ``ensemble(cfg, hurst,
+    rows)`` reads the rows of one Hurst exponent's block and returns the rows
+    that close it; ``check(cfg)`` raises ValueError for a config the study
+    cannot run; ``tasks(cfg)`` lists the (hurst, sample) tasks, grouped by
+    Hurst exponent in config order.
     """
 
     columns: Tuple[str, ...]
@@ -318,6 +363,7 @@ class Study:
     check: Callable[[StudyConfig], None] = lambda cfg: None
     tasks: Callable[[StudyConfig], list] = lambda cfg: [
         (h, s) for h in cfg.hurst_list for s in range(cfg.n_samples)]
+    cells: bool = False
 
 
 _KEY = ("study", "hurst", "sample", "k")
@@ -326,8 +372,8 @@ _KEY = ("study", "hurst", "sample", "k")
 # module's ``total_variation`` or ``lip_plus`` (a profiler's) sees each call.
 STUDIES: dict[str, Study] = {
     "solve": Study((*_KEY, "time", "x", "u"), _solve_sample,
-                   tasks=lambda cfg: [(cfg.hurst_list[0], 0)]),
-    "fbm": Study((*_KEY, "x", "u"), _fbm_sample),
+                   tasks=lambda cfg: [(cfg.hurst_list[0], 0)], cells=True),
+    "fbm": Study((*_KEY, "x", "u"), _fbm_sample, cells=True),
     "converge": Study((*_KEY, "dx", "l1_error", "rate_pairwise", "rate_regression"),
                       _converge_sample, _converge_ensemble),
     "tvscale": Study((*_KEY, "dx", "tv", "slope"),
@@ -363,8 +409,8 @@ def _run_one(study: str, cfg: StudyConfig, task: Tuple[float, int]):
 
 
 def _assemble(spec: Study, cfg: StudyConfig, done) -> list:
-    """Rows of the ``(task, rows)`` pairs in task order, each Hurst block closed
-    by the ensemble rows read from that block's rows.
+    """Rows (a per-cell study's blocks) of the ``(task, rows)`` pairs in task
+    order, each Hurst block closed by the ensemble rows read from that block's rows.
 
     The pairs are consumed one at a time and nothing refers to them once this
     returns, so each task's row list is freed once copied.
@@ -399,4 +445,5 @@ def run_samples_parallel(study: str, cfg: StudyConfig, workers: int = 1) -> Stud
         "config": config_to_dict(cfg),
         "sample_seeds": [sample_seed(cfg.base_seed, s) for s in sorted({s for _, s in tasks})],
     }
-    return StudyResult(study=study, columns=spec.columns, rows=tuple(rows), metadata=metadata)
+    rows = _CellRows(rows) if spec.cells else tuple(rows)
+    return StudyResult(study=study, columns=spec.columns, rows=rows, metadata=metadata)

@@ -327,3 +327,82 @@ def test_converge_errors_mostly_decrease_with_resolution():
             total += 1
             good += a >= b
     assert good / total >= 0.9
+
+
+def _cell_rows_by_hand(study, cfg):
+    """The row tuples of a per-cell study, built one cell at a time from
+    ``fbm_initial_field`` and ``evolve``."""
+    from roughwave import SchemeConfig, evolve, fbm_initial_field, make_grid
+
+    def cells(labels, field):
+        return [(*labels, float(x), float(u))
+                for x, u in zip(field.grid.cell_midpoints(), field.values)]
+
+    rows = []
+    if study == "fbm":
+        for h in cfg.hurst_list:
+            for s in range(cfg.n_samples):
+                for k in cfg.resolutions:
+                    grid, seed = make_grid(0, 1, 1 << k), sample_seed(cfg.base_seed, s)
+                    rows += cells(("fbm", h, s, k), fbm_initial_field(h, grid, seed))
+        return rows
+    h, k = cfg.hurst_list[0], cfg.resolutions[0]
+    u0 = fbm_initial_field(h, make_grid(0, 1, 1 << k), sample_seed(cfg.base_seed, 0))
+    scheme = SchemeConfig(cfg.equation, cfg.numflux, t_final=cfg.t_final, cfl=cfg.cfl)
+    traj = evolve(u0, scheme, snapshot_times=cfg.snapshot_times)
+    frames = {0.0: u0}
+    for snap in traj.snapshots:
+        frames.setdefault(snap.time, snap.field)
+    frames.setdefault(float(traj.times[-1]), traj.final)
+    for t, field in frames.items():
+        rows += cells(("solve", h, 0, k, float(t)), field)
+    return rows
+
+
+@pytest.mark.parametrize("study", ["fbm", "solve"])
+def test_cell_rows_view_gives_the_row_tuples(study, tmp_path):
+    from roughwave.cli import write_csv
+
+    cfg = burgers_cfg(hurst_list=(0.25, 0.75), resolutions=(3, 5, 6), reference_exponent=7,
+                      t_final=0.25, snapshot_times=(0.125, 0.25))
+    expected = _cell_rows_by_hand(study, cfg)
+    serial = run_samples_parallel(study, cfg, workers=1)
+    parallel = run_samples_parallel(study, cfg, workers=2)
+    assert serial.rows == parallel.rows
+    assert serial == parallel
+    for res in (serial, parallel):
+        rows = res.rows
+        assert list(rows) == expected
+        assert rows == tuple(expected) and tuple(expected) == rows
+        assert [rows[i] for i in range(len(rows))] == expected
+        assert rows[-1] == expected[-1] and rows[-len(rows)] == expected[0]
+        assert rows[3:40:7] == tuple(expected[3:40:7])
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+        path = tmp_path / f"{study}.csv"
+        write_csv(res, path)
+        assert len(rows) == len(path.read_bytes().splitlines()) - 1
+    assert serial.rows != expected[:-1]
+    assert serial.rows != [*expected[:-1], (*expected[-1][:-1], expected[-1][-1] + 1.0)]
+    assert not serial.rows.blocks[0].values.flags.writeable
+    assert not parallel.rows.blocks[-1].values.flags.writeable
+
+
+def test_fbm_and_csv_peak_memory_stays_with_the_arrays(tmp_path):
+    """The fBm table and its CSV cost about the cells' arrays and the ``x``
+    text, not a tuple per cell (about 16 MiB for these 97,536 rows)."""
+    import tracemalloc
+
+    from roughwave.cli import write_csv
+
+    cfg = burgers_cfg(hurst_list=(0.25, 0.5, 0.75), resolutions=tuple(range(8, 15)),
+                      reference_exponent=15, n_samples=1)
+    run_samples_parallel("fbm", burgers_cfg(resolutions=(3,), reference_exponent=4))  # warm
+    tracemalloc.start()
+    try:
+        write_csv(run_samples_parallel("fbm", cfg), tmp_path / "fbm.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "fbm.csv").read_bytes().splitlines()) == 1 + 3 * ((1 << 15) - (1 << 8))
+    assert peak < 8 * 2**20

@@ -1,5 +1,6 @@
 """``write_csv`` against the csv-module writer it replaced, kept here as an
-oracle, and its failure modes: no partial files, no cell that would need
+oracle, on tables of row tuples and on the cell blocks of the per-cell
+studies, and its failure modes: no partial files, no cell that would need
 quoting, no ragged rows."""
 
 import csv
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughwave import StudyResult
+from roughwave import Grid, StudyResult
 from roughwave import cli
 from roughwave.cli import write_csv
+from roughwave.experiments import _CellBlock, _CellRows
 
 
 def _oracle_cell(value) -> str:
@@ -136,4 +138,78 @@ def test_ragged_and_one_column_tables_are_rejected(columns, rows, tmp_path):
     path = tmp_path / "r.csv"
     with pytest.raises(ValueError):
         write_csv(StudyResult("t", columns, rows, {}), path)
+    assert not list(tmp_path.iterdir())
+
+
+# left ends and widths whose midpoints cross repr's exponent switches at 1e-4 and 1e16
+GRIDS = st.builds(
+    lambda ends, n: Grid(*ends, n),
+    st.tuples(st.sampled_from([-0.0, 0.0, 1e-05, 0.5, -1e16, 9.99999999999998e15]),
+              st.sampled_from([2e-4, 1.0, 3.0, 64.0]))
+    .map(lambda lw: (lw[0], lw[0] + lw[1])).filter(lambda ends: ends[0] < ends[1]),
+    st.sampled_from([1, 3, 7, 12]),  # few lengths, so grids of one length but other ends meet
+)
+
+
+@st.composite
+def cell_tables(draw):
+    """(columns, blocks): blocks of one label count over a few shared grids."""
+    n_labels = draw(st.integers(0, 4))
+    grids = draw(st.lists(GRIDS, min_size=1, max_size=3))
+    blocks = []
+    for _ in range(draw(st.integers(0, 5))):
+        grid = draw(st.sampled_from(grids))
+        labels = draw(st.lists(ANY_CELL, min_size=n_labels, max_size=n_labels))
+        values = draw(st.lists(FLOATS, min_size=grid.n_cells, max_size=grid.n_cells))
+        blocks.append(_CellBlock(tuple(labels), grid, np.array(values)))
+    names = tuple(draw(st.lists(LABEL.filter(bool), min_size=n_labels + 2,
+                                max_size=n_labels + 2)))
+    return names, blocks
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(table=cell_tables(), chunk_rows=st.sampled_from([1, 2, 5, 4096]))
+def test_cell_blocks_match_csv_module_oracle(table, chunk_rows, tmp_path_factory):
+    columns, blocks = table
+    rows = _CellRows(blocks)
+    path = tmp_path_factory.getbasetemp() / "blocks.csv"
+    with mock.patch.object(cli, "_CHUNK_ROWS", chunk_rows):
+        write_csv(StudyResult("t", columns, rows, {}), path)
+    assert path.read_bytes() == oracle_csv(columns, list(rows))
+    assert repr([rows[i] for i in range(len(rows))]) == repr(list(rows))  # nan, -0.0 too
+
+
+def test_cell_blocks_match_oracle_on_signed_zeros_exponents_and_numpy_labels(tmp_path,
+                                                                               monkeypatch):
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 2)
+    columns = ("study", "hurst", "sample", "k", "x", "u")
+    values = np.array([-0.0, 1e-05, 0.0001, 1e16, 9.999999999999998e15])
+    blocks = [_CellBlock(("fbm", -0.0, np.int64(0), np.float64(3)), Grid(0.0, 2e-4, 5), values),
+              _CellBlock(("fbm", 0.5, 1, 3), Grid(0.0, 2e-4, 5), values[::-1]),
+              _CellBlock(("fbm", 0.5, 1, 4), Grid(9.99999999999998e15, 1.0000000000000002e16, 5),
+                         values)]
+    rows = _CellRows(blocks)
+    write_csv(StudyResult("fbm", columns, rows, {}), tmp_path / "b.csv")
+    text = (tmp_path / "b.csv").read_bytes()
+    assert text == oracle_csv(columns, list(rows))
+    assert b"\nfbm,-0.0,0.0,3.0,2e-05,-0.0\n" in text
+    assert b",9999999999999996.0,1e+16\nfbm,0.5,1,4,1e+16,9999999999999998.0\n" in text
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"])
+def test_cell_block_labels_that_need_quoting_are_rejected(char, tmp_path):
+    path = tmp_path / "q.csv"
+    grid, values = Grid(0.0, 1.0, 3), np.zeros(3)
+    rows = _CellRows([_CellBlock(("fbm", 0.5), grid, values),
+                      _CellBlock(("fbm", f"0{char}5"), grid, values)])
+    with pytest.raises(ValueError, match="column 'hurst'"):
+        write_csv(StudyResult("fbm", ("study", "hurst", "x", "u"), rows, {}), path)
+    assert not list(tmp_path.iterdir())
+
+
+def test_cell_blocks_of_the_wrong_width_are_rejected(tmp_path):
+    path = tmp_path / "r.csv"
+    rows = _CellRows([_CellBlock(("fbm", 0.5), Grid(0.0, 1.0, 2), np.zeros(2))])
+    with pytest.raises(ValueError, match="2 labels"):
+        write_csv(StudyResult("fbm", ("study", "x", "u"), rows, {}), path)
     assert not list(tmp_path.iterdir())
