@@ -4,8 +4,9 @@ persistence, and a self-check of the flux and PRNG contracts.
 ``roughwave <study> --config FILE --out DIR [--seed N] [--workers N]`` runs one
 study of ``experiments.STUDIES``; ``--seed`` replaces the config's base_seed and
 ``--workers`` (default 1) caps the process pool.  ``roughwave selfcheck`` takes
-no options.  Exit codes: 0 success, 1 invalid usage or configuration (nothing
-written), 2 runtime failure (this run leaves no output file).
+no options.  Exit codes: 0 success, 1 invalid usage or configuration or an
+``--out`` that cannot be made a directory (nothing written, no sample drawn), 2
+runtime failure (this run leaves no output file).
 
 Config files are line-oriented ``key = value`` text.  Recognized keys:
 equation, numflux, hurst, resolutions, reference_exponent, t_final, samples,
@@ -113,36 +114,23 @@ def parse_config(path) -> StudyConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return repr(float(value))
-
-
 _CHUNK_ROWS = 1 << 12
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-def _format_column(name, column):
-    """One column's cells as text: formatted once if they repeat one value,
-    else in one C-level pass if all are floats (numpy's float64 too), all
-    ints or all strs, else by ``_format_cell`` one at a time."""
-    first, kinds = column[0], set(map(type, column))
-    if len(kinds) == 1 and (first != 0 or kinds == {int}) and column.count(first) == len(column):
-        cells = [_format_cell(first)] * len(column)  # not for zero: -0.0 == 0.0
-    elif all(issubclass(kind, float) for kind in kinds):
-        return list(map(float.__repr__, column))
-    elif kinds == {int}:  # not bool, whose str() is 'True'
-        return list(map(int.__repr__, column))
-    else:
-        cells = column if kinds == {str} else list(map(_format_cell, column))
-    for bad in filter(_NEEDS_QUOTES.search, set(cells)):
-        raise ValueError(f"column {name!r}: cell {bad!r} would need CSV quoting")
-    return cells
+def _format_cell(name, value) -> str:
+    """One cell of column ``name``: ``None`` empty, a str verbatim (one that would
+    need CSV quoting raises ValueError), an int (bool too) by ``str``, anything
+    else by ``repr(float(value))``."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        if _NEEDS_QUOTES.search(value):
+            raise ValueError(f"column {name!r}: cell {value!r} would need CSV quoting")
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return repr(float(value))
 
 
 @contextmanager
@@ -163,26 +151,25 @@ def _atomic_file(path):
 def write_csv(result: StudyResult, path) -> None:
     """Write the result table as CSV (LF newlines, shortest round-trip floats).
 
-    Rows are formatted a column at a time, ``_CHUNK_ROWS`` at once, and each
-    chunk is streamed into an ``_atomic_file``.  A per-cell table (``_CellRows``)
-    is written a block at a time: its labels formatted once, ``x`` once per
-    distinct grid of the call and ``u`` ``_CHUNK_ROWS`` cells at once.  Labels
-    are written verbatim and ``None`` as an empty cell; a label that would need
-    quoting (``,``, ``"``, CR or LF), a table of one column and a row of the
-    wrong length raise ValueError.
+    Every cell goes through ``_format_cell`` and the text is streamed into an
+    ``_atomic_file``.  A table of row tuples is written a row at a time.  A
+    per-cell table (``_CellRows``) is written a block at a time: its labels
+    formatted once, ``x`` once per distinct grid of the call and ``u``
+    ``_CHUNK_ROWS`` cells at once.  A label that would need quoting (``,``,
+    ``"``, CR or LF), a table of one column and a row of the wrong length raise
+    ValueError.
     """
     names, rows = result.columns, result.rows
     if len(names) < 2:
         raise ValueError(f"a CSV table needs at least two columns, got {names}")
     with _atomic_file(path) as fh:
-        fh.write((",".join(_format_column("header", names)) + "\n").encode())
+        fh.write((",".join(_format_cell("header", n) for n in names) + "\n").encode())
         if isinstance(rows, _CellRows):
             _write_blocks(fh, names, rows.blocks)
         else:
-            for i in range(0, len(rows), _CHUNK_ROWS):
-                columns = zip(*rows[i:i + _CHUNK_ROWS], strict=True)
-                cells = [_format_column(n, c) for n, c in zip(names, columns, strict=True)]
-                fh.write(("\n".join(map(",".join, zip(*cells))) + "\n").encode())
+            for row in rows:
+                cells = (_format_cell(n, v) for n, v in zip(names, row, strict=True))
+                fh.write((",".join(cells) + "\n").encode())
 
 
 def _write_blocks(fh, names, blocks):
@@ -192,7 +179,7 @@ def _write_blocks(fh, names, blocks):
     for labels, grid, values in blocks:
         if len(labels) + 2 != len(names):
             raise ValueError(f"a block of {len(labels)} labels for the columns {names}")
-        prefix = "".join(_format_column(n, [label])[0] + "," for n, label in zip(names, labels))
+        prefix = "".join(_format_cell(n, label) + "," for n, label in zip(names, labels))
         if grid not in x_text:
             x_text[grid] = list(map(float.__repr__, grid.cell_midpoints().tolist()))
         xs, joint = x_text[grid], "\n" + prefix
@@ -270,11 +257,14 @@ def run(argv=None, out=None) -> int:
         if args.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {args.workers}")
 
+        out_dir = Path(args.out)
+        try:  # before the run, so an --out that cannot be a directory costs no samples
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {out_dir}: {exc}") from exc
+
         started = time.monotonic()
         result = run_samples_parallel(args.command, cfg, workers=args.workers)
-
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / f"{args.command}.csv"
         csv_placed = False
         try:  # the manifest's sibling opens first: a CSV goes only with its manifest

@@ -219,15 +219,17 @@ def _mean_std(values):
     return mean, std
 
 
-def _slope_row(study, hurst, sample, slope):
-    """A SLOPE row: its labels, a blank in every measured column, the slope last."""
+def _slope_row(study, hurst, sample, slope, label="SLOPE"):
+    """A summary row: ``label`` as its k, a blank in every measured column, the
+    slope last."""
     blanks = (None,) * (len(STUDIES[study].columns) - 5)
-    return (study, hurst, sample, "SLOPE", *blanks, slope)
+    return (study, hurst, sample, label, *blanks, slope)
 
 
-def _slope_ensemble(study, cfg, hurst, rows):
-    mean, std = _mean_std([slope for _, _, _, k, *_, slope in rows if k == "SLOPE"])
-    return [_slope_row(study, hurst, "MEAN", mean), _slope_row(study, hurst, "STD", std)]
+def _slope_ensemble(study, cfg, hurst, rows, label="SLOPE"):
+    mean, std = _mean_std([slope for _, _, _, k, *_, slope in rows if k == label])
+    return [_slope_row(study, hurst, "MEAN", mean, label),
+            _slope_row(study, hurst, "STD", std, label)]
 
 
 def _solve_sample(cfg, hurst, sample):
@@ -267,7 +269,7 @@ def _converge_sample(cfg, hurst, sample):
             rate = math.log(prev_err / err) / math.log(prev_dx / dx)
         rows.append(("converge", hurst, sample, k, float(dx), float(err), rate, None))
         points.append((dx, err))
-    rows.append(("converge", hurst, sample, "RATE", None, None, None, _slope_or_none(points)))
+    rows.append(_slope_row("converge", hurst, sample, _slope_or_none(points), "RATE"))
     return rows
 
 
@@ -279,11 +281,7 @@ def _converge_ensemble(cfg, hurst, rows):
         dx, l1_error, rate_pairwise = zip(*cells)
         mean_pw, _ = _mean_std(rate_pairwise)
         out.append(("converge", hurst, "MEAN", k, dx[0], float(np.mean(l1_error)), mean_pw, None))
-    mean, std = _mean_std([rate_regression for _, _, _, k, *_, rate_regression in rows
-                           if k == "RATE"])
-    out.append(("converge", hurst, "MEAN", "RATE", None, None, None, mean))
-    out.append(("converge", hurst, "STD", "RATE", None, None, None, std))
-    return out
+    return out + _slope_ensemble("converge", cfg, hurst, rows, "RATE")
 
 
 def _scaling_sample(study, measure, cfg, hurst, sample):
@@ -350,7 +348,7 @@ class Study:
     """One study of ``STUDIES``.
 
     ``sample(cfg, hurst, sample)`` returns the rows of one task and nothing
-    else, or with ``cells`` its ``_CellBlock`` list; ``ensemble(cfg, hurst,
+    else, or a per-cell study's ``_CellBlock`` list; ``ensemble(cfg, hurst,
     rows)`` reads the rows of one Hurst exponent's block and returns the rows
     that close it; ``check(cfg)`` raises ValueError for a config the study
     cannot run; ``tasks(cfg)`` lists the (hurst, sample) tasks, grouped by
@@ -363,7 +361,6 @@ class Study:
     check: Callable[[StudyConfig], None] = lambda cfg: None
     tasks: Callable[[StudyConfig], list] = lambda cfg: [
         (h, s) for h in cfg.hurst_list for s in range(cfg.n_samples)]
-    cells: bool = False
 
 
 _KEY = ("study", "hurst", "sample", "k")
@@ -372,8 +369,8 @@ _KEY = ("study", "hurst", "sample", "k")
 # module's ``total_variation`` or ``lip_plus`` (a profiler's) sees each call.
 STUDIES: dict[str, Study] = {
     "solve": Study((*_KEY, "time", "x", "u"), _solve_sample,
-                   tasks=lambda cfg: [(cfg.hurst_list[0], 0)], cells=True),
-    "fbm": Study((*_KEY, "x", "u"), _fbm_sample, cells=True),
+                   tasks=lambda cfg: [(cfg.hurst_list[0], 0)]),
+    "fbm": Study((*_KEY, "x", "u"), _fbm_sample),
     "converge": Study((*_KEY, "dx", "l1_error", "rate_pairwise", "rate_regression"),
                       _converge_sample, _converge_ensemble),
     "tvscale": Study((*_KEY, "dx", "tv", "slope"),
@@ -445,5 +442,5 @@ def run_samples_parallel(study: str, cfg: StudyConfig, workers: int = 1) -> Stud
         "config": config_to_dict(cfg),
         "sample_seeds": [sample_seed(cfg.base_seed, s) for s in sorted({s for _, s in tasks})],
     }
-    rows = _CellRows(rows) if spec.cells else tuple(rows)
+    rows = _CellRows(rows) if rows and isinstance(rows[0], _CellBlock) else tuple(rows)
     return StudyResult(study=study, columns=spec.columns, rows=rows, metadata=metadata)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from roughwave import Boundary, FluxSpec, NumFluxKind, StudyResult, config_from_dict
-from roughwave import SplitMix64, experiments, sample_seed
+from roughwave import SplitMix64, cli, experiments, sample_seed
 from roughwave.cli import ConfigError, parse_config, run, write_csv
 
 MINIMAL = """\
@@ -301,6 +301,22 @@ def test_bad_snapshot_times_exit_1_and_write_nothing(tmp_path, capsys, command, 
     assert "snapshot_times" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_out_that_cannot_be_a_directory_exits_1_before_any_sample(tmp_path, capsys,
+                                                                   monkeypatch, under):
+    def never(*args, **kwargs):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr(cli, "run_samples_parallel", never)
+    cfg = write(tmp_path, MINIMAL)
+    (tmp_path / "taken").write_bytes(b"a file\n")
+    out = tmp_path / "taken" / under
+    assert run(["tvscale", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "output directory" in capsys.readouterr().err
+    assert (tmp_path / "taken").read_bytes() == b"a file\n"
+    assert sorted(os.listdir(tmp_path)) == ["study.cfg", "taken"]
+
+
 def test_runtime_failure_exits_2(tmp_path, capsys, monkeypatch):
     def failing_evolve(*args, **kwargs):
         raise FloatingPointError("non-finite value in cell 3")
@@ -338,11 +354,3 @@ def test_unopenable_manifest_keeps_the_earlier_pair(tmp_path):
     assert run(["tvscale", "--config", str(cfg), "--out", str(out), "--seed", "5"]) == 2
     assert {name: (out / name).read_bytes() for name in before} == before
     assert not (out / "tvscale.csv.tmp").exists()
-
-
-def test_readme_example_config_parses(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-    cfg = parse_config(write(tmp_path, block, "readme.cfg"))
-    assert cfg.hurst_list == (0.25, 0.5, 0.75)
-    assert cfg.snapshot_times == (0.25, 0.5, 1.0)
