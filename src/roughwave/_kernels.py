@@ -65,7 +65,7 @@ def load():
         return None
     ptr, i64, i32, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_double
     signatures = {
-        "march": ((ptr, ptr, i64, i64, i32, i32, i32, f64, f64, ptr), None),
+        "march": ((ptr, i64, i64, i64, i32, i32, i32, f64, f64, ptr), i64),
         "variation": ((ptr, i64, i32), f64),
         "uniforms": ((ctypes.c_uint64, ptr, i64), ctypes.c_uint64),
         "displace": ((ptr, i64, i64, ptr, ptr, f64), None),

@@ -7,9 +7,12 @@ order, so the bits are the same.
 Each step of the march fills the two ghost cells, evaluates the numerical flux at
 every face and writes v - ratio * (F[i+1] - F[i]) with the operations, and their
 order, of ``solver._advance`` and ``flux.numerical_flux``, so the bits are those of
-the numpy march; a block of steps leaves its state in the first of its two buffers,
+the numpy march; a block of steps leaves its state in the first of its three rows,
 where the numpy march keeps it.  Rusanov and Lax-Friedrichs are one template each
-over the law's f.  numpy's NaN-propagating maximum and minimum are written out.
+over the law's f; the cubic f is evaluated once per cell, into the scratch row.
+numpy's NaN-propagating maximum and minimum are written out.  After every 64th time
+point the march checks, in a pass of its own, that the state is finite, and stops
+there if it is not, so that ``evolve`` returns to Python only where it reads a state.
 Built with ``gcc -O3 -ffp-contract=off -mprefer-vector-width=512 -shared -fPIC``: a
 contracted multiply-add would round once where numpy rounds twice.  The step and
 pairwise-sum templates have one clone per x86-64 level, picked when the library
@@ -17,6 +20,7 @@ loads, so that one cached library serves every CPU; their vector loops keep the
 order of every floating-point operation.
 */
 
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -53,48 +57,59 @@ static inline double engquist_osher_burgers(double a, double b, double two_lam)
 static inline double cubic_of_a(double a, double b, double two_lam) { return cubic(a); }
 static inline double linear_of_a(double a, double b, double two_lam) { return a; }
 
-/* Rusanov's endpoint speed s = max(|f'(a)|, |f'(b)|) of each law */
-static inline double burgers_speed(double a, double b) { return np_maximum(fabs(a), fabs(b)); }
-static inline double cubic_speed(double a, double b) { return np_maximum(a * a, b * b); }
-static inline double linear_speed(double a, double b) { return 1.0; }
+/* Rusanov's endpoint speed s = max(|f'(a)|, |f'(b)|) is the larger of each cell's */
+static inline double burgers_speed(double u) { return fabs(u); }
+static inline double cubic_speed(double u) { return u * u; }
+static inline double linear_speed(double u) { return 1.0; }
 
-typedef void step_fn(const double *w, double *out, int64_t n, double ratio, double two_lam);
+typedef void step_fn(const double *w, double *out, double *f, int64_t n, double ratio,
+                     double two_lam);
 
 /* out[1..n] = w[1..n] - (F[i] - F[i-1]) * ratio, face i between w[i] and w[i+1]: the
-   faces into out[0..n], then the update downward, reading out[i - 1] before it is
-   overwritten.  out[0] keeps a face: a ghost cell, refilled before it is read. */
-#define STEP(FLUX)                                                                   \
-    CLONES static void step_##FLUX(const double *restrict w, double *restrict out,   \
-                                   int64_t n, double ratio, double two_lam)          \
+   CELL pass over w[0..n+1] into the scratch row f, the faces into out[0..n], then the
+   update downward, reading out[i - 1] before it is overwritten.  out[0] keeps a face:
+   a ghost cell, refilled before it is read. */
+#define STEP(NAME, CELL, FACE)                                                       \
+    CLONES static void step_##NAME(const double *restrict w, double *restrict out,   \
+                                   double *restrict f, int64_t n, double ratio,      \
+                                   double two_lam)                                   \
     {                                                                                \
+        for (int64_t i = 0; i <= n + 1; i++) {                                       \
+            CELL;                                                                    \
+        }                                                                            \
         for (int64_t i = 0; i <= n; i++)                                             \
-            out[i] = FLUX(w[i], w[i + 1], two_lam);                                  \
+            out[i] = FACE;                                                           \
         for (int64_t i = n; i >= 1; i--)                                             \
             out[i] = w[i] - (out[i] - out[i - 1]) * ratio;                           \
     }
 
-STEP(godunov_burgers)
-STEP(engquist_osher_burgers)
-STEP(cubic_of_a)
-STEP(linear_of_a)
+/* a flux that evaluates each of its cells' terms once per face needs no cell pass */
+#define FACE_STEP(FLUX) STEP(FLUX, , FLUX(w[i], w[i + 1], two_lam))
 
-/* Rusanov and Lax-Friedrichs, one template each over the law's f */
-#define RUSANOV_AND_LAX_FRIEDRICHS(LAW)                                              \
-    static inline double rusanov_##LAW(double a, double b, double two_lam)           \
-    {                                                                                \
-        double half_s = 0.5 * LAW##_speed(a, b);                                     \
-        return 0.5 * (LAW(a) + LAW(b)) - half_s * (b - a);                           \
-    }                                                                                \
-    static inline double lax_friedrichs_##LAW(double a, double b, double two_lam)    \
-    {                                                                                \
-        return 0.5 * (LAW(a) + LAW(b)) - (b - a) / two_lam;                          \
-    }                                                                                \
-    STEP(rusanov_##LAW)                                                              \
-    STEP(lax_friedrichs_##LAW)
+FACE_STEP(godunov_burgers)
+FACE_STEP(engquist_osher_burgers)
+FACE_STEP(cubic_of_a)
+FACE_STEP(linear_of_a)
 
-RUSANOV_AND_LAX_FRIEDRICHS(burgers)
-RUSANOV_AND_LAX_FRIEDRICHS(cubic)
-RUSANOV_AND_LAX_FRIEDRICHS(linear)
+/* Rusanov and Lax-Friedrichs, one template each over the law's f, read as F(i) for
+   cell i: 0.5 * (f(a) + f(b)) - (0.5 * s) * (b - a) and 0.5 * (f(a) + f(b)) - (b - a) /
+   two_lam at each face, in the operation order of flux.numerical_flux.  The cubic f,
+   whose division costs more than a store and a load, is evaluated once per cell into
+   the row f; Burgers' and the linear f, cheaper than that, at each face. */
+#define RUSANOV_AND_LAX_FRIEDRICHS(LAW, CELL, F)                                     \
+    STEP(rusanov_##LAW, CELL,                                                        \
+         0.5 * (F(i) + F(i + 1))                                                     \
+             - (0.5 * np_maximum(LAW##_speed(w[i]), LAW##_speed(w[i + 1])))          \
+                   * (w[i + 1] - w[i]))                                              \
+    STEP(lax_friedrichs_##LAW, CELL, 0.5 * (F(i) + F(i + 1)) - (w[i + 1] - w[i]) / two_lam)
+
+#define BURGERS_AT_FACE(i) burgers(w[i])
+#define CUBIC_FROM_ROW(i) f[i]
+#define LINEAR_AT_FACE(i) w[i]
+
+RUSANOV_AND_LAX_FRIEDRICHS(burgers, , BURGERS_AT_FACE)
+RUSANOV_AND_LAX_FRIEDRICHS(cubic, f[i] = cubic(w[i]), CUBIC_FROM_ROW)
+RUSANOV_AND_LAX_FRIEDRICHS(linear, , LINEAR_AT_FACE)
 
 static step_fn *const STEPS[N_KINDS][N_LAWS] = {
     [GODUNOV] = {step_godunov_burgers, step_cubic_of_a, step_linear_of_a},
@@ -151,26 +166,44 @@ double variation(const double *v, int64_t n, int periodic)
     return tv;
 }
 
-/* ``steps`` steps from the state w[1..n] of two (n + 2)-cell buffers, alternating
-   between them; after an odd count the last state is copied back, so the state always
-   ends in w[1..n].  ``tv``, if not NULL, receives the variation after each step. */
-void march(double *w, double *w_next, int64_t n, int64_t steps, int kind, int law,
-           int periodic, double ratio, double two_lam, double *tv)
+/* 1 if none of the n values is inf or nan: a pass of its own, since the same test in
+   the update pass would keep gcc from vectorizing that */
+CLONES static int all_finite(const double *v, int64_t n)
+{
+    int finite = 1;
+    for (int64_t i = 0; i < n; i++)
+        finite &= fabs(v[i]) <= DBL_MAX;
+    return finite;
+}
+
+/* Up to ``steps`` steps from the state cells[1..n] of three (n + 2)-cell rows: the
+   first two are the states, between which the steps alternate, and the third the
+   scratch row of the step.  ``first`` is the number of steps before this call; after each
+   step that ends on a time point 63 (mod 64) the state is checked, and the march stops
+   there if a cell is not finite.  The state always ends in row 0.  ``tv``, if not NULL,
+   receives the variation after each step.  Returns the number of steps taken. */
+int64_t march(double *cells, int64_t n, int64_t first, int64_t steps, int kind, int law,
+              int periodic, double ratio, double two_lam, double *tv)
 {
     step_fn *step = STEPS[kind][law];
-    double *state = w;
-    for (int64_t s = 0; s < steps; s++) {
+    double *w = cells, *w_next = cells + (n + 2), *f = cells + 2 * (n + 2);
+    int64_t s = 0;
+    while (s < steps) {
         w[0] = periodic ? w[n] : w[1];
         w[n + 1] = periodic ? w[1] : w[n];
-        step(w, w_next, n, ratio, two_lam);
+        step(w, w_next, f, n, ratio, two_lam);
         if (tv)
             tv[s] = variation(w_next + 1, n, periodic);
         double *swap = w;
         w = w_next;
         w_next = swap;
+        s++;
+        if ((first + s) % 64 == 63 && !all_finite(w + 1, n))
+            break;
     }
-    if (w != state)
-        memcpy(state + 1, w + 1, (size_t)n * sizeof *w);
+    if (w != cells)
+        memcpy(cells + 1, w + 1, (size_t)n * sizeof *w);
+    return s;
 }
 
 /* mesh._cell_means: out[i] = the mean of v[i * factor .. (i + 1) * factor), as numpy's

@@ -39,7 +39,7 @@ from .diagnostics import (
 from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind
 from .initial_data import MAX_LEVEL, _unit_path, fbm_initial_field, sample_seed
 from .mesh import CellField, Grid, _cell_means, make_grid
-from .solver import Boundary, SchemeConfig, _check_snapshot_times, evolve
+from .solver import Boundary, SchemeConfig, _check_snapshot_times, _check_steps, evolve
 
 
 @dataclass(frozen=True)
@@ -352,7 +352,8 @@ class Study:
     rows)`` reads the rows of one Hurst exponent's block and returns the rows
     that close it; ``check(cfg)`` raises ValueError for a config the study
     cannot run; ``tasks(cfg)`` lists the (hurst, sample) tasks, grouped by
-    Hurst exponent in config order.
+    Hurst exponent in config order; ``marched(cfg)``, for a study that marches, is
+    the level k of the finest grid it marches on.
     """
 
     columns: Tuple[str, ...]
@@ -361,6 +362,7 @@ class Study:
     check: Callable[[StudyConfig], None] = lambda cfg: None
     tasks: Callable[[StudyConfig], list] = lambda cfg: [
         (h, s) for h in cfg.hurst_list for s in range(cfg.n_samples)]
+    marched: Optional[Callable[[StudyConfig], int]] = None
 
 
 _KEY = ("study", "hurst", "sample", "k")
@@ -369,21 +371,24 @@ _KEY = ("study", "hurst", "sample", "k")
 # module's ``total_variation`` or ``lip_plus`` (a profiler's) sees each call.
 STUDIES: dict[str, Study] = {
     "solve": Study((*_KEY, "time", "x", "u"), _solve_sample,
-                   tasks=lambda cfg: [(cfg.hurst_list[0], 0)]),
+                   tasks=lambda cfg: [(cfg.hurst_list[0], 0)],
+                   marched=lambda cfg: cfg.resolutions[0]),
     "fbm": Study((*_KEY, "x", "u"), _fbm_sample),
     "converge": Study((*_KEY, "dx", "l1_error", "rate_pairwise", "rate_regression"),
-                      _converge_sample, _converge_ensemble),
+                      _converge_sample, _converge_ensemble,
+                      marched=lambda cfg: cfg.reference_exponent),
     "tvscale": Study((*_KEY, "dx", "tv", "slope"),
                      functools.partial(_scaling_sample, "tvscale", lambda u: total_variation(u)),
                      functools.partial(_slope_ensemble, "tvscale")),
     "lipscale": Study((*_KEY, "dx", "lip_plus", "slope"),
                       functools.partial(_scaling_sample, "lipscale", lambda u: lip_plus(u)),
                       functools.partial(_slope_ensemble, "lipscale")),
-    "tvdecay": Study((*_KEY, "time", "tv", "inv_tv"), _tvdecay_sample, check=_tvdecay_check),
+    "tvdecay": Study((*_KEY, "time", "tv", "inv_tv"), _tvdecay_sample, check=_tvdecay_check,
+                     marched=lambda cfg: cfg.resolutions[-1]),
     "sharpness": Study((*_KEY, "dx", "lip_plus_0", "tv_time_integral", "bound_rhs", "ratio",
                         "slope"),
                        _sharpness_sample, functools.partial(_slope_ensemble, "sharpness"),
-                       check=_sharpness_check),
+                       check=_sharpness_check, marched=lambda cfg: cfg.resolutions[-1]),
 }
 
 
@@ -391,7 +396,12 @@ def check_study(study: str, cfg: StudyConfig) -> None:
     """Raise ValueError for an unknown study or a config it cannot run."""
     if study not in STUDIES:
         raise ValueError(f"unknown study {study!r}; expected one of {sorted(STUDIES)}")
-    STUDIES[study].check(cfg)
+    spec = STUDIES[study]
+    spec.check(cfg)
+    if spec.marched is not None:
+        # fBm data lie in [-1, 1], where |f'| <= 1 for every law, so a march on 2^k
+        # cells takes steps of at least cfl * 2^-k: evolve would refuse no longer one
+        _check_steps(cfg.t_final, cfg.cfl * 2.0 ** -spec.marched(cfg))
 
 
 def _run_one(study: str, cfg: StudyConfig, task: Tuple[float, int]):

@@ -19,7 +19,8 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _U53_SCALE = 2.0**-53
 
-# 2^26 + 1 path points is ~0.5 GB of float64; refuse anything deeper
+# 2^26 + 1 path points is ~0.5 GB of float64; refuse anything deeper (a march's
+# 2^28 time points, 2 GiB, are solver._MAX_STEPS)
 MAX_LEVEL = 26
 # normals drawn per chunk of a midpoint level: with the compiled kernels at k = 18,
 # 2^14 .. 2^16 are within 4% of each other, and 2^12 and 2^17 10-20% slower

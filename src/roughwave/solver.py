@@ -24,6 +24,10 @@ from .mesh import CellField, Grid
 
 # a march stops once t is within _TIME_GUARD * max(1, t_final) of t_final
 _TIME_GUARD = 1e-12
+# 2^28 time points are 2 GiB of float64, and per-step TV as much again; as
+# initial_data.MAX_LEVEL bounds a path, this bounds a march (and float time, whose
+# t + dt would round back to t after 2^53 steps): evolve refuses a longer one
+_MAX_STEPS = 1 << 28
 
 
 class Boundary(Enum):
@@ -113,27 +117,34 @@ def _advance(v: np.ndarray, ratio: float, numflux: NumericalFluxSpec,
     return v - (face[1:] - face[:-1]) * ratio
 
 
-def _numpy_march(cells: np.ndarray, count: int, ratio: float, numflux: NumericalFluxSpec,
-                 config: SchemeConfig, tv: Optional[np.ndarray]) -> None:
+def _numpy_march(cells: np.ndarray, first: int, count: int, ratio: float,
+                 numflux: NumericalFluxSpec, config: SchemeConfig,
+                 tv: Optional[np.ndarray]) -> int:
     """``count`` steps of ``_advance`` on the state ``cells[0, 1:-1]``, in place, and the
-    TV of each new state into ``tv`` if given."""
+    TV of each new state into ``tv`` if given.  ``first`` steps came before: the march
+    stops after a step that ends on a time point 63 (mod 64) if the state then holds a
+    non-finite cell.  Returns the number of steps taken."""
     periodic = config.boundary is Boundary.PERIODIC
     v = cells[0, 1:-1]
-    for s in range(count):
+    for s in range(1, count + 1):
         v[...] = _advance(v, ratio, numflux, config)
         if tv is not None:
-            tv[s] = _variation(v, periodic)
+            tv[s - 1] = _variation(v, periodic)
+        if (first + s) % 64 == 63 and not np.isfinite(v).all():
+            return s
+    return count
 
 
-def _compiled_march(cells: np.ndarray, count: int, ratio: float, numflux: NumericalFluxSpec,
-                    config: SchemeConfig, tv: Optional[np.ndarray]) -> None:
+def _compiled_march(cells: np.ndarray, first: int, count: int, ratio: float,
+                    numflux: NumericalFluxSpec, config: SchemeConfig,
+                    tv: Optional[np.ndarray]) -> int:
     """``_numpy_march`` in one call of the C ``march``, with the same bits; row 1 of
-    ``cells`` is its second buffer."""
+    ``cells`` is its second state and row 2 its scratch row."""
     two_lam = 2.0 * numflux.lam if numflux.kind is NumFluxKind.LAX_FRIEDRICHS else 0.0
-    _kernels.load().march(cells[0].ctypes.data, cells[1].ctypes.data, cells.shape[1] - 2,
-                          count, _KINDS.index(numflux.kind), _LAWS.index(config.flux),
-                          config.boundary is Boundary.PERIODIC, ratio, two_lam,
-                          None if tv is None else tv.ctypes.data)
+    return _kernels.load().march(cells.ctypes.data, cells.shape[1] - 2, first, count,
+                                 _KINDS.index(numflux.kind), _LAWS.index(config.flux),
+                                 config.boundary is Boundary.PERIODIC, ratio, two_lam,
+                                 None if tv is None else tv.ctypes.data)
 
 
 _KINDS, _LAWS = list(NumFluxKind), list(FluxSpec)  # in the order of _march.c's enums
@@ -160,15 +171,40 @@ def step(state: CellField, config: SchemeConfig, dt: float) -> CellField:
     return _expose(state.grid, values, dt, 1)
 
 
+def _check_steps(t_final: float, dt: float) -> None:
+    """ValueError if a march to ``t_final`` in steps of ``dt`` would take more than
+    ``_MAX_STEPS`` steps."""
+    if t_final > dt * _MAX_STEPS:
+        raise ValueError(f"t_final={t_final} takes more than 2**28 steps of dt={dt}")
+
+
 def _schedule(dt: float, t_final: float, guard: float):
     """The time points of a march in steps of ``dt`` to ``t_final``, by the float
-    operations of a step-by-step march, and the length of its last step."""
-    times, t, dt_i = array("d", [0.0]), 0.0, dt
+    operations of a step-by-step march, and the length of its last step.
+
+    The march's ``t = min(t + min(dt, t_final - t), t_final)`` adds a full ``dt`` while
+    ``t`` is more than a step short of ``t_final``; those points are a running sum,
+    which ``np.add.accumulate`` forms left to right with the loop's roundings.  The
+    prefix stops two steps short (and is halved should the sum's rounding drift
+    further), and the loop takes the rest.
+    """
+    n = int((t_final - guard) / dt) - 2 if t_final > guard else 0
+    while n > 0:
+        times = np.full(n + 1, dt)
+        times[0] = 0.0
+        np.add.accumulate(times, out=times)
+        t = float(times[-1])
+        if t < t_final - guard and dt <= t_final - t and t + dt <= t_final:
+            break
+        n //= 2
+    else:
+        times, t = np.zeros(1), 0.0
+    tail, dt_i = array("d"), dt
     while t < t_final - guard:
         dt_i = min(dt, t_final - t)
         t = min(t + dt_i, t_final)
-        times.append(t)
-    return np.array(times), dt_i
+        tail.append(t)
+    return np.concatenate((times, tail)), dt_i
 
 
 def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[float] = (),
@@ -182,11 +218,14 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
     ``track_tv`` fills ``per_step_tv``.
     The steps run in blocks, through the compiled march if ``_kernels.load`` finds
     it and through ``_advance`` otherwise, with the same bits; each block leaves its
-    state in row 0 of one (2, n + 2) array.  A block ends at every 64th time point,
-    at each snapshot and before a short last step, and the state at each block end
-    is exposed and checked: a non-finite cell raises FloatingPointError naming the
-    step (none is missed: each update subtracts from a cell's own value).  ``final``
-    is the last exposed state.
+    state in row 0 of one (3, n + 2) array, whose row 2 is the compiled march's
+    scratch.  A block ends only where a state is read: at each snapshot, at
+    the end and before a short last step.  Within a block the march checks the state
+    after every time point 63 (mod 64) and stops at one that is not finite; the state
+    at each block end, or where the march stopped, is exposed and checked: a non-finite
+    cell raises FloatingPointError naming the step (none is missed: each update
+    subtracts from a cell's own value).  A march of more than 2^28 steps is refused
+    with ValueError before anything is allocated.  ``final`` is the last exposed state.
     """
     pending = [float(t) for t in snapshot_times]
     _check_snapshot_times(pending, config.t_final)
@@ -199,8 +238,7 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
         dt = config.t_final
     if dt <= 0.0 < config.t_final:  # max|f'| overflowed: the loop would never end
         raise ValueError(f"dt must be > 0, got {dt}")
-    if config.t_final > dt * 2**53:  # t + dt would round back to t before t_final
-        raise ValueError(f"float time cannot reach t_final={config.t_final} in steps of dt={dt}")
+    _check_steps(config.t_final, dt)  # before the schedule is allocated
     periodic = config.boundary is Boundary.PERIODIC
 
     guard = _TIME_GUARD * max(1.0, config.t_final)
@@ -209,11 +247,12 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
     # the step after which each snapshot is taken (those past the last step are not)
     snap_steps = [0 if t <= 0.0 else max(1, int(np.searchsorted(times, t - guard)))
                   for t in pending]
-    # a block of steps ends at every 64th time point, at each snapshot and before a
-    # short last step, whose mesh ratio differs
-    ends = {*range(63, n_steps + 1, 64), *snap_steps, n_steps - (dt_last != dt), n_steps}
+    # a block of steps ends where its state is read, at each snapshot and at the end,
+    # and before a short last step, whose mesh ratio differs
+    ends = {*snap_steps, n_steps - (dt_last != dt), n_steps}
 
-    cells = np.empty((2, v0.size + 2))  # two states with ghost cells; the state is row 0
+    # two states with ghost cells, the state in row 0, and the march's scratch row
+    cells = np.empty((3, v0.size + 2))
     cells[0, 1:-1] = v0
     tv = np.empty(times.size) if track_tv else None
     if track_tv:
@@ -224,10 +263,11 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
     state, done = initial, 0
     with np.errstate(invalid="ignore", over="ignore"):
         for stop in sorted(s for s in ends if 0 < s <= n_steps):
-            count, ratio = stop - done, (dt_last if stop == n_steps else dt) / dx
-            march(cells, count, ratio, numflux, config,
-                  None if tv is None else tv[done + 1:stop + 1])
-            done, state = stop, _expose(grid, cells[0, 1:-1], dt, stop)
+            ratio = (dt_last if stop == n_steps else dt) / dx
+            # a march stops short only at a non-finite state, which _expose rejects
+            done += march(cells, done, stop - done, ratio, numflux, config,
+                          None if tv is None else tv[done + 1:stop + 1])
+            state = _expose(grid, cells[0, 1:-1], dt, done)
             while len(snaps) < len(snap_steps) and snap_steps[len(snaps)] == stop:
                 snaps.append(Snapshot(float(times[stop]), state))
 

@@ -262,6 +262,21 @@ def test_t_final_within_the_time_guard_exits_1_and_writes_nothing(tmp_path, caps
     assert "t_final" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, edit", [
+    # 2 cells of data in [-1, 1]: at least 4e9 steps of cfl * dx = 0.25
+    ("solve", ("resolutions = 4,5", "resolutions = 1\nt_final = 1e9")),
+    # the 2^7-cell reference: at least 2.56e9 steps of 2^-8
+    ("converge", ("samples = 2", "samples = 2\nt_final = 1e7")),
+])
+def test_a_march_of_more_than_2_28_steps_exits_1_and_writes_nothing(tmp_path, capsys,
+                                                                     command, edit):
+    cfg = write(tmp_path, MINIMAL.replace(*edit))
+    out = tmp_path / "long"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "takes more than 2**28 steps" in capsys.readouterr().err
+
+
 def test_duplicate_hurst_exits_1(tmp_path, capsys):
     cfg = write(tmp_path, MINIMAL.replace("hurst = 0.5", "hurst = 0.5,0.5"))
     out = tmp_path / "dup"

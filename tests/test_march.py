@@ -4,12 +4,15 @@
   same bits under both marches: time points, final state, every snapshot and
   the per-step TV, or the same exception.  On states that hold inf and nan,
   the two block marches leave the same cells inf and nan, in row 0 of the state
-  array after odd and even step counts alike.  The data hold signed zeros,
-  subnormals and magnitudes up to 1e150; runs end on a short last step or on a
-  whole one, snapshots fall on 64-step block ends, and t_final can be 0.  The
-  states have 1-1,001 cells, so that they fill the vectors of each clone and
-  leave tails.  Built for one x86-64 level at a time, without clones, the C
-  march gives the bits of the numpy march too.
+  array after odd and even step counts alike, and stop after the same step when
+  the block crosses a time point 63 (mod 64), where both check the state.  The
+  data hold signed zeros, subnormals and magnitudes up to 1e150; runs end on a
+  short last step or on a whole one, snapshots fall on the march's 64-step
+  checks, and t_final can be 0.  The states have 1-1,001 cells, so that they
+  fill the vectors of each clone and leave tails.  Built for one x86-64 level at
+  a time, without clones, the C march gives the bits of the numpy march too.
+- A block of steps is one C call: a run with no snapshot makes one, or two with
+  a short last step, plus one per snapshot step.
 - The C total variation equals ``diagnostics._variation`` (numpy's pairwise
   sum) at every length up to 300 and at the lengths where the pairwise
   recursion splits.
@@ -118,7 +121,7 @@ def test_compiled_march_equals_numpy_march(kind, spec, boundary, v, steps, short
     except ValueError:
         assert 0.0 < t_final <= 1e-12
         return
-    # the time points of the run, so that snapshots can fall on 64-step block ends
+    # the time points of the run, so that snapshots can fall on the 64-step checks
     times = solver._schedule(dt, t_final, 1e-12 * max(1.0, t_final))[0]
     ends = [times[i] for i in (63, 127, 191) if i < times.size]
     snapshot_times = sorted({*ends, *(times[min(i, times.size - 1)] for i in picks)})
@@ -134,17 +137,18 @@ def canonical_bits(x):
     return np.where(np.isnan(x), np.nan, x).tobytes()
 
 
-def march_bits(v, count, ratio, numflux, cfg):
-    """The canonical bits of the state (row 0 of ``cells``) and of the TV after
-    ``count`` steps from ``v``, by the compiled march and by the numpy march."""
+def march_bits(v, count, ratio, numflux, cfg, first=0):
+    """The steps taken and the canonical bits of the state (row 0 of ``cells``) and of
+    the TV of each step taken, in up to ``count`` steps from ``v`` after ``first``,
+    by the compiled march and by the numpy march."""
     results = []
     for march in (solver._compiled_march, solver._numpy_march):
-        cells = np.empty((2, v.size + 2))
+        cells = np.empty((3, v.size + 2))
         cells[0, 1:-1] = v
         tv = np.empty(count)
         with np.errstate(invalid="ignore", over="ignore"):
-            march(cells, count, ratio, numflux, cfg, tv)
-        results.append([canonical_bits(x) for x in (cells[0, 1:-1], tv)])
+            taken = march(cells, first, count, ratio, numflux, cfg, tv)
+        results.append([taken, *(canonical_bits(x) for x in (cells[0, 1:-1], tv[:taken]))])
     return results
 
 
@@ -153,15 +157,20 @@ def march_bits(v, count, ratio, numflux, cfg):
 @bit_settings
 @given(v=arrays(np.float64, lengths,
                 elements=st.one_of(values, st.sampled_from([np.nan, np.inf, -np.inf]))),
-       count=st.integers(1, 6), ratio=st.sampled_from([0.5, 1e-3, 7.0]))
-def test_march_kernels_agree_on_non_finite_states(kind, spec, boundary, v, count, ratio):
-    # a blow-up is found only at the end of a block: until then both marches carry
-    # the same inf and nan cells, so the cell and the step they report agree
+       count=st.integers(1, 6), ratio=st.sampled_from([0.5, 1e-3, 7.0]),
+       first=st.sampled_from([0, 58, 60, 62, 63]))
+def test_march_kernels_agree_on_non_finite_states(kind, spec, boundary, v, count, ratio,
+                                                  first):
+    # a blow-up is found only after a time point 63 (mod 64) or at the end of a block:
+    # until then both marches carry the same inf and nan cells, so the cell and the
+    # step they report agree
     compiled_march()
     numflux = NumericalFluxSpec(kind, 0.3 if kind is NumFluxKind.LAX_FRIEDRICHS else None)
     cfg = SchemeConfig(spec, numflux, t_final=1.0, boundary=boundary)
-    compiled, numpy_bits = march_bits(v, count, ratio, numflux, cfg)
+    compiled, numpy_bits = march_bits(v, count, ratio, numflux, cfg, first)
     assert compiled == numpy_bits
+    if not np.isfinite(v).all():  # a non-finite cell stays so: the check after step 63 stops
+        assert compiled[0] == (63 - first if first < 63 <= first + count else count)
 
 
 def test_marches_agree_on_fbm_runs_with_many_blocks(monkeypatch):
@@ -175,6 +184,38 @@ def test_marches_agree_on_fbm_runs_with_many_blocks(monkeypatch):
             m.setattr(_kernels, "load", lambda: None)
             assert outcome(u0, cfg, (0.0, 0.1, 0.2), True) == compiled
         assert np.frombuffer(compiled[0]).size > 3 * 64
+
+
+class CountingLibrary:
+    """The loaded library, recording the step count of each ``march`` call."""
+
+    def __init__(self, lib):
+        self.lib, self.counts = lib, []
+
+    def march(self, *args):
+        self.counts.append(args[3])
+        return self.lib.march(*args)
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["whole", "short"])
+def test_each_block_is_one_c_call(monkeypatch, short):
+    lib = CountingLibrary(compiled_march())
+    monkeypatch.setattr(_kernels, "load", lambda: lib)
+    # the linear law on 256 cells steps by dt = 2^-9 exactly: 1,500 whole steps, and
+    # a half step more if short
+    u0 = fbm_initial_field(0.5, make_grid(0.0, 1.0, 256), 5)
+    cfg = SchemeConfig(FluxSpec.LINEAR, NumericalFluxSpec(NumFluxKind.RUSANOV),
+                       t_final=(1500.5 if short else 1500) * 2.0**-9)
+    traj = evolve(u0, cfg)
+    assert traj.times.size == (1502 if short else 1501)
+    assert lib.counts == ([1500, 1] if short else [1500])
+    # a snapshot at step 0 needs no step; one at step 1,500 is a block end anyway
+    lib.counts.clear()
+    evolve(u0, cfg, snapshot_times=traj.times[[0, 100, 700, 701, 1500]])
+    assert lib.counts == [100, 600, 1, 799, *([1] if short else [])]
 
 
 CLONES = '__attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))'

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import roughwave.solver as solver
 from roughwave import (
@@ -336,11 +338,77 @@ def test_evolve_rejects_a_zero_cfl_step():
 
 def test_evolve_rejects_a_step_float_time_cannot_add():
     # dt = 2.5e-301: once t passes dt * 2^53, t + dt rounds back to t and the
-    # loop would never end
+    # loop would never end; the bound of 2^28 steps refuses the run long before
     u0 = CellField(make_grid(0, 1, 2), np.array([0.0, 1e300]))
-    with pytest.raises(ValueError, match="float time cannot reach t_final"):
+    with pytest.raises(ValueError, match=r"takes more than 2\*\*28 steps of dt=2.5e-301"):
         evolve(u0, burgers_config())
     assert evolve(u0, burgers_config(t_final=0.0)).times.tolist() == [0.0]
+
+
+def test_evolve_refuses_more_than_2_28_steps_before_allocating(monkeypatch):
+    # two cells of data in [-1, 1] step by dt = 0.25, so t_final = 1e9 asks for 4e9
+    # steps, whose time points alone would take 32 GB
+    def never(*args):
+        raise AssertionError("the schedule was built")
+
+    monkeypatch.setattr(solver, "_schedule", never)
+    u0 = CellField(make_grid(0, 1, 2), np.array([-1.0, 1.0]))
+    message = r"^t_final=1000000000.0 takes more than 2\*\*28 steps of dt=0.25$"
+    with pytest.raises(ValueError, match=message):
+        evolve(u0, burgers_config(t_final=1e9))
+    # the bound itself: 2^28 steps pass, a hair more do not
+    solver._check_steps(0.25 * 2**28, 0.25)
+    with pytest.raises(ValueError, match="2\\*\\*28"):
+        solver._check_steps(np.nextafter(0.25 * 2**28, np.inf), 0.25)
+
+
+def loop_schedule(dt, t_final, guard):
+    """The oracle of ``_schedule``: the time points and the last step of the scalar
+    loop of a step-by-step march."""
+    times, t, dt_i = [0.0], 0.0, dt
+    while t < t_final - guard:
+        dt_i = min(dt, t_final - t)
+        t = min(t + dt_i, t_final)
+        times.append(t)
+    return np.array(times), dt_i
+
+
+@st.composite
+def schedules(draw):
+    """(dt, t_final): exact divisions, steps a hair off t_final/n, t_final just above
+    the time guard or 0, the dt = t_final of data of subnormal size, or any dt; up to
+    about 10^6 steps, a quarter of the draws above 3,000."""
+    case = draw(st.sampled_from(["exact", "near", "guard", "zero", "whole", "any"]))
+    n = draw(st.one_of(st.integers(1, 3000), st.integers(1, 3000), st.integers(1, 3000),
+                       st.integers(3000, 10**6)))
+    t_final = draw(st.floats(1e-9, 1e9))
+    if case == "exact":  # n steps of a dyadic or decimal dt, or t_final / n
+        dt = draw(st.sampled_from([2.0**-9, 0.25, 0.1, 1e-3, 3.0, None]))
+        return (t_final / n, t_final) if dt is None else (dt, dt * n)
+    if case == "near":
+        off = draw(st.sampled_from([1e-10, -1e-10, 2**-52, -2**-52]))
+        return t_final / n * (1 + off), t_final
+    if case == "guard":
+        t_final = draw(st.sampled_from([np.nextafter(1e-12, 1), 1.0000001e-12, 1.5e-12, 3e-12]))
+        return t_final / draw(st.integers(1, 4)), t_final
+    if case == "zero":
+        return draw(st.sampled_from([0.0, 1e-3, 0.5])), 0.0
+    if case == "whole":  # evolve's dt = t_final where cfl * dx / max|f'| overflows
+        return t_final, t_final
+    return draw(st.floats(t_final / n / 2, t_final / n * 2)), t_final
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=schedules())
+@example(case=(1e-6, 1.0)).via("10^6 steps of a decimal dt")
+@example(case=(1.0 / 999_999, 1.0)).via("10^6 steps of an inexact t_final / n")
+def test_schedule_equals_the_step_by_step_loop(case):
+    dt, t_final = case
+    guard = solver._TIME_GUARD * max(1.0, t_final)
+    times, dt_last = solver._schedule(dt, t_final, guard)
+    oracle, oracle_last = loop_schedule(dt, t_final, guard)
+    assert times.tobytes() == oracle.tobytes()
+    assert dt_last == oracle_last
 
 
 @pytest.mark.parametrize("snapshot_times", [(), (4.0,)], ids=["final", "snapshot"])
@@ -371,3 +439,21 @@ def test_evolve_blow_up_raises(monkeypatch, march, snapshot_times, track_tv, den
     # the run stops at its first non-finite state if every state is exposed, else
     # within 64 steps of it, not at t_final
     assert good_steps < found <= good_steps + (1 if dense else 64)
+    # ... at the first state at or after the first bad step that is checked: one
+    # after every time point 63 (mod 64), at a snapshot, before a short last step or
+    # at the end
+    guard = 1e-12 * cfg.t_final
+    times, dt_last = solver._schedule(dt, cfg.t_final, guard)
+    n_steps = times.size - 1
+    snap_steps = {0 if t <= 0.0 else max(1, int(np.searchsorted(times, t - guard)))
+                  for t in snapshot_times}
+    checked = {*range(63, n_steps + 1, 64), *snap_steps, n_steps - (dt_last != dt), n_steps}
+    assert found == min(s for s in checked if s > good_steps)
+    # and the message names the first non-finite cell of that state
+    v = u0.values
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(found):
+            v = solver._advance(v, dt / u0.grid.dx, cfg.numflux, cfg)
+    with pytest.raises(FloatingPointError) as expected:
+        solver._expose(u0.grid, v, dt, found)
+    assert str(raised.value) == str(expected.value)
