@@ -36,12 +36,14 @@ def _sha256(data: bytes) -> str:
 @functools.cache
 def load():
     """The library built from ``_march.c``, or None if there is no compiler or the
-    cache cannot be written (the callers then run their numpy code).
+    cache cannot be written or is not trusted (the callers then run their numpy code).
 
     It is compiled on first use, in about 1 s, into ``$XDG_CACHE_HOME/roughwave``
     (default ``~/.cache/roughwave``, mode 0700) under the SHA-256 of the source and
     the flags, written under a temporary name and renamed into place, so processes
-    that build it at once do not race.
+    that build it at once do not race.  The key is public, so a cache directory that
+    is not the user's own, or that its group or others can write, is not used: nothing
+    is built in it or loaded from it.
     """
     import ctypes
     import subprocess
@@ -51,6 +53,9 @@ def load():
         key = _sha256(source.read_bytes() + " ".join(_FLAGS).encode())
         cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "roughwave"
         cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = os.stat(cache)
+        if st.st_uid != os.getuid() or st.st_mode & 0o022:  # others could plant a library
+            return None
         path = cache / f"march-{key}.so"
         if not path.exists():
             tmp = cache / f".{path.name}.{os.getpid()}.tmp"

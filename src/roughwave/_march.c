@@ -20,7 +20,6 @@ loads, so that one cached library serves every CPU; their vector loops keep the
 order of every floating-point operation.
 */
 
-#include <float.h>
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
@@ -167,12 +166,13 @@ double variation(const double *v, int64_t n, int periodic)
 }
 
 /* 1 if none of the n values is inf or nan: a pass of its own, since the same test in
-   the update pass would keep gcc from vectorizing that */
+   the update pass would keep gcc from vectorizing that.  x - x is +0 for finite x and
+   nan for inf and nan, a test gcc vectorizes in every clone, the baseline too */
 CLONES static int all_finite(const double *v, int64_t n)
 {
     int finite = 1;
     for (int64_t i = 0; i < n; i++)
-        finite &= fabs(v[i]) <= DBL_MAX;
+        finite &= (v[i] - v[i]) == 0.0;
     return finite;
 }
 

@@ -15,7 +15,6 @@ their ``StudyResult.rows`` is a read-only ``_CellRows`` view of those blocks.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -23,7 +22,7 @@ import operator
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -96,33 +95,19 @@ class _CellBlock(NamedTuple):
     values: np.ndarray
 
 
-class _CellRows(Sequence):
-    """A read-only sequence of the row tuples of ``blocks``, the rows a per-cell
-    study's ``sample`` would have built one at a time: ``len``, indexing,
-    iteration and ``==`` with any sequence of rows behave as on that tuple."""
+class _CellRows:
+    """The row tuples of ``blocks``, the rows a per-cell study's ``sample`` would
+    have built one at a time: ``len``, iteration and ``==`` with any sequence of
+    rows behave as on that tuple.  The arrays themselves are ``blocks``, which
+    ``cli.write_csv`` writes a block at a time."""
 
     def __init__(self, blocks):
         self.blocks = tuple(blocks)
         for block in self.blocks:
             block.values.setflags(write=False)  # a worker's blocks arrive writable
-        self._starts = [0, *itertools.accumulate(b.grid.n_cells for b in self.blocks)]
 
     def __len__(self):
-        return self._starts[-1]
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(*index.indices(len(self))))
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("row index out of range")
-        b = bisect.bisect_right(self._starts, i) - 1
-        labels, grid, values = self.blocks[b]
-        j = i - self._starts[b]
-        # the two roundings of Grid.cell_midpoints, on one cell
-        return (*labels, grid.x_left + (j + 0.5) * grid.dx, float(values[j]))
+        return sum(block.grid.n_cells for block in self.blocks)
 
     def __iter__(self):
         for labels, grid, values in self.blocks:
@@ -130,16 +115,20 @@ class _CellRows(Sequence):
                            grid.cell_midpoints().tolist(), values.tolist())
 
     def __eq__(self, other):
-        if not isinstance(other, Sequence):
+        if not isinstance(other, (Sequence, _CellRows)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 @dataclass(frozen=True)
 class StudyResult:
+    """A study's table: ``rows`` is a tuple of row tuples for the ensemble studies,
+    and for ``fbm`` and ``solve`` a ``_CellRows`` view, which has ``len``, iteration
+    and ``==`` and keeps the arrays in ``rows.blocks``."""
+
     study: str
     columns: Tuple[str, ...]
-    rows: Sequence[tuple]
+    rows: Union[Tuple[tuple, ...], _CellRows]
     metadata: dict
 
 

@@ -374,11 +374,6 @@ def test_cell_rows_view_gives_the_row_tuples(study, tmp_path):
         rows = res.rows
         assert list(rows) == expected
         assert rows == tuple(expected) and tuple(expected) == rows
-        assert [rows[i] for i in range(len(rows))] == expected
-        assert rows[-1] == expected[-1] and rows[-len(rows)] == expected[0]
-        assert rows[3:40:7] == tuple(expected[3:40:7])
-        with pytest.raises(IndexError):
-            rows[len(rows)]
         path = tmp_path / f"{study}.csv"
         write_csv(res, path)
         assert len(rows) == len(path.read_bytes().splitlines()) - 1

@@ -89,7 +89,7 @@ def spec_of(kind, lam):
 @pytest.mark.parametrize("kind, spec", PAIRS, ids=PAIR_IDS)
 @bit_settings
 @given(w=states, lam=lams)
-def test_workspace_flux_matches_allocating_call_and_oracle(kind, spec, w, lam):
+def test_numerical_flux_matches_oracle(kind, spec, w, lam):
     a, b = w[:-1], w[1:]  # the kernel's layout: both views of one state
     numflux = spec_of(kind, lam)
     with np.errstate(all="ignore"):
@@ -105,7 +105,7 @@ def test_workspace_flux_matches_allocating_call_and_oracle(kind, spec, w, lam):
 @pytest.mark.parametrize("spec", list(FluxSpec), ids=lambda s: s.value)
 @bit_settings
 @given(u=arrays(np.float64, st.integers(1, MAX_FACES), elements=values))
-def test_flux_value_into_out_matches_oracle(spec, u):
+def test_flux_value_matches_oracle(spec, u):
     with np.errstate(all="ignore"):
         want = old_flux_value(spec, u)
         got = flux_value(spec, u)

@@ -5,7 +5,8 @@
   the per-step TV, or the same exception.  On states that hold inf and nan,
   the two block marches leave the same cells inf and nan, in row 0 of the state
   array after odd and even step counts alike, and stop after the same step when
-  the block crosses a time point 63 (mod 64), where both check the state.  The
+  the block crosses a time point 63 (mod 64), where both check the state; a
+  step that overflows to inf and makes no nan stops them there too.  The
   data hold signed zeros, subnormals and magnitudes up to 1e150; runs end on a
   short last step or on a whole one, snapshots fall on the march's 64-step
   checks, and t_final can be 0.  The states have 1-1,001 cells, so that they
@@ -25,7 +26,8 @@
 - Without a compiler, or without a writable cache, ``evolve``, the fBm draw and
   the restriction run their numpy code with the same bits, and the manifest says
   so; two processes building into one empty cache both succeed and leave one
-  library and no temporary file; the cache directory is private (0700).
+  library and no temporary file; the cache directory is private (0700), and one
+  that group or others can write, or that another user owns, is not used.
 """
 
 import json
@@ -171,6 +173,22 @@ def test_march_kernels_agree_on_non_finite_states(kind, spec, boundary, v, count
     assert compiled == numpy_bits
     if not np.isfinite(v).all():  # a non-finite cell stays so: the check after step 63 stops
         assert compiled[0] == (63 - first if first < 63 <= first + count else count)
+
+
+@pytest.mark.parametrize("kind", [NumFluxKind.GODUNOV, NumFluxKind.ENGQUIST_OSHER],
+                         ids=lambda k: k.value)
+@pytest.mark.parametrize("spec", [FluxSpec.BURGERS, FluxSpec.CUBIC], ids=lambda s: s.value)
+def test_an_overflow_to_inf_with_no_nan_stops_the_march(kind, spec):
+    # one step of these pairs takes a lone 1e300 to -inf and +inf and makes no nan, so
+    # the check after time point 63 must catch inf as well as nan
+    compiled_march()
+    numflux = NumericalFluxSpec(kind)
+    cfg = SchemeConfig(spec, numflux, t_final=1.0)
+    compiled, numpy_bits = march_bits(np.array([0.0, 0.0, 1e300, 0.0, 0.0]), 3, 0.5,
+                                      numflux, cfg, first=62)
+    assert compiled == numpy_bits
+    state = np.frombuffer(compiled[1])
+    assert compiled[0] == 1 and np.isinf(state).any() and not np.isnan(state).any()
 
 
 def test_marches_agree_on_fbm_runs_with_many_blocks(monkeypatch):
@@ -402,6 +420,23 @@ def test_an_unwritable_cache_falls_back_to_numpy(tmp_path, monkeypatch, fresh_lo
     not_a_dir.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_dir))
     assert _kernels.march_name() == "numpy"
+
+
+@pytest.mark.parametrize("untrusted", ["others-can-write", "another-user-owns"])
+def test_an_untrusted_cache_is_not_used(untrusted, tmp_path, monkeypatch, fresh_loader):
+    # the library's name is public, so whoever can write the cache could plant one
+    compiled_march()
+    cache = tmp_path / "roughwave"
+    cache.mkdir(mode=0o700)
+    if untrusted == "others-can-write":
+        cache.chmod(0o777)
+    else:
+        uid = os.getuid()
+        monkeypatch.setattr(_kernels.os, "getuid", lambda: uid + 1)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    _kernels.load.cache_clear()
+    assert _kernels.march_name() == "numpy"
+    assert list(cache.iterdir()) == []
 
 
 def test_concurrent_builds_share_one_private_cache(tmp_path):

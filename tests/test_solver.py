@@ -1,4 +1,5 @@
 import re
+import types
 
 import numpy as np
 import pytest
@@ -407,6 +408,30 @@ def test_schedule_equals_the_step_by_step_loop(case):
     guard = solver._TIME_GUARD * max(1.0, t_final)
     times, dt_last = solver._schedule(dt, t_final, guard)
     oracle, oracle_last = loop_schedule(dt, t_final, guard)
+    assert times.tobytes() == oracle.tobytes()
+    assert dt_last == oracle_last
+
+
+def test_schedule_halves_a_prefix_that_drifts_past_its_margin(monkeypatch):
+    # no test size makes the prefix sum's rounding drift two steps, so the first sum
+    # is made to end three steps late; the halved prefix and the loop must still give
+    # the step-by-step points
+    dt, t_final = 1e-3, 1.0
+    sizes = []
+
+    def accumulate(times, out):
+        np.add.accumulate(times, out=out)
+        out[-1] += 3 * dt * (not sizes)
+        sizes.append(times.size)
+        return out
+
+    drifting = types.ModuleType("numpy")
+    drifting.__dict__.update(vars(np), add=types.SimpleNamespace(accumulate=accumulate))
+    monkeypatch.setattr(solver, "np", drifting)
+    guard = solver._TIME_GUARD * max(1.0, t_final)
+    times, dt_last = solver._schedule(dt, t_final, guard)
+    oracle, oracle_last = loop_schedule(dt, t_final, guard)
+    assert sizes == [998, 499]  # n = 997 prefix steps, then 498
     assert times.tobytes() == oracle.tobytes()
     assert dt_last == oracle_last
 
