@@ -1,0 +1,71 @@
+"""log and sincos from IEEE basic operations only: ``_march.c``'s ``ieee_log`` and
+``ieee_sincos`` (fdlibm's), operation for operation in numpy's elementwise
+``+ - * /`` and bit operations, which round once each on every CPU, so both give
+one set of bits everywhere.  The C comments say how each works."""
+
+from __future__ import annotations
+
+import numpy as np
+
+_LN2_HI, _LN2_LO = float.fromhex("0x1.62e42fee00000p-1"), float.fromhex("0x1.a39ef35793c76p-33")
+_LG1, _LG2, _LG3, _LG4, _LG5, _LG6, _LG7 = map(float.fromhex, (
+    "0x1.5555555555593p-1", "0x1.999999997fa04p-2", "0x1.2492494229359p-2",
+    "0x1.c71c51d8e78afp-3", "0x1.7466496cb03dep-3", "0x1.39a09d078c69fp-3",
+    "0x1.2f112df3e5244p-3"))
+_INVPIO2, _PIO2_1, _PIO2_2, _PIO2_2T = map(float.fromhex, (
+    "0x1.45f306dc9c883p-1", "0x1.921fb54400000p+0", "0x1.0b4611a600000p-34",
+    "0x1.3198a2e037073p-69"))
+_S1, _S2, _S3, _S4, _S5, _S6 = map(float.fromhex, (
+    "-0x1.5555555555549p-3", "0x1.111111110f8a6p-7", "-0x1.a01a019c161d5p-13",
+    "0x1.71de357b1fe7dp-19", "-0x1.ae5e68a2b9cebp-26", "0x1.5d93a5acfd57cp-33"))
+_C1, _C2, _C3, _C4, _C5, _C6 = map(float.fromhex, (
+    "0x1.555555555554cp-5", "-0x1.6c16c16c15177p-10", "0x1.a01a019cb1590p-16",
+    "-0x1.27e4f809c52adp-22", "0x1.1ee9ebdb4b1c4p-29", "-0x1.8fae9be8838d4p-37"))
+_ROUND = 1.5 * 2.0**52  # added and taken away, it rounds to an integer
+
+
+def log(x) -> np.ndarray:
+    """The natural log of each positive finite double of ``x``, within 1 ulp; inf and
+    nan are returned as they are."""
+    x = np.asarray(x, dtype=float)
+    sub = x < 2.0**-1022
+    b = (x * np.where(sub, 2.0**54, 1.0)).view(np.uint64)
+    hx = ((b >> 32) & 0xFFFFF).astype(np.int64)
+    i = (hx + 0x95F64) & 0x100000
+    k = (b >> 52).astype(np.int64) - 1023 - 54 * sub + (i >> 20)
+    f = ((b & 0xFFFFFFFFFFFFF) | ((i ^ 0x3FF00000).astype(np.uint64) << 32)).view(float) - 1.0
+    dk = k.astype(float)  # exact, as the C bits of 2^52 + k + 2048
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    r = z * (_LG1 + w * (_LG3 + w * (_LG5 + w * _LG7))) + w * (_LG2 + w * (_LG4 + w * _LG6))
+    hfsq = 0.5 * f * f
+    tail = np.where(((hx - 0x6147A) | (0x6B851 - hx)) > 0,
+                    hfsq - (s * (hfsq + r) + dk * _LN2_LO), s * (f - r) - dk * _LN2_LO)
+    return np.where(x < np.inf, dk * _LN2_HI - (tail - f), x)
+
+
+def sincos(x) -> tuple:
+    """(sin, cos) of each double of ``x`` in [0, 2 pi), within 1 ulp."""
+    x = np.asarray(x, dtype=float)
+    t = x * _INVPIO2 + _ROUND
+    q = t.view(np.uint64) & 3
+    n = t - _ROUND
+    r1 = x - n * _PIO2_1
+    w = n * _PIO2_2
+    r = r1 - w
+    w = n * _PIO2_2T - ((r1 - r) - w)
+    y = r - w
+    yy = (r - y) - w
+    z = y * y
+    v = z * y
+    zz = z * z
+    rs = _S2 + z * (_S3 + z * _S4) + z * zz * (_S5 + z * _S6)
+    sin_y = y - ((z * (0.5 * yy - v * rs) - yy) - v * _S1)
+    rc = z * (_C1 + z * (_C2 + z * _C3)) + zz * zz * (_C4 + z * (_C5 + z * _C6))
+    hz = 0.5 * z
+    one_hz = 1.0 - hz
+    cos_y = one_hz + (((1.0 - one_hz) - hz) + (z * rc - y * yy))
+    odd = (q & 1) == 1
+    s, c = np.where(odd, cos_y, sin_y), np.where(odd, sin_y, cos_y)
+    return np.where(q & 2, -s, s), np.where((q + 1) & 2, -c, c)

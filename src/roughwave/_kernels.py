@@ -6,9 +6,9 @@ bits, where ``load`` returns None.  This module imports nothing of the package,
 so every module can import it.
 
 The library is built with ``_FLAGS`` and no ``-march``: on x86-64 its step and
-pairwise-sum templates carry one clone per level (baseline, v3 and v4), picked
-when the library loads, so one cached library serves every CPU that shares the
-cache.
+pairwise-sum templates and its draw's uniforms and normals carry one clone per
+level (baseline, v3 and v4), picked when the library loads, so one cached library
+serves every CPU that shares the cache.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import functools
 import os
 from pathlib import Path
 
-_FLAGS = ("-O3", "-ffp-contract=off", "-mprefer-vector-width=512", "-shared", "-fPIC")
+_FLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-mprefer-vector-width=512", "-shared", "-fPIC")
 
 
 def _sha256(data: bytes) -> str:
@@ -73,7 +73,9 @@ def load():
         "march": ((ptr, i64, i64, i64, i32, i32, i32, f64, f64, ptr), i64),
         "variation": ((ptr, i64, i32), f64),
         "uniforms": ((ctypes.c_uint64, ptr, i64), ctypes.c_uint64),
-        "displace": ((ptr, i64, i64, ptr, ptr, f64), None),
+        "normals": ((ctypes.c_uint64, ptr, i64), ctypes.c_uint64),
+        "draw": ((ctypes.c_uint64, ptr, i64, i64, f64), ctypes.c_uint64),
+        "log_sincos": ((ptr, i64, ptr, ptr, ptr), None),
         "cell_means": ((ptr, ptr, i64, i64), None),
     }
     for name, (argtypes, restype) in signatures.items():

@@ -1,7 +1,7 @@
 /* The compiled kernels of roughwave, loaded by ``_kernels.load``: the march of
 ``solver.evolve`` (a block of explicit steps in one call), the cell means of
-``mesh.restrict`` and the two halves of a draw chunk of fBm, around numpy's log, cos
-and sin.  Each repeats the operations of the numpy code it replaces, in the same
+``mesh.restrict`` and the draw of one midpoint level of fBm, with a log and a sincos
+of its own.  Each repeats the operations of the numpy code it replaces, in the same
 order, so the bits are the same.
 
 Each step of the march fills the two ghost cells, evaluates the numerical flux at
@@ -13,11 +13,14 @@ over the law's f; the cubic f is evaluated once per cell, into the scratch row.
 numpy's NaN-propagating maximum and minimum are written out.  After every 64th time
 point the march checks, in a pass of its own, that the state is finite, and stops
 there if it is not, so that ``evolve`` returns to Python only where it reads a state.
-Built with ``gcc -O3 -ffp-contract=off -mprefer-vector-width=512 -shared -fPIC``: a
-contracted multiply-add would round once where numpy rounds twice.  The step and
-pairwise-sum templates have one clone per x86-64 level, picked when the library
-loads, so that one cached library serves every CPU; their vector loops keep the
-order of every floating-point operation.
+The draw's log and sincos are fdlibm's, in + - * /, sqrt and bit operations only,
+and ``_ieee`` repeats them in numpy, so the normals' bits depend on no libm and no CPU.
+Built with ``gcc -O3 -fno-math-errno -ffp-contract=off -mprefer-vector-width=512
+-shared -fPIC``: a contracted multiply-add would round once where numpy rounds twice,
+and a sqrt that need not set errno vectorizes.  The step and pairwise-sum templates
+and the uniforms and normals of the draw have one clone per x86-64 level, picked
+when the library loads, so that one cached library serves every CPU; their vector
+loops keep the order of every floating-point operation.
 */
 
 #include <math.h>
@@ -215,39 +218,139 @@ void cell_means(const double *v, double *out, int64_t rows, int64_t factor)
         out[i] = (0.0 + pairwise_sum(v + i * factor, factor)) / (double)factor;
 }
 
-/* The first half of a draw chunk of initial_data._midpoint_points: the ``count``
-   uniforms of SplitMix64.normals from the stream at state ``s``, u = (u64 >> 11) *
-   2^-53 with a zero draw made 2^-53, each angle slot (odd index) times 2 pi.  Returns
-   the state past them. */
-uint64_t uniforms(uint64_t s, double *z, int64_t count)
+static inline uint64_t bits_of(double x)
+{
+    uint64_t b;
+    memcpy(&b, &x, sizeof b);
+    return b;
+}
+
+static inline double double_of(uint64_t b)
+{
+    double x;
+    memcpy(&x, &b, sizeof x);
+    return x;
+}
+
+/* fdlibm's log (e_log.c) on every positive finite double, within 1 ulp; inf and nan
+   are returned as they are.  x = 2^k (1 + f) with sqrt(2)/2 < 1 + f < sqrt(2), and
+   log(1 + f) = 2s + s R(s^2), s = f / (2 + f), R a degree-7 polynomial.  Branch-free,
+   so that its loop vectorizes: a subnormal x is scaled by 2^54 first, k is made a
+   double exactly through the bits of 2^52 + k + 2048, and fdlibm's two closing forms
+   are both evaluated and one picked.  fdlibm's shortcut for |f| < 2^-20 is left out:
+   the closing forms hold there too. */
+static inline double ieee_log(double x)
+{
+    int64_t sub = x < 0x1p-1022;
+    uint64_t b = bits_of(x * (sub ? 0x1p54 : 1.0));
+    int64_t hx = (int64_t)(b >> 32) & 0xfffff, i = (hx + 0x95f64) & 0x100000;
+    int64_t k = (int64_t)(b >> 52) - 1023 - (sub ? 54 : 0) + (i >> 20);
+    double f = double_of((b & 0xfffffffffffffu) | (uint64_t)(i ^ 0x3ff00000) << 32) - 1.0;
+    double dk = double_of(0x4330000000000000u + (uint64_t)(k + 2048)) - 0x1.00000000008p52;
+    double s = f / (2.0 + f), z = s * s, w = z * z;
+    double r = z * (0x1.5555555555593p-1
+                    + w * (0x1.2492494229359p-2 + w * (0x1.7466496cb03dep-3
+                                                       + w * 0x1.2f112df3e5244p-3)))
+               + w * (0x1.999999997fa04p-2 + w * (0x1.c71c51d8e78afp-3
+                                                  + w * 0x1.39a09d078c69fp-3));
+    double hfsq = 0.5 * f * f, ln2_lo = 0x1.a39ef35793c76p-33;
+    double tail = ((hx - 0x6147a) | (0x6b851 - hx)) > 0
+                      ? hfsq - (s * (hfsq + r) + dk * ln2_lo)
+                      : s * (f - r) - dk * ln2_lo;
+    double log_x = dk * 0x1.62e42fee00000p-1 - (tail - f);
+    return x < INFINITY ? log_x : x;
+}
+
+/* sin and cos of x in [0, 2 pi), within 1 ulp: x = n pi/2 + y + yy with n =
+   round(x 2/pi) <= 4 by a two-step Cody-Waite reduction (pi/2 in pieces of 33, 33
+   and 53 bits, so each n * piece is exact), then fdlibm's __kernel_sin and
+   __kernel_cos on y + yy, in the branch-free form of FreeBSD's k_sin.c and k_cos.c,
+   swapped and negated by the quadrant n mod 4.  n is rounded by adding 1.5 * 2^52. */
+static inline void ieee_sincos(double x, double *sin_x, double *cos_x)
+{
+    double t = x * 0x1.45f306dc9c883p-1 + 0x1.8p52;
+    uint64_t q = bits_of(t);
+    double n = t - 0x1.8p52;
+    double r1 = x - n * 0x1.921fb54400000p+0, w = n * 0x1.0b4611a600000p-34;
+    double r = r1 - w;
+    w = n * 0x1.3198a2e037073p-69 - ((r1 - r) - w);
+    double y = r - w, yy = (r - y) - w;
+    double z = y * y, v = z * y, zz = z * z;
+    double rs = 0x1.111111110f8a6p-7
+                + z * (-0x1.a01a019c161d5p-13 + z * 0x1.71de357b1fe7dp-19)
+                + z * zz * (-0x1.ae5e68a2b9cebp-26 + z * 0x1.5d93a5acfd57cp-33);
+    double sin_y = y - ((z * (0.5 * yy - v * rs) - yy) - v * -0x1.5555555555549p-3);
+    double rc = z * (0x1.555555555554cp-5 + z * (-0x1.6c16c16c15177p-10
+                                                 + z * 0x1.a01a019cb1590p-16))
+                + zz * zz * (-0x1.27e4f809c52adp-22 + z * (0x1.1ee9ebdb4b1c4p-29
+                                                           + z * -0x1.8fae9be8838d4p-37));
+    double hz = 0.5 * z, one_hz = 1.0 - hz;
+    double cos_y = one_hz + (((1.0 - one_hz) - hz) + (z * rc - y * yy));
+    double s = q & 1 ? cos_y : sin_y, c = q & 1 ? sin_y : cos_y;
+    *sin_x = q & 2 ? -s : s;
+    *cos_x = (q + 1) & 2 ? -c : c;
+}
+
+/* The ``count`` uniforms of SplitMix64.normals from the stream at state ``s``: u =
+   (u64 >> 11) * 2^-53 with a zero draw made 2^-53, each angle slot (odd index) times
+   2 pi.  Returns the state past them. */
+CLONES uint64_t uniforms(uint64_t s, double *z, int64_t count)
 {
     for (int64_t i = 0; i < count; i++) {
-        uint64_t x = s += 0x9E3779B97F4A7C15u;
+        uint64_t x = s + (uint64_t)(i + 1) * 0x9E3779B97F4A7C15u;
         x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9u;
         x = (x ^ (x >> 27)) * 0x94D049BB133111EBu;
         x ^= x >> 31;
-        double u = (double)(x >> 11) * 0x1p-53;
+        double u = (double)(int64_t)(x >> 11) * 0x1p-53;
         u = u > 0x1p-53 ? u : 0x1p-53;
-        z[i] = i % 2 ? u * (2.0 * 3.141592653589793) : u;
+        z[i] = u * (i & 1 ? 2.0 * 3.141592653589793 : 1.0);
+    }
+    return s + (uint64_t)count * 0x9E3779B97F4A7C15u;
+}
+
+/* SplitMix64.normals: the ``count`` (even) normals from the stream at state ``s``,
+   r cos a and r sin a of each pair of ``uniforms``, with r = sqrt(log(u) * -2.0).
+   Returns the state past them. */
+CLONES uint64_t normals(uint64_t s, double *z, int64_t count)
+{
+    s = uniforms(s, z, count);
+    for (int64_t j = 0; j < count; j += 2) {
+        double r = sqrt(ieee_log(z[j]) * -2.0), sin_a, cos_a;
+        ieee_sincos(z[j + 1], &sin_a, &cos_a);
+        z[j] = r * cos_a;
+        z[j + 1] = r * sin_a;
     }
     return s;
 }
 
-/* The second half, after numpy has put log(u) in the even slots of z, sin(angle) in
-   the odd ones and cos(angle) in c: the normals r cos and r sin of each pair, with
-   r = sqrt(log(u) * -2.0), as SplitMix64.normals forms them, and then the ``count``
-   midpoints pts[j * stride + stride / 2] = (left + right) * 0.5 + noise * scale of
-   the intervals [j * stride, (j + 1) * stride] of pts. */
-void displace(double *pts, int64_t stride, int64_t count, const double *z, const double *c,
-              double scale)
+/* normals drawn at a time, on the stack */
+#define DRAW_BLOCK 512
+
+/* One midpoint level of initial_data._midpoint_points: ``count`` (even) normals from
+   the stream at state ``s``, and the midpoints pts[j * stride + stride / 2] = (left +
+   right) * 0.5 + noise * scale of the intervals [j * stride, (j + 1) * stride] of
+   pts.  Returns the state past the draws. */
+uint64_t draw(uint64_t s, double *pts, int64_t stride, int64_t count, double scale)
 {
+    double z[DRAW_BLOCK];
     int64_t half = stride / 2;
-    for (int64_t j = 0; j < count; j += 2) {
-        double r = sqrt(z[j] * -2.0);
-        double noise[2] = {r * c[j / 2], r * z[j + 1]};
-        for (int m = 0; m < 2; m++) {
-            double *mid = pts + (j + m) * stride + half;
-            *mid = (mid[-half] + mid[half]) * 0.5 + noise[m] * scale;
+    for (int64_t a = 0; a < count; a += DRAW_BLOCK) {
+        int64_t m = count - a < DRAW_BLOCK ? count - a : DRAW_BLOCK;
+        s = normals(s, z, m);
+        for (int64_t j = 0; j < m; j++) {
+            double *mid = pts + (a + j) * stride + half;
+            *mid = (mid[-half] + mid[half]) * 0.5 + z[j] * scale;
         }
+    }
+    return s;
+}
+
+/* log, sin and cos of the n values x, as the draw takes them, for the tests of their
+   accuracy */
+void log_sincos(const double *x, int64_t n, double *log_x, double *sin_x, double *cos_x)
+{
+    for (int64_t i = 0; i < n; i++) {
+        log_x[i] = ieee_log(x[i]);
+        ieee_sincos(x[i], sin_x + i, cos_x + i);
     }
 }

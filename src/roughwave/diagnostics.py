@@ -8,6 +8,7 @@ from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
 
+from ._ieee import log
 from .flux import FluxSpec, NumFluxKind
 from .mesh import CellField, restrict
 
@@ -75,7 +76,7 @@ def tv_time_integral(traj: "Trajectory") -> float:
         return 0.0
     weights = np.full(times.size, traj.dt_used)
     weights[-1] = times[-1] - times[-2]
-    return float(np.dot(np.asarray(traj.per_step_tv, dtype=float), weights))
+    return float(np.sum(np.asarray(traj.per_step_tv, dtype=float) * weights))
 
 
 def default_beta(spec: FluxSpec, kind: NumFluxKind) -> float:
@@ -108,15 +109,19 @@ def lip_bound_rhs(beta: float, lip_plus_0: float, dt: float, t_n: float) -> floa
 def fit_rate(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
     """Least-squares slope and intercept of log e against log h.
 
-    The slope is the empirical convergence (or blow-up) rate of e ~ h^slope.
+    The slope is the empirical convergence (or blow-up) rate of e ~ h^slope.  It
+    is the closed form over numpy's pairwise sums and ``_ieee.log``, which give
+    the same bits on every CPU, where a BLAS or LAPACK fit would not.
     """
     if len(points) < 2:
         raise ValueError("need at least 2 points to fit a rate")
-    h = np.array([p[0] for p in points], dtype=float)
-    e = np.array([p[1] for p in points], dtype=float)
-    if np.any(h <= 0) or np.any(e <= 0):
-        raise ValueError("rate fits need strictly positive h and e")
-    if np.unique(h).size < 2:
+    he = np.array(points, dtype=float).T
+    if not np.all((he > 0) & (he < np.inf)):
+        raise ValueError("rate fits need strictly positive finite h and e")
+    x, y = log(he)
+    if np.unique(x).size < 2:
         raise ValueError("rate fits need at least two distinct h values")
-    slope, intercept = np.polyfit(np.log(h), np.log(e), 1)
-    return float(slope), float(intercept)
+    x_mean, y_mean = np.mean(x), np.mean(y)
+    dx = x - x_mean
+    slope = np.sum(dx * (y - y_mean)) / np.sum(dx * dx)
+    return float(slope), float(y_mean - slope * x_mean)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -26,6 +25,7 @@ from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
+from ._ieee import log
 from .diagnostics import (
     default_beta,
     fit_rate,
@@ -255,7 +255,8 @@ def _converge_sample(cfg, hurst, sample):
         rate = None
         if points and err > 0 and points[-1][1] > 0:
             prev_dx, prev_err = points[-1]
-            rate = math.log(prev_err / err) / math.log(prev_dx / dx)
+            num, den = log(np.array([prev_err / err, prev_dx / dx]))
+            rate = float(num / den)
         rows.append(("converge", hurst, sample, k, float(dx), float(err), rate, None))
         points.append((dx, err))
     rows.append(_slope_row("converge", hurst, sample, _slope_or_none(points), "RATE"))

@@ -3,7 +3,9 @@ midpoint displacement.
 
 The random number generator is pinned to an exact bit recipe (splitmix64
 for the integer stream, Box-Muller for normals) so that every experiment is
-reproducible from its seed alone.
+reproducible from its seed alone.  Box-Muller's log and sincos are ``_ieee``'s,
+IEEE basic operations only, so no libm and no SIMD kernel numpy picks by CPU
+sets their bits.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 import numpy as np
 
 from . import _kernels
+from ._ieee import log, sincos
 from .mesh import CellField, Grid
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -22,9 +25,6 @@ _U53_SCALE = 2.0**-53
 # 2^26 + 1 path points is ~0.5 GB of float64; refuse anything deeper (a march's
 # 2^28 time points, 2 GiB, are solver._MAX_STEPS)
 MAX_LEVEL = 26
-# normals drawn per chunk of a midpoint level: with the compiled kernels at k = 18,
-# 2^14 .. 2^16 are within 4% of each other, and 2^12 and 2^17 10-20% slower
-_DRAW_CHUNK = 1 << 15
 
 
 class SplitMix64:
@@ -36,8 +36,9 @@ class SplitMix64:
 
     Normals come in pairs: two uniforms u1, u2 = (u64 >> 11) * 2^-53 mapped
     onto (0, 1] (a zero draw becomes 2^-53) give the cosine branch, then the
-    sine branch.  Nothing is cached, so a normal's bits depend only on its
-    position in the stream and draws in chunks give the same stream as one block.
+    sine branch, through ``_ieee.log`` and ``_ieee.sincos`` or their C twins.
+    Nothing is cached, so a normal's bits depend only on its position in the
+    stream and draws in chunks give the same stream as one block.
     """
 
     def __init__(self, seed: int):
@@ -60,35 +61,27 @@ class SplitMix64:
         return z
 
     def normals(self, count: int) -> np.ndarray:
-        """``count`` standard normal draws, ``count`` even, as an array (Box-Muller in
-        place on the uniforms' own buffer, which is returned)."""
-        if count % 2:
-            raise ValueError(f"normals come in pairs; count must be even, got {count}")
+        """``count`` standard normal draws, ``count`` even, as an array: by the C
+        ``normals`` where ``_kernels.load`` finds it, else by Box-Muller in numpy on
+        the uniforms' own buffer, which is returned; the bits are the same."""
+        if count % 2 or count < 0:
+            raise ValueError(f"normals come in pairs; count must be even and >= 0, got {count}")
+        lib = _kernels.load()
+        if lib is not None:
+            z = np.empty(count)
+            self.state = lib.normals(self.state, z.ctypes.data, count)
+            return z
         u = self.u64(count)
         u >>= np.uint64(11)
         z = u.view(np.float64)
         z[...] = u.view(np.int64)  # exact: every value is below 2^53
         z *= _U53_SCALE
         np.maximum(z, _U53_SCALE, out=z)  # a zero draw becomes 2^-53
-        r, ang = z[0::2], z[1::2]
-        np.multiply(ang, 2.0 * np.pi, out=ang)
-        cos = _log_cos_sin(z, np.empty(r.size))
-        np.sqrt(np.multiply(r, -2.0, out=r), out=r)
-        np.multiply(r, ang, out=ang)
-        np.multiply(r, cos, out=r)
+        sin, cos = sincos(z[1::2] * (2.0 * np.pi))
+        r = np.sqrt(log(z[0::2]) * -2.0)
+        np.multiply(r, cos, out=z[0::2])
+        np.multiply(r, sin, out=z[1::2])
         return z
-
-
-def _log_cos_sin(z: np.ndarray, cos: np.ndarray) -> np.ndarray:
-    """The transcendental part of Box-Muller on uniforms ``z`` whose odd slots hold
-    the angles: log of the even slots and sin of the odd ones in place, the cosines
-    into ``cos``, which is returned.  Both kernels of a draw run these numpy calls,
-    on the same strided views, so that their bits are numpy's."""
-    r, ang = z[0::2], z[1::2]
-    np.log(r, out=r)
-    np.cos(ang, out=cos)
-    np.sin(ang, out=ang)
-    return cos
 
 
 def sample_seed(base_seed: int, index: int) -> int:
@@ -111,9 +104,9 @@ def _midpoint_points(hurst: float, level_k: int, rng: SplitMix64) -> np.ndarray:
     fresh Gaussian scaled by ``_midpoint_scale(hurst, level)``.  The traversal
     order is fixed, so a path is a pure function of (hurst, level, seed).  The
     right endpoint and level 0's one midpoint are drawn as one pair; each later
-    level's even count of noise is drawn in chunks of ``_DRAW_CHUNK`` and
-    written straight into its midpoint slots, by the C ``uniforms`` and
-    ``displace`` where ``_kernels.load`` finds them, with the same bits.
+    level's even count of noise is drawn in one block and written straight into
+    its midpoint slots, by one call of the C ``draw`` where ``_kernels.load``
+    finds it, with the same bits.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
@@ -124,28 +117,16 @@ def _midpoint_points(hurst: float, level_k: int, rng: SplitMix64) -> np.ndarray:
     pts[n], noise = rng.normals(2)
     pts[n >> 1] = 0.5 * pts[n] + _midpoint_scale(hurst, 0) * noise
     lib = _kernels.load()
-    if lib is not None:  # the buffers of the compiled draw, reused by every chunk
-        z = np.empty(min(n >> 1, _DRAW_CHUNK))
-        cos = np.empty(z.size >> 1)
     for level in range(1, level_k):
         stride = n >> level
         scale = _midpoint_scale(hurst, level)
-        mids, lefts, rights = pts[stride >> 1 :: stride], pts[0:n:stride], pts[stride::stride]
-        for a in range(0, 1 << level, _DRAW_CHUNK):
-            b = a + _DRAW_CHUNK
-            mid = mids[a:b]
-            if lib is None:
-                noise = rng.normals(mid.size)
-                np.add(lefts[a:b], rights[a:b], out=mid)
-                mid *= 0.5
-                noise *= scale
-                mid += noise
-            else:  # the same draw and update: two C calls around numpy's log, cos, sin
-                chunk = z[:mid.size]
-                rng.state = lib.uniforms(rng.state, chunk.ctypes.data, chunk.size)
-                _log_cos_sin(chunk, cos[:chunk.size >> 1])
-                lib.displace(pts.ctypes.data + a * stride * pts.itemsize, stride, chunk.size,
-                             chunk.ctypes.data, cos.ctypes.data, scale)
+        if lib is not None:
+            rng.state = lib.draw(rng.state, pts.ctypes.data, stride, 1 << level, scale)
+        else:
+            mid = pts[stride >> 1 :: stride]
+            np.add(pts[0:n:stride], pts[stride::stride], out=mid)
+            mid *= 0.5
+            mid += rng.normals(mid.size) * scale
     return pts
 
 

@@ -264,3 +264,5 @@ def test_fit_rate_validates_input():
         fit_rate([(0.5, 1.0), (-0.25, 2.0)])
     with pytest.raises(ValueError):
         fit_rate([(0.5, 0.0), (0.25, 2.0)])
+    with pytest.raises(ValueError, match="finite"):
+        fit_rate([(0.5, float("inf")), (0.25, 2.0)])

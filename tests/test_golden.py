@@ -10,17 +10,26 @@ k = 8-12 for three Hurst exponents (23,808 rows) and ``solve`` at k = 9 with
 three snapshots (2,560 rows).  The stdout of ``selfcheck`` is pinned too.  The
 command hashes, the per-pair hashes and the deep tables are checked with the
 compiled kernels (the march of ``evolve``, the fBm draw, the restriction) and
-with their numpy code, against the same pinned values.  A change that alters any
-output bit fails here; re-pin a hash only with a change that is meant to alter
-that output.
+with their numpy code, against the same pinned values.  The ensemble commands
+and the deep ``fbm`` table are run again in a subprocess under settings that make
+numpy, OpenBLAS and glibc pick other kernels on an x86-64 CPU, and must give the
+same hashes there: nothing in them depends on a kernel picked by CPU.  A change
+that alters any output bit fails here; re-pin a hash only with a change that is
+meant to alter that output.
 """
 
 import hashlib
 import io
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from roughwave import _kernels
 from roughwave.cli import run
 
 CONFIG = """\
@@ -37,23 +46,23 @@ snapshot_times = 0.125,0.25
 
 GOLDEN = {
     "converge": (
-        "6f73363f0aacb571c72e153410e1bc3aab21a33b5f1e97e80f2d28b4e6ef9ea0",
+        "57aebd9e593bba4bb12ae88565046d0fc653baba394e05011cd6a322aff3a72e",
         "0efc881ce11b14b754f6ced1b27263812517edd8192a335d51f8268c4f4bfc0c",
     ),
     "tvscale": (
-        "4bd8c668e0535a3b92e4ac415fbebf08a7e27049363a747ebf05d597906d371d",
+        "73dbf1237cbfd2cc1878ec8685439da091ec5a0bec7e5ff3309567db39935532",
         "d0f01ad352677494c10833370ecf2f4551cac791956dbfc8fc980aaf631eae94",
     ),
     "lipscale": (
-        "e959ba594cf869c3237d9fcc7286eee84edb039d1532c75033bcf8339f15dac1",
+        "52f767eac3010f7fd9df615c0fde55539f582613b25b58b91015f07925c7388d",
         "c307c9ec5b060a3996c9d14696f767bc791fcfcd3b263e73cb8efca6c57cf31d",
     ),
     "tvdecay": (
-        "7124cb23e8de3043d7e86e340580808c22f81d5a54714197939c5585bf1a3eb9",
+        "da5a2af6fecbde296b1296b6a0c6ddf656709576a347137e40bd763ed2af5148",
         "6564c898246c2cf74529eded565bb73359b4b6b869ab3aad7429e5fb2de3852f",
     ),
     "sharpness": (
-        "574a62337c2c54620d1057f4c54b7448144517bdbf345025280d0c373df23812",
+        "6a364e36110e7580f828c5084d0d6b37362b99bebcfdee79aa6bb8d848581893",
         "0596856425d0ab9ffb9c78272aa3f4095084d4f99dbfb099125163abaa8e66d4",
     ),
     "solve": (
@@ -61,7 +70,7 @@ GOLDEN = {
         "8f10f535211e147a822af8ea0365f25dffb1cb16b0d107a2997e54f8e7f4b6f8",
     ),
     "fbm": (
-        "93d2e4c11f49e0b7919d039ad69394be05f69e61006eb7007efed81e848c8ea7",
+        "4a8501acb6263993d3aef8427fa6d7b906dc32d65ebb47fcf10d3acff4bb238e",
         "0367256dc8b7e451a3faccf834769f535e24518a18f7520f4823b1e8cdb878b7",
     ),
 }
@@ -81,32 +90,32 @@ snapshot_times = 0.125,0.25
 
 # solve.csv SHA-256 per (numflux, equation, boundary)
 PAIR_GOLDEN = {
-    ("godunov", "burgers", "outflow"): "b56dcce3958b474ae5bf95869ea1f2c01979df5bed2ba85ca4b473f532e5217f",
-    ("godunov", "cubic", "outflow"): "c014140ab2a40f5e91418f364e644bfa354ea21241bdddf697e2fefdbc654155",
-    ("godunov", "linear", "outflow"): "d1c57387baf22166c4cbf0a5bc331400ef107f71854d63ad5dd408f631a68d7c",
-    ("rusanov", "burgers", "outflow"): "3284d693f0a159135ac24460ada226524ebaa811d04ee895010e086d7a4f388b",
-    ("rusanov", "cubic", "outflow"): "842075e28116731fd05250a82ac55bfcf79620a44d8c1b009b8dffc695c6657e",
-    ("rusanov", "linear", "outflow"): "362787b754c18f7fa4358efd3a51e20f40999a475581a50354d51bd624a709ad",
-    ("lax_friedrichs", "burgers", "outflow"): "9b83ffafd4bafb7866f4d3f0ed6fde1237f03e4a40edb431edb55a2f24a6b363",
-    ("lax_friedrichs", "cubic", "outflow"): "8fcdf02856ac601a9abd1fbc3514d074b9aeb825b562b257986078799494e5b8",
-    ("lax_friedrichs", "linear", "outflow"): "0a1d4b5bd34ee10cb6424b3f10ed91867184b378e5c9ecd37885141bcd362110",
-    ("engquist_osher", "burgers", "outflow"): "ee65ed66a9ed061d521a4ae65738c5b3e60b7590ce9830057ce55ee3a5548b5e",
-    ("engquist_osher", "cubic", "outflow"): "c014140ab2a40f5e91418f364e644bfa354ea21241bdddf697e2fefdbc654155",
-    ("engquist_osher", "linear", "outflow"): "d1c57387baf22166c4cbf0a5bc331400ef107f71854d63ad5dd408f631a68d7c",
-    ("upwind", "linear", "outflow"): "d1c57387baf22166c4cbf0a5bc331400ef107f71854d63ad5dd408f631a68d7c",
-    ("godunov", "burgers", "periodic"): "4f9474e3431fbb06858bc84353e3e1461b5b5cef580eac87d1cca64a34f19b7c",
-    ("godunov", "cubic", "periodic"): "89c32859a0b28bfc4b71680ad0d7c4be76ae57af593054b4a290b9b27be1b819",
-    ("godunov", "linear", "periodic"): "629d88e40382d0f52d0adb0e77d991114ff0c6205486056652ff1203dc191a77",
-    ("rusanov", "burgers", "periodic"): "0df326bb7f8a47e7a5eb18d46d68c7694f1054d70da916f7018d65ada7d42ae6",
-    ("rusanov", "cubic", "periodic"): "cdffeb5c06dd0086dbc1509192463bba3b18a27926fbe0c192733f913fdf37c9",
-    ("rusanov", "linear", "periodic"): "c17a50f3ae5b2c971bfd3fff4fcf29292ee2d274c863f9354b228c45a7e3227b",
-    ("lax_friedrichs", "burgers", "periodic"): "04de8103bfa54996d00268f1a6857acad3fef3234183d57bd8df9888617d2d87",
-    ("lax_friedrichs", "cubic", "periodic"): "f23ab3934fecee289cbb95007eb2e34ca75a586d5bab576bb9702a4f9b51b222",
-    ("lax_friedrichs", "linear", "periodic"): "378c5d1e25adc9c8669cd0eabfab8e264f325e7806f7306fbe1dbd44c63e12b2",
-    ("engquist_osher", "burgers", "periodic"): "3473117864dee58df51f11c3d170b9ac6e31d9fc134878040d9ffade965ea132",
-    ("engquist_osher", "cubic", "periodic"): "89c32859a0b28bfc4b71680ad0d7c4be76ae57af593054b4a290b9b27be1b819",
-    ("engquist_osher", "linear", "periodic"): "629d88e40382d0f52d0adb0e77d991114ff0c6205486056652ff1203dc191a77",
-    ("upwind", "linear", "periodic"): "629d88e40382d0f52d0adb0e77d991114ff0c6205486056652ff1203dc191a77",
+    ("godunov", "burgers", "outflow"): "8575119f1c79d67c81cf40802272836f93ca832050fa5b8e142393a605135678",
+    ("godunov", "cubic", "outflow"): "93d7e371bd2b2c6077c0ef2759dd5fd1514aa69f3a8658a7280c18bb6f9b67cb",
+    ("godunov", "linear", "outflow"): "7f6a7740592a8dc8eecf448f963a9caf34d53b218dd2e39c2a7656dc2e900c0c",
+    ("rusanov", "burgers", "outflow"): "fd543592d89a502ea40b5cefaac0d23ceb4c7df407cbb563471af6694520ff52",
+    ("rusanov", "cubic", "outflow"): "b58e953e2e5bc416aa979affe7d4c45075031ca92d994c08cabbf03c4914cca0",
+    ("rusanov", "linear", "outflow"): "2e873758ab28a156c649d814a12533b8eecd5b5379543ba51743254a6865e300",
+    ("lax_friedrichs", "burgers", "outflow"): "3b9c6b88798f240d99ebfdad9090ad50fb747ffa9780be389890267a6c7ce539",
+    ("lax_friedrichs", "cubic", "outflow"): "750d1613c537b98e9e69c3f7601fa135a074a44d63bd14ccc211f77b0cecce28",
+    ("lax_friedrichs", "linear", "outflow"): "3202efe586bac17c801965a417c1f9d0300142c8ae68e1cdd49e6ff8f5c9d6b7",
+    ("engquist_osher", "burgers", "outflow"): "5e534af05c0696e4047a557879827e556dbab164c4415ff5734d7c59445cf829",
+    ("engquist_osher", "cubic", "outflow"): "93d7e371bd2b2c6077c0ef2759dd5fd1514aa69f3a8658a7280c18bb6f9b67cb",
+    ("engquist_osher", "linear", "outflow"): "7f6a7740592a8dc8eecf448f963a9caf34d53b218dd2e39c2a7656dc2e900c0c",
+    ("upwind", "linear", "outflow"): "7f6a7740592a8dc8eecf448f963a9caf34d53b218dd2e39c2a7656dc2e900c0c",
+    ("godunov", "burgers", "periodic"): "5d48d6536247773cf07a0871fe99216b0713eccc36ed2b4c78705e61c812c141",
+    ("godunov", "cubic", "periodic"): "4bf65d1e434e545beb77919b880c3efb5a0225c4fdfe9a6d141e834c9f91342d",
+    ("godunov", "linear", "periodic"): "91df9966a29a0aa9f9a1d7f6c13601df8a7ffb36eb6aee9bcc3321fe03188ed8",
+    ("rusanov", "burgers", "periodic"): "558b053b7e28754d361ed63aced9d5ede8574b4a97378c34d518590eb4e2964c",
+    ("rusanov", "cubic", "periodic"): "a9bec997d6b94767b6796644381c4feb46ba7c50bcfad47e71a1278c4de5ea81",
+    ("rusanov", "linear", "periodic"): "052858a6d820b76c4f898517c255dddc21016d66377acad84857e02823e17f45",
+    ("lax_friedrichs", "burgers", "periodic"): "714c4ea261fb1a68717dbc0dd242bade145086340635e5f8971a79d99cb90b26",
+    ("lax_friedrichs", "cubic", "periodic"): "76e360103c5dfebbd5c78933935f23b888d00c94a96c6b96a0910100774ba84a",
+    ("lax_friedrichs", "linear", "periodic"): "85329c763866c73402c57c55257c13f446fb289ae8c55872baaf7cb9e1b9289e",
+    ("engquist_osher", "burgers", "periodic"): "8ed97d678add1d02c21f82384b608178358a973c88a9de97164a7a904fd4c5c5",
+    ("engquist_osher", "cubic", "periodic"): "4bf65d1e434e545beb77919b880c3efb5a0225c4fdfe9a6d141e834c9f91342d",
+    ("engquist_osher", "linear", "periodic"): "91df9966a29a0aa9f9a1d7f6c13601df8a7ffb36eb6aee9bcc3321fe03188ed8",
+    ("upwind", "linear", "periodic"): "91df9966a29a0aa9f9a1d7f6c13601df8a7ffb36eb6aee9bcc3321fe03188ed8",
 }
 
 DEEP_CONFIG = {
@@ -134,8 +143,8 @@ snapshot_times = 0.0625,0.125,0.1875
 
 # CSV SHA-256 of each command run on its DEEP_CONFIG
 DEEP_GOLDEN = {
-    "fbm": "636466ac8e9253ecb0b279e57b1ca76ec6aa850a104c842c6962bef37c39602e",
-    "solve": "0eb541b2789365391e5def6a1553be883c6f3016acd3c6f12e0d03731dd4eaf2",
+    "fbm": "4def34075fba8d3016a2ab43f9bd134c6e3409d61db1e16742ebaaad508ae51b",
+    "solve": "4b1fb7f5afc7046fc37cc314e0639c0de30bb3faf0caaf98c979e12faa0319d2",
 }
 
 # SHA-256 of the stdout of ``roughwave selfcheck``
@@ -180,3 +189,50 @@ def test_golden_selfcheck_stdout():
     out = io.StringIO()
     assert run(["selfcheck"], out=out) == 0
     assert _sha256(out.getvalue().encode()) == SELFCHECK_GOLDEN
+
+
+# Settings that make each library pick other kernels than it would on an x86-64 CPU
+# with AVX-512: numpy's AVX-512 loops off, OpenBLAS's Haswell kernels (those of any
+# AVX2 CPU without AVX-512), and glibc's libm without its AVX2 and FMA variants
+PLATFORMS = {
+    "numpy-avx2": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "glibc-no-fma": {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"},
+}
+
+ENSEMBLE = ("converge", "lipscale", "sharpness", "tvscale")
+
+# run in a subprocess with argv = [march, out dir]: prints the CSV and manifest
+# hashes of the ensemble commands and the deep fbm table's CSV hash, as JSON
+PLATFORM_RUN = """
+import json, sys
+from pathlib import Path
+from roughwave import _kernels
+import test_golden as g
+if sys.argv[1] == "numpy":
+    _kernels.load = lambda: None
+assert _kernels.march_name() == sys.argv[1]
+out = Path(sys.argv[2])
+hashes = {c: list(g.output_hashes(c, out)) for c in g.ENSEMBLE}
+hashes["deep-fbm"] = g.output_hashes("fbm", out / "deep", g.DEEP_CONFIG["fbm"])[0]
+print(json.dumps(hashes))
+"""
+
+
+@pytest.mark.parametrize("march_name, setting", [*(("compiled", s) for s in PLATFORMS),
+                                                 ("numpy", "numpy-avx2")])
+def test_golden_hashes_on_other_kernels(march_name, setting, tmp_path):
+    if platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("the settings pick x86-64 kernels")
+    if march_name == "compiled" and _kernels.load() is None:
+        pytest.skip("no C compiler: only the numpy kernels run")
+    (tmp_path / "deep").mkdir()
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(Path(_kernels.__file__).parents[1]), str(here)])
+    env = dict(os.environ, PYTHONPATH=path, **PLATFORMS[setting])
+    done = subprocess.run([sys.executable, "-c", PLATFORM_RUN, march_name, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    hashes = json.loads(done.stdout.splitlines()[-1])
+    assert hashes.pop("deep-fbm") == DEEP_GOLDEN["fbm"]
+    assert hashes == {command: list(GOLDEN[command]) for command in ENSEMBLE}

@@ -13,7 +13,7 @@ from roughwave import (
     sample_seed,
     total_variation,
 )
-from roughwave import _kernels, initial_data
+from roughwave import _ieee, _kernels, initial_data
 from roughwave.initial_data import _midpoint_points
 
 
@@ -203,9 +203,9 @@ def test_fbm_tv_blowup_rate():
 
 # --- bit identity with the one-block recipe --------------------------------
 #
-# The oracle below is the recipe the chunked, in-place generator replaced: one
-# splitmix64 block per draw, Box-Muller on fresh arrays, and one midpoint
-# update per level.  The generator must reproduce it bit for bit.
+# The oracle below is the recipe the in-place generator replaced: one splitmix64
+# block per draw, Box-Muller on fresh arrays (with the package's log and sincos),
+# and one midpoint update per level.  The generator must reproduce it bit for bit.
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -238,11 +238,11 @@ class OracleSplitMix64:
         u = (self._u64_block(2 * pairs) >> np.uint64(11)).astype(np.float64)
         u *= 2.0**-53
         u[u == 0.0] = 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u[0::2]))
-        ang = (2.0 * np.pi) * u[1::2]
+        r = np.sqrt(-2.0 * _ieee.log(u[0::2]))
+        sin, cos = _ieee.sincos((2.0 * np.pi) * u[1::2])
         woven = np.empty(2 * pairs)
-        woven[0::2] = r * np.cos(ang)
-        woven[1::2] = r * np.sin(ang)
+        woven[0::2] = r * cos
+        woven[1::2] = r * sin
         out[k:] = woven[:need]
         if need % 2 == 1:
             self._spare_normal = float(woven[need])
@@ -270,7 +270,7 @@ def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
 
 
-_CHUNK = initial_data._DRAW_CHUNK
+_CHUNK = 1 << 15
 _COUNTS = (0, 2, 6, 8, _CHUNK - 2, _CHUNK, _CHUNK + 2, 2 * _CHUNK + 2)
 
 
@@ -307,7 +307,7 @@ def test_fbm_bits_match_oracle(hurst, seed, march):
 
 
 def test_fbm_initial_field_allocation_peak():
-    # the path buffer plus CellField's copy, and chunk-sized temporaries
+    # the path buffer plus CellField's copy, and the temporaries of one level
     grid = make_grid(0, 1, 1 << 18)
     tracemalloc.start()
     try:

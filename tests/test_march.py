@@ -11,7 +11,8 @@
   short last step or on a whole one, snapshots fall on the march's 64-step
   checks, and t_final can be 0.  The states have 1-1,001 cells, so that they
   fill the vectors of each clone and leave tails.  Built for one x86-64 level at
-  a time, without clones, the C march gives the bits of the numpy march too.
+  a time, without clones, the C march gives the bits of the numpy march too, its
+  check after time point 63 included, and so do the C draw, log and sincos.
 - A block of steps is one C call: a run with no snapshot makes one, or two with
   a short last step, plus one per snapshot step.
 - The C total variation equals ``diagnostics._variation`` (numpy's pairwise
@@ -20,8 +21,9 @@
 - The C cell means equal ``values.reshape(-1, factor).mean(axis=1)`` byte for
   byte, on signed zeros, subnormals and magnitudes from 1e-300 to 1e300, for
   factors 1-4096 and for many rows of 2-128 cells.
-- The C uniforms of a draw chunk equal ``SplitMix64``'s, zero draws included,
-  and return the stream's state past them.
+- The C uniforms and normals of the draw equal ``SplitMix64``'s numpy ones,
+  zero draws included, and return the stream's state past them.  A midpoint
+  level is one C call.
 - ``_march.c`` builds with ``-Wall -Wextra -Werror`` (unused parameters aside).
 - Without a compiler, or without a writable cache, ``evolve``, the fBm draw and
   the restriction run their numpy code with the same bits, and the manifest says
@@ -47,6 +49,7 @@ from hypothesis.extra.numpy import arrays
 import roughwave
 import roughwave.solver as solver
 from roughwave import (
+    _ieee,
     Boundary,
     CellField,
     FluxSpec,
@@ -62,7 +65,7 @@ from roughwave import (
 )
 from roughwave.cli import run
 from roughwave.diagnostics import _variation
-from roughwave.initial_data import GOLDEN_GAMMA, SplitMix64
+from roughwave.initial_data import GOLDEN_GAMMA, SplitMix64, _midpoint_points
 
 PAIRS = [
     (kind, spec)
@@ -279,6 +282,28 @@ def test_each_clone_level_marches_the_numpy_bits(level, feature, tmp_path, monke
                     cfg = SchemeConfig(spec, numflux, t_final=1.0, boundary=boundary)
                     compiled, numpy_bits = march_bits(v, 5, 0.4, numflux, cfg)
                     assert compiled == numpy_bits, (level, n, scale, kind, spec, boundary)
+    # from time point 62, a step that overflows to inf meets the check after 63
+    for kind, spec in PAIRS:
+        numflux = NumericalFluxSpec(kind, 0.3 if kind is NumFluxKind.LAX_FRIEDRICHS else None)
+        for boundary in Boundary:
+            cfg = SchemeConfig(spec, numflux, t_final=1.0, boundary=boundary)
+            compiled, numpy_bits = march_bits(np.array([0.0, 0.0, 1e300, 0.0, 0.0]), 3, 0.5,
+                                              numflux, cfg, first=62)
+            assert compiled == numpy_bits, (level, kind, spec, boundary)
+
+    # the draw, every level of two k = 16 paths, and the log and sincos on 2^16 values
+    def paths():
+        return [_midpoint_points(hurst, 16, SplitMix64(seed)).tobytes()
+                for hurst, seed in [(0.25, 3), (0.75, 2**64 - 1)]]
+
+    compiled_paths = paths()
+    x = rng.random(1 << 16) * (2.0 * np.pi)
+    out = [np.empty(x.size) for _ in range(3)]
+    lib.log_sincos(x.ctypes.data, x.size, *(o.ctypes.data for o in out))
+    assert np.array(out).tobytes() == np.array([_ieee.log(x), *_ieee.sincos(x)]).tobytes()
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, "load", lambda: None)
+        assert paths() == compiled_paths
 
 
 @pytest.mark.parametrize("periodic", [False, True])
@@ -346,6 +371,31 @@ def test_c_uniforms_return_the_stream_state_and_numpy_uniforms(seed, count):
     assert z.tobytes() == u.tobytes()
 
 
+@pytest.mark.parametrize("count", [0, 2, 6, 1000, 2**15 + 2])
+@pytest.mark.parametrize("seed", [2024, *ZERO_SLOTS])
+def test_c_normals_equal_numpy_normals(seed, count, monkeypatch):
+    compiled_march()
+    rng = SplitMix64(seed)
+    compiled = rng.normals(count).tobytes(), rng.state
+    monkeypatch.setattr(_kernels, "load", lambda: None)
+    rng = SplitMix64(seed)
+    assert (rng.normals(count).tobytes(), rng.state) == compiled
+
+
+def test_each_midpoint_level_is_one_c_call(monkeypatch):
+    lib = compiled_march()
+    counts = []
+
+    class CountingDraws(CountingLibrary):
+        def draw(self, state, pts, stride, count, scale):
+            counts.append((stride, count))
+            return self.lib.draw(state, pts, stride, count, scale)
+
+    monkeypatch.setattr(_kernels, "load", lambda: CountingDraws(lib))
+    _midpoint_points(0.5, 12, SplitMix64(1))
+    assert counts == [(1 << (12 - level), 1 << level) for level in range(1, 12)]
+
+
 def test_march_c_builds_without_warnings(tmp_path):
     if shutil.which("gcc") is None:
         pytest.skip("no C compiler")
@@ -397,7 +447,7 @@ def test_without_a_compiler_evolve_gives_the_same_bits(tmp_path, monkeypatch, fr
     cfg = SchemeConfig(FluxSpec.BURGERS, NumericalFluxSpec(NumFluxKind.GODUNOV), t_final=0.5)
     compiled, csv = outcome(u0, cfg, (0.25,), True), solve_run(tmp_path, "compiled")
     assert csv[1] == "compiled"
-    # 2^17 cells: the finest level draws its noise in more than one chunk
+    # 2^17 cells: the finest levels are drawn in many blocks of the C draw
     deep = fbm_initial_field(0.25, make_grid(0.0, 1.0, 1 << 17), 12)
     means = [restrict(deep, factor).values.tobytes() for factor in (2, 8, 4096)]
 
