@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import functools
 import os
+import threading
 from pathlib import Path
 
 _FLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-mprefer-vector-width=512", "-shared", "-fPIC")
+_BUILD_LOCK = threading.Lock()
 
 
 def _sha256(data: bytes) -> str:
@@ -40,10 +42,10 @@ def load():
 
     It is compiled on first use, in about 1 s, into ``$XDG_CACHE_HOME/roughwave``
     (default ``~/.cache/roughwave``, mode 0700) under the SHA-256 of the source and
-    the flags, written under a temporary name and renamed into place, so processes
-    that build it at once do not race.  The key is public, so a cache directory that
-    is not the user's own, or that its group or others can write, is not used: nothing
-    is built in it or loaded from it.
+    the flags, by one thread at a time, under a temporary name renamed into place, so
+    processes that build it at once do not race.  The key is public, so a cache
+    directory not the user's own, or that its group or others can write, is not used:
+    nothing is built in it or loaded from it.
     """
     import ctypes
     import subprocess
@@ -57,14 +59,15 @@ def load():
         if st.st_uid != os.getuid() or st.st_mode & 0o022:  # others could plant a library
             return None
         path = cache / f"march-{key}.so"
-        if not path.exists():
-            tmp = cache / f".{path.name}.{os.getpid()}.tmp"
-            try:
-                subprocess.run(["gcc", *_FLAGS, "-o", str(tmp), str(source)],
-                               check=True, capture_output=True)
-                os.replace(tmp, path)
-            finally:
-                tmp.unlink(missing_ok=True)
+        with _BUILD_LOCK:
+            if not path.exists():
+                tmp = cache / f".{path.name}.{os.getpid()}.tmp"
+                try:
+                    subprocess.run(["gcc", *_FLAGS, "-o", str(tmp), str(source)],
+                                   check=True, capture_output=True)
+                    os.replace(tmp, path)
+                finally:
+                    tmp.unlink(missing_ok=True)
         lib = ctypes.CDLL(str(path))
     except (OSError, RuntimeError, subprocess.SubprocessError):  # RuntimeError: no home
         return None

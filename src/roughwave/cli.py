@@ -1,9 +1,9 @@
 """Command-line entry point: config parsing, study execution, CSV + manifest
-persistence, and a self-check of the flux and PRNG contracts.
+persistence, and a self-check of the PRNG, the draw and march, and the fluxes.
 
 ``roughwave <study> --config FILE --out DIR [--seed N] [--workers N]`` runs one
 study of ``experiments.STUDIES``; ``--seed`` replaces the config's base_seed and
-``--workers`` (default 1) caps the process pool.  ``roughwave selfcheck`` takes
+``--workers`` (default 1) caps the thread pool.  ``roughwave selfcheck`` takes
 no options.  Exit codes: 0 success, 1 invalid usage or configuration or an
 ``--out`` that cannot be made a directory (nothing written, no sample drawn), 2
 runtime failure (this run leaves no output file).
@@ -28,12 +28,13 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from ._kernels import march_name
+from ._kernels import _sha256, march_name
 from .experiments import (STUDIES, StudyConfig, StudyResult, _CellRows, check_study,
                           config_from_dict, run_samples_parallel)
 from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind, check_monotone
-from .initial_data import SplitMix64
-from .solver import Boundary
+from .initial_data import SplitMix64, fbm_initial_field
+from .mesh import make_grid
+from .solver import Boundary, SchemeConfig, evolve
 
 
 class ConfigError(ValueError):
@@ -190,8 +191,9 @@ def _write_blocks(fh, names, blocks):
 
 
 def _selfcheck(out) -> int:
-    """Known answers of the integer stream every fBm draw reads (``SplitMix64.u64``)
-    and monotonicity probes for all fluxes."""
+    """Known answers of the integer stream (``SplitMix64.u64``) and of a draw and a
+    march through the kernels the studies run, and monotonicity probes for all
+    fluxes."""
     failures = 0
 
     expected = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
@@ -200,6 +202,15 @@ def _selfcheck(out) -> int:
         failures += not ok
         print(f"[{'ok' if ok else 'FAIL'}] splitmix64 seed=0 output {i}: "
               f"0x{g:016X} (expected 0x{e:016X})", file=out)
+
+    # one fBm draw and one Godunov-Burgers march: the same bits under both marches
+    scheme = SchemeConfig(FluxSpec.BURGERS, NumericalFluxSpec(NumFluxKind.GODUNOV), 0.25)
+    final = evolve(fbm_initial_field(0.5, make_grid(0, 1, 64), 0), scheme).final
+    g = _sha256(final.values.tobytes())
+    e = "d802914d31570ee344788adfa18effa4bacb6cfb16c6af2f9a45203dd8f6f1fc"
+    failures += g != e
+    print(f"[{'ok' if g == e else 'FAIL'}] fbm seed=0 H=0.5 on 64 cells, godunov + burgers "
+          f"to t=0.25: sha256 {g[:16]} (expected {e[:16]})", file=out)
 
     probes = []
     for kind in (NumFluxKind.GODUNOV, NumFluxKind.RUSANOV, NumFluxKind.ENGQUIST_OSHER):

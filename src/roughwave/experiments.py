@@ -6,11 +6,9 @@ Every study is one ``Study`` record in ``STUDIES``.  A study runs one task per
 (hurst, sample); the ensemble studies draw the initial data once per sample
 at the reference resolution and restrict it to the coarse grids, so all
 resolutions see the same realization, while ``solve`` and ``fbm`` draw it
-directly at each level.  Rows are assembled in a fixed (hurst, sample, k)
-order and per-sample seeds are derived deterministically, which makes results
-bit-identical regardless of the worker count.  The two per-cell tables
-(``solve``, ``fbm``) stay arrays, one ``_CellBlock`` per level or frame, and
-their ``StudyResult.rows`` is a read-only ``_CellRows`` view of those blocks.
+directly at each level.  The two per-cell tables (``solve``, ``fbm``) stay
+arrays, one ``_CellBlock`` per level or frame, and their ``StudyResult.rows`` is a
+read-only ``_CellRows`` view of those blocks.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import functools
 import itertools
 import operator
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
@@ -103,8 +101,6 @@ class _CellRows:
 
     def __init__(self, blocks):
         self.blocks = tuple(blocks)
-        for block in self.blocks:
-            block.values.setflags(write=False)  # a worker's blocks arrive writable
 
     def __len__(self):
         return sum(block.grid.n_cells for block in self.blocks)
@@ -248,17 +244,18 @@ def _converge_sample(cfg, hurst, sample):
     values, levels = _reference(cfg, hurst, sample)
     u0_ref = CellField(make_grid(0.0, 1.0, values.size), values)
     ref_final = evolve(u0_ref, scheme).final
-    rows = []
-    points = []
+    ks, points = [], []
     for k, u0_k in levels:
-        dx, err = u0_k.grid.dx, l1_distance(evolve(u0_k, scheme).final, ref_final)
-        rate = None
-        if points and err > 0 and points[-1][1] > 0:
-            prev_dx, prev_err = points[-1]
-            num, den = log(np.array([prev_err / err, prev_dx / dx]))
-            rate = float(num / den)
-        rows.append(("converge", hurst, sample, k, float(dx), float(err), rate, None))
-        points.append((dx, err))
+        ks.append(k)
+        points.append((u0_k.grid.dx, l1_distance(evolve(u0_k, scheme).final, ref_final)))
+    # log(error ratio) / log(dx ratio) of each level and the one before, where both
+    # errors are positive; every ratio's log in one call
+    rated = [i for i in range(1, len(points)) if points[i - 1][1] > 0 and points[i][1] > 0]
+    ratios = [(points[i - 1][1] / points[i][1], points[i - 1][0] / points[i][0]) for i in rated]
+    logs = log(np.reshape(ratios, (-1, 2)))  # shape (0, 2) when no level is rated
+    rates = {i: float(num / den) for i, (num, den) in zip(rated, logs)}
+    rows = [("converge", hurst, sample, k, float(dx), float(err), rates.get(i), None)
+            for i, (k, (dx, err)) in enumerate(zip(ks, points))]
     rows.append(_slope_row("converge", hurst, sample, _slope_or_none(points), "RATE"))
     return rows
 
@@ -422,10 +419,12 @@ def _assemble(spec: Study, cfg: StudyConfig, done) -> list:
 
 
 def run_samples_parallel(study: str, cfg: StudyConfig, workers: int = 1) -> StudyResult:
-    """Run one study of ``STUDIES`` over its (hurst, sample) tasks.
-
-    Rows come out in a fixed order and are bit-identical for any worker
-    count; failures carry the sample identity.
+    """Run one study of ``STUDIES`` over its (hurst, sample) tasks, on a pool of
+    ``min(workers, len(tasks))`` threads, or in this thread if that is 1.  Threads
+    are safe: the loader's cache is the only mutable module state, numpy's error
+    state is per thread, the C kernels hold no state and each task builds its own
+    ``SplitMix64``.  Rows are assembled in task order, so they are bit-identical for
+    any worker count; failures carry the sample identity.
     """
     check_study(study, cfg)
     spec = STUDIES[study]
@@ -433,7 +432,7 @@ def run_samples_parallel(study: str, cfg: StudyConfig, workers: int = 1) -> Stud
     runner = functools.partial(_run_one, study, cfg)
     workers = min(workers, len(tasks))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = _assemble(spec, cfg, zip(tasks, pool.map(runner, tasks)))
     else:
         rows = _assemble(spec, cfg, zip(tasks, map(runner, tasks)))

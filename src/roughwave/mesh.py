@@ -42,8 +42,7 @@ class Grid:
 class CellField:
     """Piecewise-constant state: one finite real value per grid cell.
 
-    The value array is copied and frozen on construction; fields are safe to
-    share between parallel workers.
+    The value array is copied and frozen on construction, so threads can share fields.
     """
 
     grid: Grid

@@ -132,17 +132,19 @@ def test_study_rows_identical_across_worker_counts():
 def test_pool_is_sized_by_the_task_count(monkeypatch):
     started = []
 
-    class RecordingPool(experiments.ProcessPoolExecutor):
+    class RecordingPool(experiments.ThreadPoolExecutor):
         def shutdown(self, *args, **kwargs):
-            started.append((self._max_workers, len(self._processes or {})))
+            started.append((self._max_workers, len(self._threads)))
             super().shutdown(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
     cfg = burgers_cfg(n_samples=2, t_final=0.125)
     assert len(experiments.STUDIES["tvscale"].tasks(cfg)) == 2
     run_samples_parallel("tvscale", cfg, workers=4)
     assert len(started) == 1
-    assert max(started[0]) <= 2
+    assert started[0][0] == 2 and started[0][1] <= 2
+    run_samples_parallel("solve", cfg, workers=4)  # one task runs in this thread
+    assert len(started) == 1
 
 
 def test_study_rows_reproducible_from_metadata():

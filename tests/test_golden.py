@@ -7,7 +7,8 @@ kernels), re-serialized the way the CLI writes it.  The ``solve`` CSV is pinned
 as well for every numerical flux and equation pair the package accepts, under
 both boundaries, and the two per-cell studies on deeper tables: ``fbm`` at
 k = 8-12 for three Hurst exponents (23,808 rows) and ``solve`` at k = 9 with
-three snapshots (2,560 rows).  The stdout of ``selfcheck`` is pinned too.  The
+three snapshots (2,560 rows).  ``sharpness`` and ``tvdecay`` run on two threads
+too and must give the same CSV.  The stdout of ``selfcheck`` is pinned too.  The
 command hashes, the per-pair hashes and the deep tables are checked with the
 compiled kernels (the march of ``evolve``, the fBm draw, the restriction) and
 with their numpy code, against the same pinned values.  The ensemble commands
@@ -148,19 +149,19 @@ DEEP_GOLDEN = {
 }
 
 # SHA-256 of the stdout of ``roughwave selfcheck``
-SELFCHECK_GOLDEN = "016fe42df9c7f805b2767b7265fd69424cb373411983ad8d41613747603c2b61"
+SELFCHECK_GOLDEN = "ed5fc6274b675b84da9aef0cb7d7ff33406ea672318d41805b4c09c03bd87f33"
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def output_hashes(command, tmp_path, config=CONFIG):
+def output_hashes(command, tmp_path, config=CONFIG, workers=1):
     """(csv sha256, manifest sha256) of one command run on ``config``."""
     cfg = tmp_path / "golden.cfg"
     cfg.write_text(config)
     out = tmp_path / command
-    assert run([command, "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+    assert run([command, "--config", str(cfg), "--out", str(out), "--workers", str(workers)]) == 0
     manifest = json.loads((out / f"{command}_manifest.json").read_text())
     del manifest["duration_seconds"], manifest["config_path"], manifest["march"]
     manifest_bytes = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
@@ -170,6 +171,13 @@ def output_hashes(command, tmp_path, config=CONFIG):
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_golden_hashes(command, march, tmp_path):
     assert output_hashes(command, tmp_path) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", ["sharpness", "tvdecay"])
+def test_golden_csv_on_two_threads(command, march, tmp_path):
+    # the manifest records the worker count, so only the CSV keeps its pinned hash
+    csv_hash, _ = output_hashes(command, tmp_path, workers=2)
+    assert csv_hash == GOLDEN[command][0]
 
 
 @pytest.mark.parametrize("numflux, equation, boundary", sorted(PAIR_GOLDEN))

@@ -28,7 +28,8 @@
 - Without a compiler, or without a writable cache, ``evolve``, the fBm draw and
   the restriction run their numpy code with the same bits, and the manifest says
   so; two processes building into one empty cache both succeed and leave one
-  library and no temporary file; the cache directory is private (0700), and one
+  library and no temporary file, and four threads loading from one empty cache at
+  once run gcc once and each get the library; the cache directory is private (0700), and one
   that group or others can write, or that another user owns, is not used.
 """
 
@@ -38,6 +39,7 @@ import platform
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -499,4 +501,29 @@ def test_concurrent_builds_share_one_private_cache(tmp_path):
     cache = tmp_path / "roughwave"
     assert cache.stat().st_mode & 0o777 == 0o700
     names = [p.name for p in cache.iterdir()]
+    assert len(names) == 1 and names[0].startswith("march-") and names[0].endswith(".so")
+
+
+def test_threads_loading_at_once_build_once(tmp_path, monkeypatch, fresh_loader):
+    # threads share the pid that names the temporary file, so the build takes a lock
+    compiled_march()
+    _kernels.load.cache_clear()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    builds, libs = [], []
+    build = subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda *a, **kw: builds.append(a) or build(*a, **kw))
+    start = threading.Barrier(4)
+
+    def load():
+        start.wait()
+        libs.append(_kernels.load())
+
+    threads = [threading.Thread(target=load) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert len(builds) == 1
+    assert len(libs) == 4 and None not in libs
+    names = [p.name for p in (tmp_path / "roughwave").iterdir()]
     assert len(names) == 1 and names[0].startswith("march-") and names[0].endswith(".so")
