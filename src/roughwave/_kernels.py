@@ -1,9 +1,10 @@
-"""The compiled kernels of ``_march.c``, loaded on first use.
+"""The compiled kernels of ``_march.c``, loaded on first use: the only kernels the
+package runs.
 
-``solver`` marches through it, ``initial_data`` draws fBm through it and
-``mesh`` restricts through it; each falls back to its numpy code, with the same
-bits, where ``load`` returns None.  This module imports nothing of the package,
-so every module can import it.
+``solver`` marches through it, ``initial_data`` draws fBm through it, ``mesh``
+restricts through it, and ``log`` gives the rate fits its log.  Where the library
+cannot be had, ``load`` raises and names the cause; nothing falls back.  This module
+imports nothing of the package, so every module can import it.
 
 The library is built with ``_FLAGS`` and no ``-march``: on x86-64 its step and
 pairwise-sum templates and its draw's uniforms and normals carry one clone per
@@ -15,10 +16,19 @@ from __future__ import annotations
 
 import functools
 import os
+import platform
 import threading
 from pathlib import Path
 
-_FLAGS = ("-O3", "-fno-math-errno", "-ffp-contract=off", "-mprefer-vector-width=512", "-shared", "-fPIC")
+
+def _flags(machine: str) -> tuple:
+    """gcc's flags for the library on ``machine`` (a ``platform.machine()`` name);
+    ``-mprefer-vector-width`` is an x86 option, which gcc for other targets rejects."""
+    x86 = ("-mprefer-vector-width=512",) if machine in ("x86_64", "AMD64") else ()
+    return ("-O3", "-fno-math-errno", "-ffp-contract=off", *x86, "-shared", "-fPIC")
+
+
+_FLAGS = _flags(platform.machine())
 _BUILD_LOCK = threading.Lock()
 
 
@@ -37,8 +47,8 @@ def _sha256(data: bytes) -> str:
 
 @functools.cache
 def load():
-    """The library built from ``_march.c``, or None if there is no compiler or the
-    cache cannot be written or is not trusted (the callers then run their numpy code).
+    """The library built from ``_march.c``.  RuntimeError, naming the cause, if there
+    is no ``gcc``, the build fails, or the cache cannot be written or is not trusted.
 
     It is compiled on first use, in about 1 s, into ``$XDG_CACHE_HOME/roughwave``
     (default ``~/.cache/roughwave``, mode 0700) under the SHA-256 of the source and
@@ -51,26 +61,33 @@ def load():
     import subprocess
 
     source = Path(__file__).with_name("_march.c")
+    key = _sha256(source.read_bytes() + " ".join(_FLAGS).encode())
     try:
-        key = _sha256(source.read_bytes() + " ".join(_FLAGS).encode())
         cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "roughwave"
         cache.mkdir(mode=0o700, parents=True, exist_ok=True)
         st = os.stat(cache)
-        if st.st_uid != os.getuid() or st.st_mode & 0o022:  # others could plant a library
-            return None
-        path = cache / f"march-{key}.so"
-        with _BUILD_LOCK:
-            if not path.exists():
-                tmp = cache / f".{path.name}.{os.getpid()}.tmp"
-                try:
-                    subprocess.run(["gcc", *_FLAGS, "-o", str(tmp), str(source)],
-                                   check=True, capture_output=True)
-                    os.replace(tmp, path)
-                finally:
-                    tmp.unlink(missing_ok=True)
-        lib = ctypes.CDLL(str(path))
-    except (OSError, RuntimeError, subprocess.SubprocessError):  # RuntimeError: no home
-        return None
+    except (OSError, RuntimeError) as exc:  # RuntimeError: no home
+        raise RuntimeError(f"the kernel cache cannot be made: {exc}") from exc
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:  # others could plant a library
+        raise RuntimeError(f"the kernel cache {cache} is not used: it is not this user's "
+                           "own, or its group or others can write it")
+    path = cache / f"march-{key}.so"
+    with _BUILD_LOCK:
+        if not path.exists():
+            tmp = cache / f".{path.name}.{os.getpid()}.tmp"
+            try:
+                subprocess.run(["gcc", *_FLAGS, "-o", str(tmp), str(source)],
+                               check=True, capture_output=True)
+                os.replace(tmp, path)
+            except FileNotFoundError as exc:
+                raise RuntimeError("the compiled kernels need gcc, and there is no gcc "
+                                   "on PATH") from exc
+            except subprocess.CalledProcessError as exc:
+                raise RuntimeError(f"gcc failed to build {source} into {cache}:\n"
+                                   f"{exc.stderr.decode(errors='replace').strip()}") from exc
+            finally:
+                tmp.unlink(missing_ok=True)
+    lib = ctypes.CDLL(str(path))
     ptr, i64, i32, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_double
     signatures = {
         "march": ((ptr, i64, i64, i64, i32, i32, i32, f64, f64, ptr), i64),
@@ -87,6 +104,13 @@ def load():
     return lib
 
 
-def march_name() -> str:
-    """Which kernels run here: ``"compiled"`` or ``"numpy"``."""
-    return "numpy" if load() is None else "compiled"
+def log(x):
+    """The natural log of each double of ``x``, by the draw's ``ieee_log``, whose
+    bits are the same on every CPU (the sines and cosines formed with it are
+    dropped)."""
+    import numpy as np
+
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    out = np.empty((3, *x.shape))
+    load().log_sincos(x.ctypes.data, x.size, *(row.ctypes.data for row in out))
+    return out[0]

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
 
-from ._ieee import log
+from ._kernels import log
 from .flux import FluxSpec, NumFluxKind
 from .mesh import CellField, restrict
 
@@ -110,7 +110,7 @@ def fit_rate(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
     """Least-squares slope and intercept of log e against log h.
 
     The slope is the empirical convergence (or blow-up) rate of e ~ h^slope.  It
-    is the closed form over numpy's pairwise sums and ``_ieee.log``, which give
+    is the closed form over numpy's pairwise sums and ``_kernels.log``, which give
     the same bits on every CPU, where a BLAS or LAPACK fit would not.
     """
     if len(points) < 2:

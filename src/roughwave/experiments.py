@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from ._ieee import log
+from ._kernels import log
 from .diagnostics import (
     default_beta,
     fit_rate,

@@ -3,9 +3,9 @@ midpoint displacement.
 
 The random number generator is pinned to an exact bit recipe (splitmix64
 for the integer stream, Box-Muller for normals) so that every experiment is
-reproducible from its seed alone.  Box-Muller's log and sincos are ``_ieee``'s,
-IEEE basic operations only, so no libm and no SIMD kernel numpy picks by CPU
-sets their bits.
+reproducible from its seed alone.  The normals and each midpoint level are drawn
+by the compiled library of ``_kernels``, whose log and sincos are IEEE basic
+operations only, so no libm and no SIMD kernel picked by CPU sets their bits.
 """
 
 from __future__ import annotations
@@ -15,12 +15,10 @@ import math
 import numpy as np
 
 from . import _kernels
-from ._ieee import log, sincos
 from .mesh import CellField, Grid
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_U53_SCALE = 2.0**-53
 
 # 2^26 + 1 path points is ~0.5 GB of float64; refuse anything deeper (a march's
 # 2^28 time points, 2 GiB, are solver._MAX_STEPS)
@@ -30,57 +28,26 @@ MAX_LEVEL = 26
 class SplitMix64:
     """splitmix64 stream with Box-Muller standard normals.
 
-    The integer recipe of ``u64``: state += 0x9E3779B97F4A7C15 (mod 2^64), then mix
+    The integer recipe: state += 0x9E3779B97F4A7C15 (mod 2^64), then mix
     z ^= z >> 30; z *= 0xBF58476D1CE4E5B9; z ^= z >> 27;
     z *= 0x94D049BB133111EB; z ^= z >> 31.
 
-    Normals come in pairs: two uniforms u1, u2 = (u64 >> 11) * 2^-53 mapped
-    onto (0, 1] (a zero draw becomes 2^-53) give the cosine branch, then the
-    sine branch, through ``_ieee.log`` and ``_ieee.sincos`` or their C twins.
-    Nothing is cached, so a normal's bits depend only on its position in the
-    stream and draws in chunks give the same stream as one block.
+    Normals come in pairs: two uniforms u1, u2 = (z >> 11) * 2^-53 mapped
+    onto (0, 1] (a zero draw becomes 2^-53) give r = sqrt(-2 log u1) times the
+    cosine, then the sine, of 2 pi u2, by the library's ``normals``.  Nothing is
+    cached, so a normal's bits depend only on its position in the stream and draws
+    in chunks give the same stream as one block.
     """
 
     def __init__(self, seed: int):
         self.state = int(seed) & _MASK64
 
-    def u64(self, count: int) -> np.ndarray:
-        """The next ``count`` words of the integer stream, as a uint64 array."""
-        count = int(count)
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        z = np.arange(1, count + 1, dtype=np.uint64)
-        z *= np.uint64(GOLDEN_GAMMA)
-        z += np.uint64(self.state)
-        shifted = np.empty_like(z)
-        for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-            z ^= np.right_shift(z, np.uint64(shift), out=shifted)
-            z *= np.uint64(mult)
-        z ^= np.right_shift(z, np.uint64(31), out=shifted)
-        self.state = (self.state + count * GOLDEN_GAMMA) & _MASK64
-        return z
-
     def normals(self, count: int) -> np.ndarray:
-        """``count`` standard normal draws, ``count`` even, as an array: by the C
-        ``normals`` where ``_kernels.load`` finds it, else by Box-Muller in numpy on
-        the uniforms' own buffer, which is returned; the bits are the same."""
+        """``count`` standard normal draws, ``count`` even, as a fresh array."""
         if count % 2 or count < 0:
             raise ValueError(f"normals come in pairs; count must be even and >= 0, got {count}")
-        lib = _kernels.load()
-        if lib is not None:
-            z = np.empty(count)
-            self.state = lib.normals(self.state, z.ctypes.data, count)
-            return z
-        u = self.u64(count)
-        u >>= np.uint64(11)
-        z = u.view(np.float64)
-        z[...] = u.view(np.int64)  # exact: every value is below 2^53
-        z *= _U53_SCALE
-        np.maximum(z, _U53_SCALE, out=z)  # a zero draw becomes 2^-53
-        sin, cos = sincos(z[1::2] * (2.0 * np.pi))
-        r = np.sqrt(log(z[0::2]) * -2.0)
-        np.multiply(r, cos, out=z[0::2])
-        np.multiply(r, sin, out=z[1::2])
+        z = np.empty(count)
+        self.state = _kernels.load().normals(self.state, z.ctypes.data, count)
         return z
 
 
@@ -105,8 +72,7 @@ def _midpoint_points(hurst: float, level_k: int, rng: SplitMix64) -> np.ndarray:
     order is fixed, so a path is a pure function of (hurst, level, seed).  The
     right endpoint and level 0's one midpoint are drawn as one pair; each later
     level's even count of noise is drawn in one block and written straight into
-    its midpoint slots, by one call of the C ``draw`` where ``_kernels.load``
-    finds it, with the same bits.
+    its midpoint slots, by one call of the library's ``draw``.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
@@ -116,17 +82,10 @@ def _midpoint_points(hurst: float, level_k: int, rng: SplitMix64) -> np.ndarray:
     pts = np.zeros(n + 1)
     pts[n], noise = rng.normals(2)
     pts[n >> 1] = 0.5 * pts[n] + _midpoint_scale(hurst, 0) * noise
-    lib = _kernels.load()
+    draw = _kernels.load().draw
     for level in range(1, level_k):
-        stride = n >> level
-        scale = _midpoint_scale(hurst, level)
-        if lib is not None:
-            rng.state = lib.draw(rng.state, pts.ctypes.data, stride, 1 << level, scale)
-        else:
-            mid = pts[stride >> 1 :: stride]
-            np.add(pts[0:n:stride], pts[stride::stride], out=mid)
-            mid *= 0.5
-            mid += rng.normals(mid.size) * scale
+        rng.state = draw(rng.state, pts.ctypes.data, n >> level, 1 << level,
+                         _midpoint_scale(hurst, level))
     return pts
 
 

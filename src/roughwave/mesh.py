@@ -80,12 +80,9 @@ def restrict(fine: CellField, factor: int) -> CellField:
 
 def _cell_means(values: np.ndarray, factor: int) -> np.ndarray:
     """The mean of each run of ``factor`` of the 1-d ``values``, whose size ``factor``
-    divides: ``values.reshape(-1, factor).mean(axis=1)``, or the C ``cell_means``
-    with its bits."""
-    lib = _kernels.load()
-    if lib is None:
-        return values.reshape(-1, factor).mean(axis=1)
+    divides, by the library's ``cell_means``: the bits of
+    ``values.reshape(-1, factor).mean(axis=1)``."""
     values = np.ascontiguousarray(values, dtype=np.float64)  # what the C loop reads
     out = np.empty(values.size // factor)
-    lib.cell_means(values.ctypes.data, out.ctypes.data, out.size, factor)
+    _kernels.load().cell_means(values.ctypes.data, out.ctypes.data, out.size, factor)
     return out

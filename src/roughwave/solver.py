@@ -2,8 +2,8 @@
 
 The update is v_i <- v_i - (dt/dx) (F(v_i, v_{i+1}) - F(v_{i-1}, v_i)) with
 ghost values taken from the boundary rule: outflow copies the edge cell,
-periodic wraps around.  ``evolve`` runs it in the C march of ``_march.c`` where
-``gcc`` can build it, and in numpy otherwise, with the same bits.
+periodic wraps around.  ``evolve`` and ``step`` run it in the compiled march of
+``_march.c``, which evaluates ``flux.numerical_flux`` in its operation order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .diagnostics import _variation
-from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind, max_wave_speed, numerical_flux
+from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind, max_wave_speed
 from .mesh import CellField, Grid
 
 
@@ -107,39 +107,15 @@ def _fill_lambda(numflux: NumericalFluxSpec, lam: float) -> NumericalFluxSpec:
     return numflux
 
 
-def _advance(v: np.ndarray, ratio: float, numflux: NumericalFluxSpec,
-             config: SchemeConfig) -> np.ndarray:
-    """The one update ``v - (F[1:] - F[:-1]) * ratio``, in this operation order, with F
-    evaluated on a copy of the state ``v`` padded by the boundary rule's ghost cells."""
-    ghosts = (v[-1:], v[:1]) if config.boundary is Boundary.PERIODIC else (v[:1], v[-1:])
-    w = np.concatenate((ghosts[0], v, ghosts[1]))
-    face = numerical_flux(numflux, config.flux, w[:-1], w[1:])
-    return v - (face[1:] - face[:-1]) * ratio
-
-
-def _numpy_march(cells: np.ndarray, first: int, count: int, ratio: float,
-                 numflux: NumericalFluxSpec, config: SchemeConfig,
-                 tv: Optional[np.ndarray]) -> int:
-    """``count`` steps of ``_advance`` on the state ``cells[0, 1:-1]``, in place, and the
-    TV of each new state into ``tv`` if given.  ``first`` steps came before: the march
-    stops after a step that ends on a time point 63 (mod 64) if the state then holds a
-    non-finite cell.  Returns the number of steps taken."""
-    periodic = config.boundary is Boundary.PERIODIC
-    v = cells[0, 1:-1]
-    for s in range(1, count + 1):
-        v[...] = _advance(v, ratio, numflux, config)
-        if tv is not None:
-            tv[s - 1] = _variation(v, periodic)
-        if (first + s) % 64 == 63 and not np.isfinite(v).all():
-            return s
-    return count
-
-
 def _compiled_march(cells: np.ndarray, first: int, count: int, ratio: float,
                     numflux: NumericalFluxSpec, config: SchemeConfig,
                     tv: Optional[np.ndarray]) -> int:
-    """``_numpy_march`` in one call of the C ``march``, with the same bits; row 1 of
-    ``cells`` is its second state and row 2 its scratch row."""
+    """``count`` steps ``v - (F[1:] - F[:-1]) * ratio`` on the state ``v = cells[0, 1:-1]``,
+    in place, in one call of the C ``march``, F evaluated on the state padded by the
+    boundary rule's ghost cells; row 1 of ``cells`` is its second state and row 2 its
+    scratch row.  The TV of each new state goes into ``tv`` if given.  ``first`` steps
+    came before: the march stops after a step that ends on a time point 63 (mod 64)
+    if the state then holds a non-finite cell.  Returns the number of steps taken."""
     two_lam = 2.0 * numflux.lam if numflux.kind is NumFluxKind.LAX_FRIEDRICHS else 0.0
     return _kernels.load().march(cells.ctypes.data, cells.shape[1] - 2, first, count,
                                  _KINDS.index(numflux.kind), _LAWS.index(config.flux),
@@ -161,14 +137,16 @@ def _expose(grid: Grid, values: np.ndarray, dt: float, step: int) -> CellField:
 
 
 def step(state: CellField, config: SchemeConfig, dt: float) -> CellField:
-    """One explicit update of duration ``dt`` through the kernel of ``evolve``'s numpy
-    march; a Lax-Friedrichs flux without a mesh ratio uses dt/dx."""
+    """One explicit update of duration ``dt``, a march of one step; a Lax-Friedrichs
+    flux without a mesh ratio uses dt/dx."""
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     ratio = dt / state.grid.dx
+    cells = np.empty((3, state.grid.n_cells + 2))
+    cells[0, 1:-1] = state.values
     with np.errstate(invalid="ignore", over="ignore"):
-        values = _advance(state.values, ratio, _fill_lambda(config.numflux, ratio), config)
-    return _expose(state.grid, values, dt, 1)
+        _compiled_march(cells, 0, 1, ratio, _fill_lambda(config.numflux, ratio), config, None)
+    return _expose(state.grid, cells[0, 1:-1], dt, 1)
 
 
 def _check_steps(t_final: float, dt: float) -> None:
@@ -216,11 +194,10 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
     Snapshots are recorded at the first time point at or after each requested
     time (``snapshot_times=evolve(initial, config).times`` keeps every step), and
     ``track_tv`` fills ``per_step_tv``.
-    The steps run in blocks, through the compiled march if ``_kernels.load`` finds
-    it and through ``_advance`` otherwise, with the same bits; each block leaves its
-    state in row 0 of one (3, n + 2) array, whose row 2 is the compiled march's
-    scratch.  A block ends only where a state is read: at each snapshot, at
-    the end and before a short last step.  Within a block the march checks the state
+    The steps run in blocks, each one call of the compiled march, which leaves its
+    state in row 0 of one (3, n + 2) array, whose row 2 is the march's scratch.  A
+    block ends only where a state is read: at each snapshot, at the end and before a
+    short last step.  Within a block the march checks the state
     after every time point 63 (mod 64) and stops at one that is not finite; the state
     at each block end, or where the march stopped, is exposed and checked: a non-finite
     cell raises FloatingPointError naming the step (none is missed: each update
@@ -259,14 +236,13 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
         tv[0] = _variation(v0, periodic)
     snaps = [Snapshot(0.0, initial) for s in snap_steps if s == 0]
 
-    march = _numpy_march if _kernels.load() is None else _compiled_march
     state, done = initial, 0
     with np.errstate(invalid="ignore", over="ignore"):
         for stop in sorted(s for s in ends if 0 < s <= n_steps):
             ratio = (dt_last if stop == n_steps else dt) / dx
             # a march stops short only at a non-finite state, which _expose rejects
-            done += march(cells, done, stop - done, ratio, numflux, config,
-                          None if tv is None else tv[done + 1:stop + 1])
+            done += _compiled_march(cells, done, stop - done, ratio, numflux, config,
+                                    None if tv is None else tv[done + 1:stop + 1])
             state = _expose(grid, cells[0, 1:-1], dt, done)
             while len(snaps) < len(snap_steps) and snap_steps[len(snaps)] == stop:
                 snaps.append(Snapshot(float(times[stop]), state))

@@ -1,22 +1,18 @@
 """Golden output hashes: every command's CSV and manifest, byte for byte.
 
 Each command runs through ``cli.run`` on one small config.  The manifest is
-hashed without ``duration_seconds`` (wall time), ``config_path`` (the
-temporary directory) and ``march`` (whether this platform compiled the
-kernels), re-serialized the way the CLI writes it.  The ``solve`` CSV is pinned
-as well for every numerical flux and equation pair the package accepts, under
-both boundaries, and the two per-cell studies on deeper tables: ``fbm`` at
-k = 8-12 for three Hurst exponents (23,808 rows) and ``solve`` at k = 9 with
-three snapshots (2,560 rows).  ``sharpness`` and ``tvdecay`` run on two threads
-too and must give the same CSV.  The stdout of ``selfcheck`` is pinned too.  The
-command hashes, the per-pair hashes and the deep tables are checked with the
-compiled kernels (the march of ``evolve``, the fBm draw, the restriction) and
-with their numpy code, against the same pinned values.  The ensemble commands
-and the deep ``fbm`` table are run again in a subprocess under settings that make
-numpy, OpenBLAS and glibc pick other kernels on an x86-64 CPU, and must give the
-same hashes there: nothing in them depends on a kernel picked by CPU.  A change
-that alters any output bit fails here; re-pin a hash only with a change that is
-meant to alter that output.
+hashed without ``duration_seconds`` (wall time) and ``config_path`` (the
+temporary directory), re-serialized the way the CLI writes it.  The ``solve``
+CSV is pinned as well for every numerical flux and equation pair the package
+accepts, under both boundaries, and the two per-cell studies on deeper tables:
+``fbm`` at k = 8-12 for three Hurst exponents (23,808 rows) and ``solve`` at
+k = 9 with three snapshots (2,560 rows).  ``sharpness`` and ``tvdecay`` run on
+two threads too and must give the same CSV.  The stdout of ``selfcheck`` is
+pinned too.  The ensemble commands and the deep ``fbm`` table are run again in a
+subprocess under settings that make numpy, OpenBLAS and glibc pick other kernels
+on an x86-64 CPU, and must give the same hashes there: nothing in them depends
+on a kernel picked by CPU.  A change that alters any output bit fails here;
+re-pin a hash only with a change that is meant to alter that output.
 """
 
 import hashlib
@@ -149,7 +145,7 @@ DEEP_GOLDEN = {
 }
 
 # SHA-256 of the stdout of ``roughwave selfcheck``
-SELFCHECK_GOLDEN = "ed5fc6274b675b84da9aef0cb7d7ff33406ea672318d41805b4c09c03bd87f33"
+SELFCHECK_GOLDEN = "3c6d170d289c09c4f4bdcc9d84066c2eb289c691a3ecb17065fb6e5ccf33bac2"
 
 
 def _sha256(data: bytes) -> str:
@@ -163,32 +159,32 @@ def output_hashes(command, tmp_path, config=CONFIG, workers=1):
     out = tmp_path / command
     assert run([command, "--config", str(cfg), "--out", str(out), "--workers", str(workers)]) == 0
     manifest = json.loads((out / f"{command}_manifest.json").read_text())
-    del manifest["duration_seconds"], manifest["config_path"], manifest["march"]
+    del manifest["duration_seconds"], manifest["config_path"]
     manifest_bytes = (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()
     return _sha256((out / f"{command}.csv").read_bytes()), _sha256(manifest_bytes)
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_golden_hashes(command, march, tmp_path):
+def test_golden_hashes(command, tmp_path):
     assert output_hashes(command, tmp_path) == GOLDEN[command]
 
 
 @pytest.mark.parametrize("command", ["sharpness", "tvdecay"])
-def test_golden_csv_on_two_threads(command, march, tmp_path):
+def test_golden_csv_on_two_threads(command, tmp_path):
     # the manifest records the worker count, so only the CSV keeps its pinned hash
     csv_hash, _ = output_hashes(command, tmp_path, workers=2)
     assert csv_hash == GOLDEN[command][0]
 
 
 @pytest.mark.parametrize("numflux, equation, boundary", sorted(PAIR_GOLDEN))
-def test_golden_solve_per_flux_pair(numflux, equation, boundary, march, tmp_path):
+def test_golden_solve_per_flux_pair(numflux, equation, boundary, tmp_path):
     config = PAIR_CONFIG.format(numflux=numflux, equation=equation, boundary=boundary)
     csv_hash, _ = output_hashes("solve", tmp_path, config)
     assert csv_hash == PAIR_GOLDEN[numflux, equation, boundary]
 
 
 @pytest.mark.parametrize("command", sorted(DEEP_GOLDEN))
-def test_golden_deep_per_cell_tables(command, march, tmp_path):
+def test_golden_deep_per_cell_tables(command, tmp_path):
     csv_hash, _ = output_hashes(command, tmp_path, DEEP_CONFIG[command])
     assert csv_hash == DEEP_GOLDEN[command]
 
@@ -210,35 +206,28 @@ PLATFORMS = {
 
 ENSEMBLE = ("converge", "lipscale", "sharpness", "tvscale")
 
-# run in a subprocess with argv = [march, out dir]: prints the CSV and manifest
-# hashes of the ensemble commands and the deep fbm table's CSV hash, as JSON
+# run in a subprocess with argv = [out dir]: prints the CSV and manifest hashes of
+# the ensemble commands and the deep fbm table's CSV hash, as JSON
 PLATFORM_RUN = """
 import json, sys
 from pathlib import Path
-from roughwave import _kernels
 import test_golden as g
-if sys.argv[1] == "numpy":
-    _kernels.load = lambda: None
-assert _kernels.march_name() == sys.argv[1]
-out = Path(sys.argv[2])
+out = Path(sys.argv[1])
 hashes = {c: list(g.output_hashes(c, out)) for c in g.ENSEMBLE}
 hashes["deep-fbm"] = g.output_hashes("fbm", out / "deep", g.DEEP_CONFIG["fbm"])[0]
 print(json.dumps(hashes))
 """
 
 
-@pytest.mark.parametrize("march_name, setting", [*(("compiled", s) for s in PLATFORMS),
-                                                 ("numpy", "numpy-avx2")])
-def test_golden_hashes_on_other_kernels(march_name, setting, tmp_path):
+@pytest.mark.parametrize("setting", sorted(PLATFORMS))
+def test_golden_hashes_on_other_kernels(setting, tmp_path):
     if platform.machine() not in ("x86_64", "AMD64"):
         pytest.skip("the settings pick x86-64 kernels")
-    if march_name == "compiled" and _kernels.load() is None:
-        pytest.skip("no C compiler: only the numpy kernels run")
     (tmp_path / "deep").mkdir()
     here = Path(__file__).resolve().parent
     path = os.pathsep.join([str(Path(_kernels.__file__).parents[1]), str(here)])
     env = dict(os.environ, PYTHONPATH=path, **PLATFORMS[setting])
-    done = subprocess.run([sys.executable, "-c", PLATFORM_RUN, march_name, str(tmp_path)],
+    done = subprocess.run([sys.executable, "-c", PLATFORM_RUN, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     hashes = json.loads(done.stdout.splitlines()[-1])

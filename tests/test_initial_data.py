@@ -13,35 +13,38 @@ from roughwave import (
     sample_seed,
     total_variation,
 )
-from roughwave import _ieee, _kernels, initial_data
+import numpy_kernels
+from roughwave import initial_data
 from roughwave.initial_data import _midpoint_points
 
 
-class ZeroNoise(SplitMix64):
-    """Degenerate stream: every normal draw is 0.  The compiled draw does not call
-    ``normals``, so a test that draws with it runs the numpy kernels."""
+class ZeroNoise(numpy_kernels.SplitMix64):
+    """Degenerate stream of the oracle: every normal draw is 0.  The compiled draw
+    reads no such stream, so a test that draws with it runs the oracle's levels."""
 
     def normals(self, count):
         return np.zeros(count)
 
 
 def test_splitmix64_known_answers():
-    assert SplitMix64(0).u64(2).tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+    # the integer stream of the recipe, on the oracle; the C uniforms equal its words
+    words = numpy_kernels.SplitMix64(0).u64(2).tolist()
+    assert words == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
 
 
 def test_splitmix64_streams_are_deterministic():
     # drawn in chunks or in one block, a seed gives the same words
-    a, b = SplitMix64(987654321), SplitMix64(987654321)
+    a, b = numpy_kernels.SplitMix64(987654321), numpy_kernels.SplitMix64(987654321)
     chunks = np.concatenate([a.u64(n) for n in (1, 0, 38, 61)])
     assert chunks.tolist() == b.u64(100).tolist()
     assert a.u64(3).tolist() == b.u64(3).tolist()
 
 
 def test_u64_rejects_a_negative_count():
-    rng = SplitMix64(5)
+    rng = numpy_kernels.SplitMix64(5)
     with pytest.raises(ValueError, match="count"):
         rng.u64(-1)
-    assert rng.u64(4).tolist() == SplitMix64(5).u64(4).tolist()
+    assert rng.u64(4).tolist() == numpy_kernels.SplitMix64(5).u64(4).tolist()
 
 
 def test_normals_are_finite():
@@ -103,14 +106,12 @@ def test_midpoint_points_shape_and_pinning():
     assert points[0] == 0.0
 
 
-def test_midpoint_points_zero_noise_gives_zero_path(monkeypatch):
-    monkeypatch.setattr(_kernels, "load", lambda: None)
-    assert np.all(_midpoint_points(0.3, 4, ZeroNoise(0)) == 0.0)
+def test_midpoint_points_zero_noise_gives_zero_path():
+    assert np.all(numpy_kernels.midpoint_points(0.3, 4, ZeroNoise(0)) == 0.0)
 
 
 def test_fbm_initial_field_leaves_zero_path_alone(monkeypatch):
-    monkeypatch.setattr(_kernels, "load", lambda: None)
-    monkeypatch.setattr(initial_data, "SplitMix64", ZeroNoise)
+    monkeypatch.setattr(initial_data, "_midpoint_points", lambda hurst, level, rng: np.zeros(17))
     field = fbm_initial_field(0.3, make_grid(0, 1, 16), 0)
     assert np.array_equal(_bits(field.values), _bits(np.zeros(16)))
 
@@ -238,8 +239,8 @@ class OracleSplitMix64:
         u = (self._u64_block(2 * pairs) >> np.uint64(11)).astype(np.float64)
         u *= 2.0**-53
         u[u == 0.0] = 2.0**-53
-        r = np.sqrt(-2.0 * _ieee.log(u[0::2]))
-        sin, cos = _ieee.sincos((2.0 * np.pi) * u[1::2])
+        r = np.sqrt(-2.0 * numpy_kernels.log(u[0::2]))
+        sin, cos = numpy_kernels.sincos((2.0 * np.pi) * u[1::2])
         woven = np.empty(2 * pairs)
         woven[0::2] = r * cos
         woven[1::2] = r * sin
@@ -294,7 +295,7 @@ def test_normals_in_draw_chunks_match_oracle_block():
 
 @pytest.mark.parametrize("seed", [7, sample_seed(2024, 3)])
 @pytest.mark.parametrize("hurst", [0.25, 0.5, 0.75])
-def test_fbm_bits_match_oracle(hurst, seed, march):
+def test_fbm_bits_match_oracle(hurst, seed):
     for k in range(1, 19):
         oracle, rng = OracleSplitMix64(seed), SplitMix64(seed)
         pts = oracle_midpoint(hurst, k, oracle)

@@ -1,8 +1,10 @@
-"""The compiled kernels of ``_march.c`` against their numpy code.
+"""The compiled kernels of ``_march.c`` against their numpy twins in the oracle
+``numpy_kernels``, and the loading of the library.
 
 - For all 13 (numflux, law) pairs under both boundaries, ``evolve`` gives the
-  same bits under both marches: time points, final state, every snapshot and
-  the per-step TV, or the same exception.  On states that hold inf and nan,
+  same bits with the compiled march as with the oracle's: time points, final
+  state, every snapshot and the per-step TV, or the same exception; so does one
+  ``step``.  On states that hold inf and nan,
   the two block marches leave the same cells inf and nan, in row 0 of the state
   array after odd and even step counts alike, and stop after the same step when
   the block crosses a time point 63 (mod 64), where both check the state; a
@@ -11,7 +13,7 @@
   short last step or on a whole one, snapshots fall on the march's 64-step
   checks, and t_final can be 0.  The states have 1-1,001 cells, so that they
   fill the vectors of each clone and leave tails.  Built for one x86-64 level at
-  a time, without clones, the C march gives the bits of the numpy march too, its
+  a time, without clones, the C march gives the bits of the oracle's too, its
   check after time point 63 included, and so do the C draw, log and sincos.
 - A block of steps is one C call: a run with no snapshot makes one, or two with
   a short last step, plus one per snapshot step.
@@ -21,21 +23,24 @@
 - The C cell means equal ``values.reshape(-1, factor).mean(axis=1)`` byte for
   byte, on signed zeros, subnormals and magnitudes from 1e-300 to 1e300, for
   factors 1-4096 and for many rows of 2-128 cells.
-- The C uniforms and normals of the draw equal ``SplitMix64``'s numpy ones,
-  zero draws included, and return the stream's state past them.  A midpoint
-  level is one C call.
-- ``_march.c`` builds with ``-Wall -Wextra -Werror`` (unused parameters aside).
-- Without a compiler, or without a writable cache, ``evolve``, the fBm draw and
-  the restriction run their numpy code with the same bits, and the manifest says
-  so; two processes building into one empty cache both succeed and leave one
-  library and no temporary file, and four threads loading from one empty cache at
-  once run gcc once and each get the library; the cache directory is private (0700), and one
-  that group or others can write, or that another user owns, is not used.
+- The C uniforms and normals of the draw equal the oracle's numpy ones, zero
+  draws included, and return the stream's state past them.  A midpoint level is
+  one C call.
+- ``_march.c`` builds with ``-Wall -Wextra -Werror`` (unused parameters aside),
+  and the x86 option ``-mprefer-vector-width`` is passed to gcc on x86-64 only.
+- Two processes building into one empty cache both succeed and leave one library
+  and no temporary file, and four threads loading from one empty cache at once
+  run gcc once and each get the library; the cache directory is private (0700).
+- The library is the only kernel set: without gcc, with a flag gcc rejects, or
+  with a cache that cannot be made, or that group or others can write, or that
+  another user owns, ``load`` raises and names the cause, and nothing is built in
+  the cache or loaded from it.  A run exits 2 with that cause once on stderr and
+  writes nothing, and so does ``selfcheck``.
 """
 
-import json
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -48,10 +53,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import numpy_kernels as oracle
 import roughwave
 import roughwave.solver as solver
 from roughwave import (
-    _ieee,
     Boundary,
     CellField,
     FluxSpec,
@@ -63,7 +68,7 @@ from roughwave import (
     fbm_initial_field,
     _kernels,
     make_grid,
-    restrict,
+    step,
 )
 from roughwave.cli import run
 from roughwave.diagnostics import _variation
@@ -92,13 +97,6 @@ states = st.one_of(*(arrays(np.float64, lengths, elements=e) for e in (moderate,
 bit_settings = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
 
-def compiled_march():
-    lib = _kernels.load()
-    if lib is None:
-        pytest.skip("no C compiler: evolve runs the numpy march only")
-    return lib
-
-
 def outcome(u0, cfg, snapshot_times, track_tv):
     """Every bit of an ``evolve`` run, or its exception's type and message."""
     try:
@@ -110,6 +108,14 @@ def outcome(u0, cfg, snapshot_times, track_tv):
             [(s.time, s.field.values.tobytes()) for s in traj.snapshots])
 
 
+def step_bits(u0, cfg, dt):
+    """The bits of one ``step`` of ``dt``, or its exception's type and message."""
+    try:
+        return step(u0, cfg, dt).values.tobytes()
+    except (FloatingPointError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("boundary", list(Boundary), ids=[b.value for b in Boundary])
 @pytest.mark.parametrize("kind, spec", PAIRS, ids=PAIR_IDS)
 @bit_settings
@@ -118,7 +124,6 @@ def outcome(u0, cfg, snapshot_times, track_tv):
        lam=st.sampled_from([None, 0.4, 1e-3]))
 def test_compiled_march_equals_numpy_march(kind, spec, boundary, v, steps, short, picks,
                                            track_tv, lam):
-    compiled_march()
     u0 = CellField(make_grid(0.0, 1.0, v.size), v)
     dt = cfl_timestep(u0.grid, spec, float(v.min()), float(v.max()), 0.5)
     t_final = dt * (steps + short) if np.isfinite(dt * (steps + 1)) else 1.0
@@ -133,10 +138,10 @@ def test_compiled_march_equals_numpy_march(kind, spec, boundary, v, steps, short
     ends = [times[i] for i in (63, 127, 191) if i < times.size]
     snapshot_times = sorted({*ends, *(times[min(i, times.size - 1)] for i in picks)})
 
-    compiled = outcome(u0, cfg, snapshot_times, track_tv)
+    compiled = outcome(u0, cfg, snapshot_times, track_tv), step_bits(u0, cfg, dt)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(_kernels, "load", lambda: None)
-        assert outcome(u0, cfg, snapshot_times, track_tv) == compiled
+        m.setattr(solver, "_compiled_march", oracle.march)
+        assert (outcome(u0, cfg, snapshot_times, track_tv), step_bits(u0, cfg, dt)) == compiled
 
 
 def canonical_bits(x):
@@ -147,9 +152,9 @@ def canonical_bits(x):
 def march_bits(v, count, ratio, numflux, cfg, first=0):
     """The steps taken and the canonical bits of the state (row 0 of ``cells``) and of
     the TV of each step taken, in up to ``count`` steps from ``v`` after ``first``,
-    by the compiled march and by the numpy march."""
+    by the compiled march and by the oracle's."""
     results = []
-    for march in (solver._compiled_march, solver._numpy_march):
+    for march in (solver._compiled_march, oracle.march):
         cells = np.empty((3, v.size + 2))
         cells[0, 1:-1] = v
         tv = np.empty(count)
@@ -171,7 +176,6 @@ def test_march_kernels_agree_on_non_finite_states(kind, spec, boundary, v, count
     # a blow-up is found only after a time point 63 (mod 64) or at the end of a block:
     # until then both marches carry the same inf and nan cells, so the cell and the
     # step they report agree
-    compiled_march()
     numflux = NumericalFluxSpec(kind, 0.3 if kind is NumFluxKind.LAX_FRIEDRICHS else None)
     cfg = SchemeConfig(spec, numflux, t_final=1.0, boundary=boundary)
     compiled, numpy_bits = march_bits(v, count, ratio, numflux, cfg, first)
@@ -186,7 +190,6 @@ def test_march_kernels_agree_on_non_finite_states(kind, spec, boundary, v, count
 def test_an_overflow_to_inf_with_no_nan_stops_the_march(kind, spec):
     # one step of these pairs takes a lone 1e300 to -inf and +inf and makes no nan, so
     # the check after time point 63 must catch inf as well as nan
-    compiled_march()
     numflux = NumericalFluxSpec(kind)
     cfg = SchemeConfig(spec, numflux, t_final=1.0)
     compiled, numpy_bits = march_bits(np.array([0.0, 0.0, 1e300, 0.0, 0.0]), 3, 0.5,
@@ -197,14 +200,13 @@ def test_an_overflow_to_inf_with_no_nan_stops_the_march(kind, spec):
 
 
 def test_marches_agree_on_fbm_runs_with_many_blocks(monkeypatch):
-    compiled_march()
     u0 = fbm_initial_field(0.25, make_grid(0.0, 1.0, 512), 7)
     for spec, kind, boundary in [(FluxSpec.BURGERS, NumFluxKind.GODUNOV, Boundary.OUTFLOW),
                                  (FluxSpec.CUBIC, NumFluxKind.RUSANOV, Boundary.PERIODIC)]:
         cfg = SchemeConfig(spec, NumericalFluxSpec(kind), t_final=0.3, boundary=boundary)
         compiled = outcome(u0, cfg, (0.0, 0.1, 0.2), True)
         with monkeypatch.context() as m:
-            m.setattr(_kernels, "load", lambda: None)
+            m.setattr(solver, "_compiled_march", oracle.march)
             assert outcome(u0, cfg, (0.0, 0.1, 0.2), True) == compiled
         assert np.frombuffer(compiled[0]).size > 3 * 64
 
@@ -225,7 +227,7 @@ class CountingLibrary:
 
 @pytest.mark.parametrize("short", [False, True], ids=["whole", "short"])
 def test_each_block_is_one_c_call(monkeypatch, short):
-    lib = CountingLibrary(compiled_march())
+    lib = CountingLibrary(_kernels.load())
     monkeypatch.setattr(_kernels, "load", lambda: lib)
     # the linear law on 256 cells steps by dt = 2^-9 exactly: 1,500 whole steps, and
     # a half step more if short
@@ -250,7 +252,6 @@ def test_each_clone_level_marches_the_numpy_bits(level, feature, tmp_path, monke
                                                   fresh_loader):
     # the library built from a copy of _march.c without clones, for one level only:
     # the code each clone runs, and the code of a build off x86-64
-    compiled_march()
     try:
         from numpy._core._multiarray_umath import __cpu_features__ as cpu_features
     except ImportError:  # numpy 1.x
@@ -267,7 +268,7 @@ def test_each_clone_level_marches_the_numpy_bits(level, feature, tmp_path, monke
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     _kernels.load.cache_clear()
     lib = _kernels.load()
-    assert lib is not None and lib._name.startswith(str(tmp_path / "cache"))
+    assert lib._name.startswith(str(tmp_path / "cache"))
 
     rng = np.random.default_rng(18)
     specials = np.array([*SPECIAL, np.nan, np.inf, -np.inf])
@@ -294,23 +295,18 @@ def test_each_clone_level_marches_the_numpy_bits(level, feature, tmp_path, monke
             assert compiled == numpy_bits, (level, kind, spec, boundary)
 
     # the draw, every level of two k = 16 paths, and the log and sincos on 2^16 values
-    def paths():
-        return [_midpoint_points(hurst, 16, SplitMix64(seed)).tobytes()
-                for hurst, seed in [(0.25, 3), (0.75, 2**64 - 1)]]
-
-    compiled_paths = paths()
+    for hurst, seed in [(0.25, 3), (0.75, 2**64 - 1)]:
+        assert (_midpoint_points(hurst, 16, SplitMix64(seed)).tobytes()
+                == oracle.midpoint_points(hurst, 16, oracle.SplitMix64(seed)).tobytes())
     x = rng.random(1 << 16) * (2.0 * np.pi)
     out = [np.empty(x.size) for _ in range(3)]
     lib.log_sincos(x.ctypes.data, x.size, *(o.ctypes.data for o in out))
-    assert np.array(out).tobytes() == np.array([_ieee.log(x), *_ieee.sincos(x)]).tobytes()
-    with monkeypatch.context() as m:
-        m.setattr(_kernels, "load", lambda: None)
-        assert paths() == compiled_paths
+    assert np.array(out).tobytes() == np.array([oracle.log(x), *oracle.sincos(x)]).tobytes()
 
 
 @pytest.mark.parametrize("periodic", [False, True])
 def test_c_variation_equals_numpy_pairwise_sum(periodic):
-    variation = compiled_march().variation
+    variation = _kernels.load().variation
     rng = np.random.default_rng(15)
     for n in [*range(1, 301), 1023, 1024, 8191, 8192, 8193, 70001]:
         v = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
@@ -337,7 +333,7 @@ def test_c_cell_means_equal_numpy_mean(shape, seed, scale, spots):
     # subnormal size with signed zeros, or zeros, 99% of them -0.0; then a few
     # cells set to chosen values
     rows, factor = shape
-    cell_means = compiled_march().cell_means
+    cell_means = _kernels.load().cell_means
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(rows * factor)
     if scale == "wide":
@@ -361,8 +357,8 @@ ZERO_SLOTS = {-GOLDEN_GAMMA % 2**64: 0, -2 * GOLDEN_GAMMA % 2**64: 1}
 @pytest.mark.parametrize("count", [0, 1, 2, 2**15 + 1])
 @pytest.mark.parametrize("seed", [0, 2024, 2**64 - 1, *ZERO_SLOTS])
 def test_c_uniforms_return_the_stream_state_and_numpy_uniforms(seed, count):
-    uniforms = compiled_march().uniforms
-    rng = SplitMix64(seed)
+    uniforms = _kernels.load().uniforms
+    rng = oracle.SplitMix64(seed)
     words = rng.u64(count)
     z = np.empty(count)
     assert uniforms(seed, z.ctypes.data, count) == rng.state
@@ -375,17 +371,15 @@ def test_c_uniforms_return_the_stream_state_and_numpy_uniforms(seed, count):
 
 @pytest.mark.parametrize("count", [0, 2, 6, 1000, 2**15 + 2])
 @pytest.mark.parametrize("seed", [2024, *ZERO_SLOTS])
-def test_c_normals_equal_numpy_normals(seed, count, monkeypatch):
-    compiled_march()
-    rng = SplitMix64(seed)
-    compiled = rng.normals(count).tobytes(), rng.state
-    monkeypatch.setattr(_kernels, "load", lambda: None)
-    rng = SplitMix64(seed)
-    assert (rng.normals(count).tobytes(), rng.state) == compiled
+def test_c_normals_equal_numpy_normals(seed, count):
+    draws = []
+    for rng in (SplitMix64(seed), oracle.SplitMix64(seed)):
+        draws.append((rng.normals(count).tobytes(), rng.state))
+    assert draws[0] == draws[1]
 
 
 def test_each_midpoint_level_is_one_c_call(monkeypatch):
-    lib = compiled_march()
+    lib = _kernels.load()
     counts = []
 
     class CountingDraws(CountingLibrary):
@@ -399,13 +393,22 @@ def test_each_midpoint_level_is_one_c_call(monkeypatch):
 
 
 def test_march_c_builds_without_warnings(tmp_path):
-    if shutil.which("gcc") is None:
-        pytest.skip("no C compiler")
     source = Path(_kernels.__file__).with_name("_march.c")
     strict = ("-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror")
     build = subprocess.run(["gcc", *_kernels._FLAGS, *strict, "-o", str(tmp_path / "march.so"),
                             str(source)], capture_output=True, text=True)
     assert build.returncode == 0, build.stderr
+
+
+def test_the_x86_vector_width_option_goes_to_x86_64_only():
+    width = "-mprefer-vector-width=512"
+    for machine in ("aarch64", "arm64", "ppc64le", "riscv64", "s390x"):
+        assert _kernels._flags(machine) == tuple(f for f in _kernels._flags("x86_64")
+                                                 if f != width)
+    assert width in _kernels._flags("AMD64")
+    if platform.machine() == "x86_64":  # the cache key of an x86-64 library is kept
+        assert _kernels._FLAGS == ("-O3", "-fno-math-errno", "-ffp-contract=off", width,
+                                   "-shared", "-fPIC")
 
 
 @pytest.fixture
@@ -422,64 +425,56 @@ numflux = godunov
 hurst = 0.5
 resolutions = 5
 reference_exponent = 6
-samples = 1
+samples = 2
 base_seed = 2024
 t_final = 0.5
 snapshot_times = 0.125
 """
 
 
-def solve_run(tmp_path, name):
-    """The CSV bytes and the manifest's march of one ``solve`` run."""
-    cfg = tmp_path / "solve.cfg"
-    cfg.write_text(SOLVE_CONFIG)
-    out = tmp_path / name
-    assert run(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-    manifest = json.loads((out / "solve_manifest.json").read_text())
-    return (out / "solve.csv").read_bytes(), manifest["march"]
-
-
-def test_manifest_records_the_march(march, tmp_path):
-    assert solve_run(tmp_path, "out")[1] == march
-
-
-def test_without_a_compiler_evolve_gives_the_same_bits(tmp_path, monkeypatch, fresh_loader):
-    compiled_march()
-    u0 = fbm_initial_field(0.5, make_grid(0.0, 1.0, 128), 11)
-    cfg = SchemeConfig(FluxSpec.BURGERS, NumericalFluxSpec(NumFluxKind.GODUNOV), t_final=0.5)
-    compiled, csv = outcome(u0, cfg, (0.25,), True), solve_run(tmp_path, "compiled")
-    assert csv[1] == "compiled"
-    # 2^17 cells: the finest levels are drawn in many blocks of the C draw
-    deep = fbm_initial_field(0.25, make_grid(0.0, 1.0, 1 << 17), 12)
-    means = [restrict(deep, factor).values.tobytes() for factor in (2, 8, 4096)]
-
-    empty = tmp_path / "no-compiler"
+@pytest.mark.parametrize("command", ["solve", "selfcheck"])
+def test_without_a_compiler_a_run_exits_2_and_writes_nothing(command, tmp_path, monkeypatch,
+                                                             capsys, fresh_loader):
+    empty, out = tmp_path / "no-compiler", tmp_path / "out"
     empty.mkdir()
     monkeypatch.setenv("PATH", str(empty))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    _kernels.load.cache_clear()
-    assert _kernels.load() is None
-    assert outcome(u0, cfg, (0.25,), True) == compiled
-    assert solve_run(tmp_path, "numpy") == (csv[0], "numpy")
-    numpy_deep = fbm_initial_field(0.25, make_grid(0.0, 1.0, 1 << 17), 12)
-    assert numpy_deep.values.tobytes() == deep.values.tobytes()
-    assert [restrict(deep, factor).values.tobytes() for factor in (2, 8, 4096)] == means
+    (tmp_path / "solve.cfg").write_text(SOLVE_CONFIG)
+    argv = {"solve": ["solve", "--config", str(tmp_path / "solve.cfg"), "--out", str(out),
+                      "--workers", "2"], "selfcheck": ["selfcheck"]}[command]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    # the cause once, as it was raised, and not once per sample
+    assert err == "runtime error: the compiled kernels need gcc, and there is no gcc on PATH\n"
+    assert not out.exists() or list(out.iterdir()) == []
     assert list((tmp_path / "cache" / "roughwave").iterdir()) == []
 
 
-def test_an_unwritable_cache_falls_back_to_numpy(tmp_path, monkeypatch, fresh_loader):
+def test_a_flag_gcc_rejects_fails_the_build(tmp_path, monkeypatch, fresh_loader):
+    monkeypatch.setattr(_kernels, "_FLAGS", ("-mno-such-option", *_kernels._FLAGS))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    with pytest.raises(RuntimeError, match="(?s)gcc failed to build .*-mno-such-option"):
+        _kernels.load()
+    assert list((tmp_path / "roughwave").iterdir()) == []
+
+
+def test_an_unwritable_cache_raises(tmp_path, monkeypatch, fresh_loader):
     not_a_dir = tmp_path / "file"
     not_a_dir.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_dir))
-    assert _kernels.march_name() == "numpy"
+    cause = f"kernel cache cannot be made: .*{re.escape(str(not_a_dir))}"
+    with pytest.raises(RuntimeError, match=cause):
+        _kernels.load()
 
 
 @pytest.mark.parametrize("untrusted", ["others-can-write", "another-user-owns"])
 def test_an_untrusted_cache_is_not_used(untrusted, tmp_path, monkeypatch, fresh_loader):
-    # the library's name is public, so whoever can write the cache could plant one
-    compiled_march()
+    # the library's name is public, so whoever can write the cache could plant one;
+    # one planted under the key is not loaded
     cache = tmp_path / "roughwave"
     cache.mkdir(mode=0o700)
+    shutil.copy(_kernels.load()._name, cache)
+    planted = sorted(cache.iterdir())
     if untrusted == "others-can-write":
         cache.chmod(0o777)
     else:
@@ -487,15 +482,15 @@ def test_an_untrusted_cache_is_not_used(untrusted, tmp_path, monkeypatch, fresh_
         monkeypatch.setattr(_kernels.os, "getuid", lambda: uid + 1)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     _kernels.load.cache_clear()
-    assert _kernels.march_name() == "numpy"
-    assert list(cache.iterdir()) == []
+    with pytest.raises(RuntimeError, match=f"kernel cache {re.escape(str(cache))} is not used"):
+        _kernels.load()
+    assert sorted(cache.iterdir()) == planted
 
 
 def test_concurrent_builds_share_one_private_cache(tmp_path):
-    compiled_march()
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
                PYTHONPATH=str(Path(roughwave.__file__).parents[1]))
-    probe = "import roughwave._kernels as k; assert k.march_name() == 'compiled'"
+    probe = "import roughwave._kernels as k; k.load()"
     procs = [subprocess.Popen([sys.executable, "-c", probe], env=env) for _ in range(2)]
     assert [p.wait(timeout=120) for p in procs] == [0, 0]
     cache = tmp_path / "roughwave"
@@ -506,8 +501,6 @@ def test_concurrent_builds_share_one_private_cache(tmp_path):
 
 def test_threads_loading_at_once_build_once(tmp_path, monkeypatch, fresh_loader):
     # threads share the pid that names the temporary file, so the build takes a lock
-    compiled_march()
-    _kernels.load.cache_clear()
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     builds, libs = [], []
     build = subprocess.run
