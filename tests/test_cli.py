@@ -117,7 +117,7 @@ def test_selfcheck_passes(capsys):
     assert "selfcheck passed" in out
 
 
-def test_selfcheck_fails_when_the_draw_studies_run_is_wrong(capsys, monkeypatch):
+def test_selfcheck_fails_when_the_draw_studies_run_is_wrong(march, capsys, monkeypatch):
     # level 0 of every fBm path takes its normals from SplitMix64.normals
     monkeypatch.setattr(SplitMix64, "normals", lambda self, count: np.zeros(count))
     assert run(["selfcheck"]) == 2

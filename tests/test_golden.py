@@ -165,26 +165,26 @@ def output_hashes(command, tmp_path, config=CONFIG, workers=1):
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_golden_hashes(command, tmp_path):
+def test_golden_hashes(command, march, tmp_path):
     assert output_hashes(command, tmp_path) == GOLDEN[command]
 
 
 @pytest.mark.parametrize("command", ["sharpness", "tvdecay"])
-def test_golden_csv_on_two_threads(command, tmp_path):
+def test_golden_csv_on_two_threads(command, march, tmp_path):
     # the manifest records the worker count, so only the CSV keeps its pinned hash
     csv_hash, _ = output_hashes(command, tmp_path, workers=2)
     assert csv_hash == GOLDEN[command][0]
 
 
 @pytest.mark.parametrize("numflux, equation, boundary", sorted(PAIR_GOLDEN))
-def test_golden_solve_per_flux_pair(numflux, equation, boundary, tmp_path):
+def test_golden_solve_per_flux_pair(numflux, equation, boundary, march, tmp_path):
     config = PAIR_CONFIG.format(numflux=numflux, equation=equation, boundary=boundary)
     csv_hash, _ = output_hashes("solve", tmp_path, config)
     assert csv_hash == PAIR_GOLDEN[numflux, equation, boundary]
 
 
 @pytest.mark.parametrize("command", sorted(DEEP_GOLDEN))
-def test_golden_deep_per_cell_tables(command, tmp_path):
+def test_golden_deep_per_cell_tables(command, march, tmp_path):
     csv_hash, _ = output_hashes(command, tmp_path, DEEP_CONFIG[command])
     assert csv_hash == DEEP_GOLDEN[command]
 
@@ -220,7 +220,7 @@ print(json.dumps(hashes))
 
 
 @pytest.mark.parametrize("setting", sorted(PLATFORMS))
-def test_golden_hashes_on_other_kernels(setting, tmp_path):
+def test_golden_hashes_on_other_kernels(march, setting, tmp_path):
     if platform.machine() not in ("x86_64", "AMD64"):
         pytest.skip("the settings pick x86-64 kernels")
     (tmp_path / "deep").mkdir()

@@ -295,7 +295,7 @@ def test_normals_in_draw_chunks_match_oracle_block():
 
 @pytest.mark.parametrize("seed", [7, sample_seed(2024, 3)])
 @pytest.mark.parametrize("hurst", [0.25, 0.5, 0.75])
-def test_fbm_bits_match_oracle(hurst, seed):
+def test_fbm_bits_match_oracle(hurst, seed, march):
     for k in range(1, 19):
         oracle, rng = OracleSplitMix64(seed), SplitMix64(seed)
         pts = oracle_midpoint(hurst, k, oracle)

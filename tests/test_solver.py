@@ -440,7 +440,7 @@ def test_schedule_halves_a_prefix_that_drifts_past_its_margin(monkeypatch):
 @pytest.mark.parametrize("snapshot_times", [(), (4.0,)], ids=["final", "snapshot"])
 @pytest.mark.parametrize("track_tv", [False, True])
 @pytest.mark.parametrize("dense", [False, True])
-def test_evolve_blow_up_raises(snapshot_times, track_tv, dense):
+def test_evolve_blow_up_raises(march, snapshot_times, track_tv, dense):
     # (b - a)/(2 lam) with lam far below dt/dx makes Lax-Friedrichs unstable;
     # the run overflows long before t = 4
     u0 = fbm_initial_field(0.5, make_grid(0, 1, 64), 3)
