@@ -45,8 +45,26 @@ def _sha256(data: bytes) -> str:
     return sha256(data).hexdigest()
 
 
-@functools.cache
 def load():
+    """``_build()``'s library, or its RuntimeError, kept until ``load.cache_clear()``."""
+    lib = _outcome()
+    if isinstance(lib, RuntimeError):  # a fresh copy: threads may raise it at once
+        raise RuntimeError(*lib.args) from lib.__cause__
+    return lib
+
+
+@functools.cache
+def _outcome():
+    try:
+        return _build()
+    except RuntimeError as exc:
+        return exc
+
+
+load.cache_clear = _outcome.cache_clear
+
+
+def _build():
     """The library built from ``_march.c``.  RuntimeError, naming the cause, if there
     is no ``gcc``, the build fails, or the cache cannot be written or is not trusted.
 

@@ -1,5 +1,6 @@
 """Measurement functionals: total variation, one-sided Lipschitz seminorm,
-L1 distances, time-integrated TV, the Lip+ bound on it and rate fits."""
+L1 distances, time-integrated TV, the Lip+ bound on it and rate fits.  The TV is
+the library's ``variation``, the kernel of the solver's per-step TV."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
 
-from ._kernels import log
+from ._kernels import load, log
 from .flux import FluxSpec, NumFluxKind
 from .mesh import CellField, restrict
 
@@ -17,19 +18,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def total_variation(field: CellField, periodic: bool = False) -> float:
-    """Sum of |v_{i+1} - v_i| over interior neighbours.
+    """Sum of |v_{i+1} - v_i| over interior neighbours, in numpy's pairwise order.
 
     With ``periodic=True`` the wrap-around jump |v_0 - v_{n-1}| is included.
     """
-    return _variation(field.values, periodic)
-
-
-def _variation(v: np.ndarray, periodic: bool) -> float:
-    """``total_variation`` of the values ``v``."""
-    tv = float(np.sum(np.abs(v[1:] - v[:-1])))
-    if periodic and v.size > 1:
-        tv += abs(float(v[0]) - float(v[-1]))
-    return tv
+    return load().variation(field.values.ctypes.data, field.grid.n_cells, bool(periodic))
 
 
 def lip_plus(field: CellField, periodic: bool = False) -> float:

@@ -1,8 +1,9 @@
 """Analytic flux functions and monotone two-point numerical fluxes.
 
 Three built-in conservation laws are supported: Burgers ``f(u) = u^2/2``,
-a cubic law ``f(u) = u^3/3`` and linear advection ``f(u) = u``.  All flux
-evaluators broadcast over float64 arrays and accept plain floats.
+a cubic law ``f(u) = u^3/3`` and linear advection ``f(u) = u``, with the numerical
+fluxes of ``PAIRS``.  All flux evaluators broadcast over float64 arrays and accept
+plain floats.
 """
 
 from __future__ import annotations
@@ -26,6 +27,19 @@ class NumFluxKind(Enum):
     LAX_FRIEDRICHS = "lax_friedrichs"
     ENGQUIST_OSHER = "engquist_osher"
     UPWIND = "upwind"
+
+
+# the accepted pairs, in the order of _march.c's STEPS table of step templates:
+# every flux on every law, but the upwind flux on the linear law only
+PAIRS = tuple((kind, law) for kind in NumFluxKind for law in FluxSpec
+              if kind is not NumFluxKind.UPWIND or law is FluxSpec.LINEAR)
+
+
+def check_pair(kind: NumFluxKind, law: FluxSpec) -> None:
+    """ValueError, naming the laws valid with ``kind``, unless (kind, law) is in PAIRS."""
+    if (kind, law) not in PAIRS:
+        laws = " or ".join(f.value for k, f in PAIRS if k is kind)
+        raise ValueError(f"the {kind.value} flux needs the {laws} law, got {law.value}")
 
 
 @dataclass(frozen=True)
@@ -76,7 +90,7 @@ def numerical_flux(numflux: NumericalFluxSpec, spec: FluxSpec, a, b):
       linear laws, whose f is nondecreasing.
     - Engquist-Osher (f' split into its positive and negative parts):
       ``f(a+) + f(b-)`` for Burgers, ``f(a)`` for the cubic and linear laws.
-    - Upwind: ``f(a)``, linear law only.
+    - Upwind: ``f(a)``, on the laws of ``PAIRS``.
     - Rusanov: ``(f(a) + f(b))/2 - s (b - a)/2`` with the endpoint speed
       ``s = max(|f'(a)|, |f'(b)|)``.
     - Lax-Friedrichs: ``(f(a) + f(b))/2 - (b - a)/(2 lam)``.
@@ -84,6 +98,7 @@ def numerical_flux(numflux: NumericalFluxSpec, spec: FluxSpec, a, b):
     Linear Godunov, Engquist-Osher and upwind return ``a`` itself.
     """
     kind = numflux.kind
+    check_pair(kind, spec)
     if kind is NumFluxKind.LAX_FRIEDRICHS:
         if numflux.lam is None:
             raise ValueError("the Lax-Friedrichs flux needs the mesh ratio lam")
@@ -97,8 +112,6 @@ def numerical_flux(numflux: NumericalFluxSpec, spec: FluxSpec, a, b):
         else:
             s = 1.0
         return 0.5 * (flux_value(spec, a) + flux_value(spec, b)) - 0.5 * s * (b - a)
-    if kind is NumFluxKind.UPWIND and spec is not FluxSpec.LINEAR:
-        raise ValueError(f"upwind flux is defined only for the linear law, got {spec}")
     if spec is not FluxSpec.BURGERS:
         return flux_value(spec, a)
     pos, neg = np.maximum(a, 0.0), np.minimum(b, 0.0)

@@ -3,22 +3,21 @@
 The update is v_i <- v_i - (dt/dx) (F(v_i, v_{i+1}) - F(v_{i-1}, v_i)) with
 ghost values taken from the boundary rule: outflow copies the edge cell,
 periodic wraps around.  ``evolve`` and ``step`` run it in the compiled march of
-``_march.c``, which evaluates ``flux.numerical_flux`` in its operation order.
+``_march.c``, which evaluates ``flux.numerical_flux`` in its operation order, and
+take every TV from its ``variation``: no numpy arithmetic, and no numpy error state.
 """
 
 from __future__ import annotations
 
-import sys
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _kernels
-from .diagnostics import _variation
-from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind, max_wave_speed
+from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind, check_pair, max_wave_speed
 from .mesh import CellField, Grid
 
 
@@ -50,10 +49,7 @@ class SchemeConfig:
             raise ValueError(f"t_final must be finite and >= 0, got {self.t_final}")
         if 0.0 < self.t_final <= _TIME_GUARD:  # evolve's schedule would hold no step
             raise ValueError(f"t_final must be 0 or above {_TIME_GUARD}, got {self.t_final}")
-        if self.numflux.kind is NumFluxKind.UPWIND and self.flux is not FluxSpec.LINEAR:
-            raise ValueError(
-                f"the upwind flux is only valid with the linear law, got {self.flux.value}"
-            )
+        check_pair(self.numflux.kind, self.flux)
 
 
 @dataclass(frozen=True)
@@ -95,31 +91,17 @@ def _check_snapshot_times(times: Sequence[float], t_final: float) -> None:
                          f"got {tuple(times)}")
 
 
-def _fill_lambda(numflux: NumericalFluxSpec, lam: float) -> NumericalFluxSpec:
-    """``numflux`` with mesh ratio ``lam`` if it is a Lax-Friedrichs flux without one.
-
-    ``lam`` overflows to inf on data of subnormal size, where max|f'| is tiny;
-    it is clamped to the largest float, a valid ratio whose ``2 lam`` in the
-    flux is inf all the same.
-    """
-    if numflux.kind is NumFluxKind.LAX_FRIEDRICHS and numflux.lam is None:
-        return replace(numflux, lam=min(lam, sys.float_info.max))
-    return numflux
-
-
-def _compiled_march(cells: np.ndarray, first: int, count: int, ratio: float,
-                    numflux: NumericalFluxSpec, config: SchemeConfig,
-                    tv: Optional[np.ndarray]) -> int:
+def _compiled_march(cells: np.ndarray, first: int, count: int, ratio: float, lam: float,
+                    config: SchemeConfig, tv: Optional[np.ndarray]) -> int:
     """``count`` steps ``v - (F[1:] - F[:-1]) * ratio`` on the state ``v = cells[0, 1:-1]``,
-    in place, in one call of the C ``march``, F evaluated on the state padded by the
-    boundary rule's ghost cells; row 1 of ``cells`` is its second state and row 2 its
-    scratch row.  The TV of each new state goes into ``tv`` if given.  ``first`` steps
-    came before: the march stops after a step that ends on a time point 63 (mod 64)
-    if the state then holds a non-finite cell.  Returns the number of steps taken."""
-    two_lam = 2.0 * numflux.lam if numflux.kind is NumFluxKind.LAX_FRIEDRICHS else 0.0
+    in place, in one C ``march`` call, F (Lax-Friedrichs with mesh ratio ``lam``) taken on
+    the state padded by the boundary rule's ghost cells; rows 1 and 2 of ``cells`` are its
+    second state and scratch.  The TV of each new state goes into ``tv`` if given.  After
+    ``first`` earlier steps, it stops after a step ending on a time point 63 (mod 64) if
+    the state then holds a non-finite cell; returns the number of steps taken."""
     return _kernels.load().march(cells.ctypes.data, cells.shape[1] - 2, first, count,
-                                 _KINDS.index(numflux.kind), _LAWS.index(config.flux),
-                                 config.boundary is Boundary.PERIODIC, ratio, two_lam,
+                                 _KINDS.index(config.numflux.kind), _LAWS.index(config.flux),
+                                 config.boundary is Boundary.PERIODIC, ratio, 2.0 * lam,
                                  None if tv is None else tv.ctypes.data)
 
 
@@ -144,8 +126,7 @@ def step(state: CellField, config: SchemeConfig, dt: float) -> CellField:
     ratio = dt / state.grid.dx
     cells = np.empty((3, state.grid.n_cells + 2))
     cells[0, 1:-1] = state.values
-    with np.errstate(invalid="ignore", over="ignore"):
-        _compiled_march(cells, 0, 1, ratio, _fill_lambda(config.numflux, ratio), config, None)
+    _compiled_march(cells, 0, 1, ratio, config.numflux.lam or ratio, config, None)
     return _expose(state.grid, cells[0, 1:-1], dt, 1)
 
 
@@ -209,8 +190,8 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
 
     grid, dx, v0 = initial.grid, initial.grid.dx, initial.values
     dt = cfl_timestep(grid, config.flux, float(v0.min()), float(v0.max()), config.cfl)
-    # the mesh ratio is frozen for the whole run, incl. the short last step
-    numflux = _fill_lambda(config.numflux, dt / dx)
+    # the Lax-Friedrichs ratio of every step, the short last one too; inf on subnormal data
+    lam = config.numflux.lam or dt / dx
     if dt == np.inf:  # data of subnormal size: one step lands on t_final
         dt = config.t_final
     if dt <= 0.0 < config.t_final:  # max|f'| overflowed: the loop would never end
@@ -233,19 +214,18 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
     cells[0, 1:-1] = v0
     tv = np.empty(times.size) if track_tv else None
     if track_tv:
-        tv[0] = _variation(v0, periodic)
+        tv[0] = _kernels.load().variation(v0.ctypes.data, v0.size, periodic)
     snaps = [Snapshot(0.0, initial) for s in snap_steps if s == 0]
 
     state, done = initial, 0
-    with np.errstate(invalid="ignore", over="ignore"):
-        for stop in sorted(s for s in ends if 0 < s <= n_steps):
-            ratio = (dt_last if stop == n_steps else dt) / dx
-            # a march stops short only at a non-finite state, which _expose rejects
-            done += _compiled_march(cells, done, stop - done, ratio, numflux, config,
-                                    None if tv is None else tv[done + 1:stop + 1])
-            state = _expose(grid, cells[0, 1:-1], dt, done)
-            while len(snaps) < len(snap_steps) and snap_steps[len(snaps)] == stop:
-                snaps.append(Snapshot(float(times[stop]), state))
+    for stop in sorted(s for s in ends if 0 < s <= n_steps):
+        ratio = (dt_last if stop == n_steps else dt) / dx
+        # a march stops short only at a non-finite state, which _expose rejects
+        done += _compiled_march(cells, done, stop - done, ratio, lam, config,
+                                None if tv is None else tv[done + 1:stop + 1])
+        state = _expose(grid, cells[0, 1:-1], dt, done)
+        while len(snaps) < len(snap_steps) and snap_steps[len(snaps)] == stop:
+            snaps.append(Snapshot(float(times[stop]), state))
 
     return Trajectory(times=times, snapshots=tuple(snaps), per_step_tv=tv, dt_used=dt,
                       final=state)

@@ -6,16 +6,18 @@ tests hold the library's bits to.
   which round once each on every CPU.  The C comments say how each works.
 - ``SplitMix64`` draws the integer stream (``u64``) and the Box-Muller normals
   in numpy; ``midpoint_points`` draws fBm with them.
-- ``march`` is the block march of ``solver.evolve``, one ``advance`` per step.
+- ``march`` is the block march of ``solver.evolve``, one ``advance`` per step,
+  and ``variation`` the total variation of each state, numpy's pairwise sum.
 
 The package runs only the library; this code runs only in the tests.
 """
 
+import sys
+
 import numpy as np
 
 from roughwave import initial_data
-from roughwave.diagnostics import _variation
-from roughwave.flux import numerical_flux
+from roughwave.flux import NumericalFluxSpec, NumFluxKind, numerical_flux
 from roughwave.solver import Boundary
 
 _LN2_HI, _LN2_LO = float.fromhex("0x1.62e42fee00000p-1"), float.fromhex("0x1.a39ef35793c76p-33")
@@ -144,17 +146,33 @@ def advance(v, ratio, numflux, config):
     return v - (face[1:] - face[:-1]) * ratio
 
 
-def march(cells, first, count, ratio, numflux, config, tv):
+def variation(v, periodic):
+    """The total variation of the values ``v``: ``np.sum`` of the jumps, and the
+    wrap-around jump if ``periodic``."""
+    tv = float(np.sum(np.abs(v[1:] - v[:-1])))
+    if periodic and v.size > 1:
+        tv += abs(float(v[0]) - float(v[-1]))
+    return tv
+
+
+def march(cells, first, count, ratio, lam, config, tv):
     """``solver._compiled_march`` in numpy: ``count`` steps of ``advance`` on the state
-    ``cells[0, 1:-1]``, in place, and the TV of each new state into ``tv`` if given;
-    it stops after a step that ends on a time point 63 (mod 64) if the state then
-    holds a non-finite cell.  Returns the number of steps taken."""
+    ``cells[0, 1:-1]``, in place, a Lax-Friedrichs flux with the mesh ratio ``lam``,
+    and the TV of each new state into ``tv`` if given; it stops after a step that ends
+    on a time point 63 (mod 64) if the state then holds a non-finite cell.  Returns
+    the number of steps taken.  Overflows and invalid operations raise nothing."""
+    kind = config.numflux.kind
+    # a ratio that overflowed to inf is clamped to the largest float, which
+    # NumericalFluxSpec accepts and whose 2 lam is inf all the same
+    numflux = NumericalFluxSpec(kind, min(lam, sys.float_info.max)
+                                if kind is NumFluxKind.LAX_FRIEDRICHS else None)
     periodic = config.boundary is Boundary.PERIODIC
     v = cells[0, 1:-1]
-    for s in range(1, count + 1):
-        v[...] = advance(v, ratio, numflux, config)
-        if tv is not None:
-            tv[s - 1] = _variation(v, periodic)
-        if (first + s) % 64 == 63 and not np.isfinite(v).all():
-            return s
+    with np.errstate(invalid="ignore", over="ignore"):
+        for s in range(1, count + 1):
+            v[...] = advance(v, ratio, numflux, config)
+            if tv is not None:
+                tv[s - 1] = variation(v, periodic)
+            if (first + s) % 64 == 63 and not np.isfinite(v).all():
+                return s
     return count

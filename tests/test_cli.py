@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from roughwave import Boundary, FluxSpec, NumFluxKind, StudyResult, config_from_dict
-from roughwave import SplitMix64, cli, experiments, sample_seed
+from roughwave import SplitMix64, cli, experiments, sample_seed, solver
 from roughwave.cli import ConfigError, parse_config, run, write_csv
 
 MINIMAL = """\
@@ -120,6 +120,22 @@ def test_selfcheck_passes(capsys):
 def test_selfcheck_fails_when_the_draw_studies_run_is_wrong(march, capsys, monkeypatch):
     # level 0 of every fBm path takes its normals from SplitMix64.normals
     monkeypatch.setattr(SplitMix64, "normals", lambda self, count: np.zeros(count))
+    assert run(["selfcheck"]) == 2
+    out = capsys.readouterr().out
+    assert "[FAIL] fbm seed=0" in out
+    assert "selfcheck: 1 failure(s)" in out
+
+
+def test_selfcheck_fails_when_one_flux_pair_marches_one_ulp_off(capsys, monkeypatch):
+    march = solver._compiled_march
+
+    def nudged(cells, first, count, ratio, lam, config, tv):
+        taken = march(cells, first, count, ratio, lam, config, tv)
+        if (config.numflux.kind, config.flux) == (NumFluxKind.RUSANOV, FluxSpec.CUBIC):
+            cells[0, 1] = np.nextafter(cells[0, 1], np.inf)
+        return taken
+
+    monkeypatch.setattr(solver, "_compiled_march", nudged)
     assert run(["selfcheck"]) == 2
     out = capsys.readouterr().out
     assert "[FAIL] fbm seed=0" in out

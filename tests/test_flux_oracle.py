@@ -25,13 +25,8 @@ from roughwave import (
     flux_value,
     numerical_flux,
 )
+from roughwave.flux import PAIRS
 
-PAIRS = [
-    (kind, spec)
-    for kind in NumFluxKind
-    for spec in FluxSpec
-    if kind is not NumFluxKind.UPWIND or spec is FluxSpec.LINEAR
-]
 PAIR_IDS = [f"{kind.value}-{spec.value}" for kind, spec in PAIRS]
 LF = NumFluxKind.LAX_FRIEDRICHS
 VIEW_PAIRS = {(kind, FluxSpec.LINEAR) for kind in NumFluxKind} - {

@@ -145,7 +145,7 @@ DEEP_GOLDEN = {
 }
 
 # SHA-256 of the stdout of ``roughwave selfcheck``
-SELFCHECK_GOLDEN = "3c6d170d289c09c4f4bdcc9d84066c2eb289c691a3ecb17065fb6e5ccf33bac2"
+SELFCHECK_GOLDEN = "10115719267dbc9643bd76c54b94e54c2101df11388db26db3565733a1c0d784"
 
 
 def _sha256(data: bytes) -> str:

@@ -17,7 +17,7 @@
   check after time point 63 included, and so do the C draw, log and sincos.
 - A block of steps is one C call: a run with no snapshot makes one, or two with
   a short last step, plus one per snapshot step.
-- The C total variation equals ``diagnostics._variation`` (numpy's pairwise
+- The C total variation equals the oracle's ``variation`` (numpy's pairwise
   sum) at every length up to 300 and at the lengths where the pairwise
   recursion splits.
 - The C cell means equal ``values.reshape(-1, factor).mean(axis=1)`` byte for
@@ -34,8 +34,9 @@
 - The library is the only kernel set: without gcc, with a flag gcc rejects, or
   with a cache that cannot be made, or that group or others can write, or that
   another user owns, ``load`` raises and names the cause, and nothing is built in
-  the cache or loaded from it.  A run exits 2 with that cause once on stderr and
-  writes nothing, and so does ``selfcheck``.
+  the cache or loaded from it; later calls raise the same without running gcc
+  again.  A run exits 2 with that cause once on stderr and writes nothing, and so
+  does ``selfcheck``.
 """
 
 import os
@@ -71,15 +72,9 @@ from roughwave import (
     step,
 )
 from roughwave.cli import run
-from roughwave.diagnostics import _variation
+from roughwave.flux import PAIRS
 from roughwave.initial_data import GOLDEN_GAMMA, SplitMix64, _midpoint_points
 
-PAIRS = [
-    (kind, spec)
-    for kind in NumFluxKind
-    for spec in FluxSpec
-    if kind is not NumFluxKind.UPWIND or spec is FluxSpec.LINEAR
-]
 PAIR_IDS = [f"{kind.value}-{spec.value}" for kind, spec in PAIRS]
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2e-308, 1.4e-154, -1.6e-154,
@@ -149,17 +144,17 @@ def canonical_bits(x):
     return np.where(np.isnan(x), np.nan, x).tobytes()
 
 
-def march_bits(v, count, ratio, numflux, cfg, first=0):
+def march_bits(v, count, ratio, cfg, first=0):
     """The steps taken and the canonical bits of the state (row 0 of ``cells``) and of
     the TV of each step taken, in up to ``count`` steps from ``v`` after ``first``,
-    by the compiled march and by the oracle's."""
+    by the compiled march and by the oracle's, a Lax-Friedrichs flux with the mesh
+    ratio of ``cfg``, or ``ratio`` if it has none."""
     results = []
     for march in (solver._compiled_march, oracle.march):
         cells = np.empty((3, v.size + 2))
         cells[0, 1:-1] = v
         tv = np.empty(count)
-        with np.errstate(invalid="ignore", over="ignore"):
-            taken = march(cells, first, count, ratio, numflux, cfg, tv)
+        taken = march(cells, first, count, ratio, cfg.numflux.lam or ratio, cfg, tv)
         results.append([taken, *(canonical_bits(x) for x in (cells[0, 1:-1], tv[:taken]))])
     return results
 
@@ -178,7 +173,7 @@ def test_march_kernels_agree_on_non_finite_states(kind, spec, boundary, v, count
     # step they report agree
     numflux = NumericalFluxSpec(kind, 0.3 if kind is NumFluxKind.LAX_FRIEDRICHS else None)
     cfg = SchemeConfig(spec, numflux, t_final=1.0, boundary=boundary)
-    compiled, numpy_bits = march_bits(v, count, ratio, numflux, cfg, first)
+    compiled, numpy_bits = march_bits(v, count, ratio, cfg, first)
     assert compiled == numpy_bits
     if not np.isfinite(v).all():  # a non-finite cell stays so: the check after step 63 stops
         assert compiled[0] == (63 - first if first < 63 <= first + count else count)
@@ -190,10 +185,9 @@ def test_march_kernels_agree_on_non_finite_states(kind, spec, boundary, v, count
 def test_an_overflow_to_inf_with_no_nan_stops_the_march(kind, spec):
     # one step of these pairs takes a lone 1e300 to -inf and +inf and makes no nan, so
     # the check after time point 63 must catch inf as well as nan
-    numflux = NumericalFluxSpec(kind)
-    cfg = SchemeConfig(spec, numflux, t_final=1.0)
-    compiled, numpy_bits = march_bits(np.array([0.0, 0.0, 1e300, 0.0, 0.0]), 3, 0.5,
-                                      numflux, cfg, first=62)
+    cfg = SchemeConfig(spec, NumericalFluxSpec(kind), t_final=1.0)
+    compiled, numpy_bits = march_bits(np.array([0.0, 0.0, 1e300, 0.0, 0.0]), 3, 0.5, cfg,
+                                      first=62)
     assert compiled == numpy_bits
     state = np.frombuffer(compiled[1])
     assert compiled[0] == 1 and np.isinf(state).any() and not np.isnan(state).any()
@@ -283,7 +277,7 @@ def test_each_clone_level_marches_the_numpy_bits(level, feature, tmp_path, monke
                                             else None)
                 for boundary in Boundary:
                     cfg = SchemeConfig(spec, numflux, t_final=1.0, boundary=boundary)
-                    compiled, numpy_bits = march_bits(v, 5, 0.4, numflux, cfg)
+                    compiled, numpy_bits = march_bits(v, 5, 0.4, cfg)
                     assert compiled == numpy_bits, (level, n, scale, kind, spec, boundary)
     # from time point 62, a step that overflows to inf meets the check after 63
     for kind, spec in PAIRS:
@@ -291,7 +285,7 @@ def test_each_clone_level_marches_the_numpy_bits(level, feature, tmp_path, monke
         for boundary in Boundary:
             cfg = SchemeConfig(spec, numflux, t_final=1.0, boundary=boundary)
             compiled, numpy_bits = march_bits(np.array([0.0, 0.0, 1e300, 0.0, 0.0]), 3, 0.5,
-                                              numflux, cfg, first=62)
+                                              cfg, first=62)
             assert compiled == numpy_bits, (level, kind, spec, boundary)
 
     # the draw, every level of two k = 16 paths, and the log and sincos on 2^16 values
@@ -310,7 +304,7 @@ def test_c_variation_equals_numpy_pairwise_sum(periodic):
     rng = np.random.default_rng(15)
     for n in [*range(1, 301), 1023, 1024, 8191, 8192, 8193, 70001]:
         v = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
-        assert variation(v.ctypes.data, n, periodic) == _variation(v, periodic), n
+        assert variation(v.ctypes.data, n, periodic) == oracle.variation(v, periodic), n
 
 
 ZEROS_AND_SUBNORMALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2e-308, -2.2e-308]
@@ -456,6 +450,18 @@ def test_a_flag_gcc_rejects_fails_the_build(tmp_path, monkeypatch, fresh_loader)
     with pytest.raises(RuntimeError, match="(?s)gcc failed to build .*-mno-such-option"):
         _kernels.load()
     assert list((tmp_path / "roughwave").iterdir()) == []
+
+
+def test_a_failed_build_is_remembered(tmp_path, monkeypatch, fresh_loader):
+    monkeypatch.setattr(_kernels, "_FLAGS", ("-mno-such-option", *_kernels._FLAGS))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    builds = []
+    build = subprocess.run
+    monkeypatch.setattr(subprocess, "run", lambda *a, **kw: builds.append(a) or build(*a, **kw))
+    for _ in range(3):
+        with pytest.raises(RuntimeError, match="(?s)gcc failed to build .*-mno-such-option"):
+            _kernels.load()
+    assert len(builds) == 1
 
 
 def test_an_unwritable_cache_raises(tmp_path, monkeypatch, fresh_loader):

@@ -37,13 +37,8 @@ from roughwave import (
     step,
     total_variation,
 )
+from roughwave.flux import PAIRS
 
-PAIRS = [
-    (kind, spec)
-    for kind in NumFluxKind
-    for spec in FluxSpec
-    if kind is not NumFluxKind.UPWIND or spec is FluxSpec.LINEAR
-]
 PAIR_IDS = [f"{kind.value}-{spec.value}" for kind, spec in PAIRS]
 
 values = st.floats(-1.0, 1.0)

@@ -20,11 +20,13 @@ from roughwave import (
     fbm_initial_field,
     lip_plus,
     make_grid,
+    numerical_flux,
     restrict,
     sample_seed,
     step,
     total_variation,
 )
+from roughwave.flux import PAIRS
 
 GODUNOV = NumericalFluxSpec(NumFluxKind.GODUNOV)
 MONOTONE_FLUXES = (
@@ -60,6 +62,27 @@ def test_scheme_config_validation():
         burgers_config(t_final=float("inf"))
     with pytest.raises(ValueError, match="upwind.*linear"):
         burgers_config(numflux=NumericalFluxSpec(NumFluxKind.UPWIND))
+
+
+ALL_COMBINATIONS = [(kind, law) for kind in NumFluxKind for law in FluxSpec]
+
+
+@pytest.mark.parametrize("kind, law", ALL_COMBINATIONS,
+                         ids=[f"{kind.value}-{law.value}" for kind, law in ALL_COMBINATIONS])
+def test_every_consumer_accepts_exactly_the_pair_table(kind, law):
+    numflux = NumericalFluxSpec(kind, 0.5 if kind is NumFluxKind.LAX_FRIEDRICHS else None)
+    if (kind, law) not in PAIRS:
+        with pytest.raises(ValueError, match="upwind.*linear"):
+            SchemeConfig(law, numflux, t_final=1.0)
+        with pytest.raises(ValueError, match="upwind.*linear"):
+            numerical_flux(numflux, law, 0.25, -0.5)
+        return
+    cfg = SchemeConfig(law, numflux, t_final=1.0)
+    assert isinstance(numerical_flux(numflux, law, 0.25, -0.5), float)
+    # one step runs the pair's own step template: the oracle's update, bit for bit
+    u0, dt = random_field(9, 4), 0.25 / 9
+    want = numpy_kernels.advance(u0.values, dt / u0.grid.dx, numflux, cfg)
+    assert step(u0, cfg, dt).values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("t_final", [5e-324, 5e-13, 1e-12])
@@ -479,3 +502,19 @@ def test_evolve_blow_up_raises(march, snapshot_times, track_tv, dense):
     with pytest.raises(FloatingPointError) as expected:
         solver._expose(u0.grid, v, dt, found)
     assert str(raised.value) == str(expected.value)
+
+
+def test_the_kernels_leave_numpys_error_state_alone():
+    # the march does no numpy arithmetic: under numpy's strictest error state, runs
+    # that overflow end in the solver's own FloatingPointError, naming the step, and
+    # leave no flag behind for numpy's next operation
+    lf = NumericalFluxSpec(NumFluxKind.LAX_FRIEDRICHS, lam=1e-3)
+    cfg = SchemeConfig(flux=FluxSpec.LINEAR, numflux=lf, t_final=5.0)
+    u0 = fbm_initial_field(0.5, make_grid(0, 1, 64), 3)
+    with np.errstate(all="raise"):
+        with pytest.raises(FloatingPointError, match=r"in cell \d+ at step \d+ after steps"):
+            evolve(u0, cfg, track_tv=True)
+        with pytest.raises(FloatingPointError, match="in cell 0 at step 1 after steps"):
+            step(CellField(make_grid(0, 1, 3), [0.0, 1e306, 0.0]), cfg, 1e-3)
+        field = CellField(make_grid(0, 1, 3), [1.0, 2.0, 3.0])
+        assert float(np.sum(field.values * 2.0)) == 12.0
