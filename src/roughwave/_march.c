@@ -1,20 +1,20 @@
-/* The compiled kernels of roughwave, loaded by ``_kernels.load``: the march of
-``solver.evolve`` (a block of explicit steps in one call), the cell means of
-``mesh.restrict`` and the draw of one midpoint level of fBm, with a log and a sincos
-of its own.  Each repeats the operations of the numpy code it replaces, in the same
-order, so the bits are the same.
+/* The compiled kernels of roughwave, loaded by ``_kernels.load``: the time points
+and the march of ``solver.evolve`` (a block of explicit steps in one call), the cell
+means of ``mesh.restrict`` and the draw of one midpoint level of fBm, with a log and
+a sincos of its own.  Each repeats the operations of its numpy twin (``numpy_kernels``
+of the tests, numpy's own row mean), in the same order, so the bits are the same.
 
 Each step of the march fills the two ghost cells, evaluates the numerical flux at
 every face and writes v - ratio * (F[i+1] - F[i]) with the operations, and their
-order, of ``solver._advance`` and ``flux.numerical_flux``, so the bits are those of
-the numpy march; a block of steps leaves its state in the first of its three rows,
-where the numpy march keeps it.  Rusanov and Lax-Friedrichs are one template each
+order, of the twin's ``advance`` and of ``flux.numerical_flux``, so the bits are
+those of the numpy march; a block of steps leaves its state in the first of its three
+rows, where the numpy march keeps it.  Rusanov and Lax-Friedrichs are one template each
 over the law's f; the cubic f is evaluated once per cell, into the scratch row.
 numpy's NaN-propagating maximum and minimum are written out.  After every 64th time
 point the march checks, in a pass of its own, that the state is finite, and stops
 there if it is not, so that ``evolve`` returns to Python only where it reads a state.
 The draw's log and sincos are fdlibm's, in + - * /, sqrt and bit operations only,
-and ``_ieee`` repeats them in numpy, so the normals' bits depend on no libm and no CPU.
+and ``numpy_kernels`` repeats them, so the normals' bits depend on no libm and no CPU.
 Built with ``gcc -O3 -fno-math-errno -ffp-contract=off -mprefer-vector-width=512
 -shared -fPIC``: a contracted multiply-add would round once where numpy rounds twice,
 and a sqrt that need not set errno vectorizes.  The step and pairwise-sum templates
@@ -32,10 +32,6 @@ loops keep the order of every floating-point operation.
 #else
 #define CLONES
 #endif
-
-/* the declaration order of flux.NumFluxKind and flux.FluxSpec */
-enum { GODUNOV, RUSANOV, LAX_FRIEDRICHS, ENGQUIST_OSHER, UPWIND, N_KINDS };
-enum { BURGERS, CUBIC, LINEAR, N_LAWS };
 
 static inline double np_maximum(double x, double y) { return (x >= y || isnan(x)) ? x : y; }
 static inline double np_minimum(double x, double y) { return (x <= y || isnan(x)) ? x : y; }
@@ -113,13 +109,13 @@ RUSANOV_AND_LAX_FRIEDRICHS(burgers, , BURGERS_AT_FACE)
 RUSANOV_AND_LAX_FRIEDRICHS(cubic, f[i] = cubic(w[i]), CUBIC_FROM_ROW)
 RUSANOV_AND_LAX_FRIEDRICHS(linear, , LINEAR_AT_FACE)
 
-static step_fn *const STEPS[N_KINDS][N_LAWS] = {
-    [GODUNOV] = {step_godunov_burgers, step_cubic_of_a, step_linear_of_a},
-    [RUSANOV] = {step_rusanov_burgers, step_rusanov_cubic, step_rusanov_linear},
-    [LAX_FRIEDRICHS] = {step_lax_friedrichs_burgers, step_lax_friedrichs_cubic,
-                        step_lax_friedrichs_linear},
-    [ENGQUIST_OSHER] = {step_engquist_osher_burgers, step_cubic_of_a, step_linear_of_a},
-    [UPWIND] = {NULL, NULL, step_linear_of_a},
+/* the step of each (numflux, law) pair, in the order of flux.PAIRS */
+static step_fn *const STEPS[] = {
+    step_godunov_burgers, step_cubic_of_a, step_linear_of_a,
+    step_rusanov_burgers, step_rusanov_cubic, step_rusanov_linear,
+    step_lax_friedrichs_burgers, step_lax_friedrichs_cubic, step_lax_friedrichs_linear,
+    step_engquist_osher_burgers, step_cubic_of_a, step_linear_of_a,
+    step_linear_of_a,
 };
 
 /* numpy's pairwise sum (pairwise_sum_DOUBLE) of TERM(v, i) for i < count: sequential
@@ -158,7 +154,7 @@ static step_fn *const STEPS[N_KINDS][N_LAWS] = {
 PAIRWISE_SUM(pairwise_abs_diff, ABS_DIFF)
 PAIRWISE_SUM(pairwise_sum, VALUE)
 
-/* diagnostics._variation of the n values v: np.sum of the n - 1 jumps, whose
+/* numpy_kernels.variation of the n values v: np.sum of the n - 1 jumps, whose
    reduction starts from 0.0, and the wrap-around jump if periodic */
 double variation(const double *v, int64_t n, int periodic)
 {
@@ -179,16 +175,16 @@ CLONES static int all_finite(const double *v, int64_t n)
     return finite;
 }
 
-/* Up to ``steps`` steps from the state cells[1..n] of three (n + 2)-cell rows: the
-   first two are the states, between which the steps alternate, and the third the
-   scratch row of the step.  ``first`` is the number of steps before this call; after each
-   step that ends on a time point 63 (mod 64) the state is checked, and the march stops
-   there if a cell is not finite.  The state always ends in row 0.  ``tv``, if not NULL,
-   receives the variation after each step.  Returns the number of steps taken. */
-int64_t march(double *cells, int64_t n, int64_t first, int64_t steps, int kind, int law,
+/* Up to ``steps`` steps of flux.PAIRS[pair] from the state cells[1..n] of three (n + 2)-cell
+   rows: the first two are the states, between which the steps alternate, and the third
+   the scratch row of the step.  ``first`` is the number of steps before this call; after
+   each step that ends on a time point 63 (mod 64) the state is checked, and the march
+   stops there if a cell is not finite.  The state always ends in row 0.  ``tv``, if not
+   NULL, receives the variation after each step.  Returns the number of steps taken. */
+int64_t march(double *cells, int64_t n, int64_t first, int64_t steps, int pair,
               int periodic, double ratio, double two_lam, double *tv)
 {
-    step_fn *step = STEPS[kind][law];
+    step_fn *step = STEPS[pair];
     double *w = cells, *w_next = cells + (n + 2), *f = cells + 2 * (n + 2);
     int64_t s = 0;
     while (s < steps) {
@@ -207,6 +203,21 @@ int64_t march(double *cells, int64_t n, int64_t first, int64_t steps, int kind, 
     if (w != cells)
         memcpy(cells + 1, w + 1, (size_t)n * sizeof *w);
     return s;
+}
+
+/* The time points after 0 of a march in steps of dt to t_final: while t < t_final -
+   guard, a step of min(dt, t_final - t) lands on min(t + that step, t_final), each min
+   Python's.  Writes them to times unless it is NULL; returns their count. */
+int64_t schedule(double dt, double t_final, double guard, double *times)
+{
+    int64_t count = 0;
+    for (double t = 0.0; t < t_final - guard; count++) {
+        double rest = t_final - t, dt_i = rest < dt ? rest : dt, next = t + dt_i;
+        t = t_final < next ? t_final : next;
+        if (times)
+            times[count] = t;
+    }
+    return count;
 }
 
 /* mesh._cell_means: out[i] = the mean of v[i * factor .. (i + 1) * factor), as numpy's

@@ -58,6 +58,12 @@ class StudyConfig:
         object.__setattr__(self, "hurst_list", tuple(float(h) for h in self.hurst_list))
         object.__setattr__(self, "resolutions", tuple(int(k) for k in self.resolutions))
         object.__setattr__(self, "snapshot_times", tuple(float(t) for t in self.snapshot_times))
+        for name in ("reference_exponent", "n_samples", "base_seed"):
+            value = getattr(self, name)
+            try:  # a plain int, which json writes and a seed takes whole
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if not self.hurst_list:
             raise ValueError("hurst_list must not be empty")
         if any(not 0.0 < h < 1.0 for h in self.hurst_list):

@@ -29,8 +29,8 @@ class NumFluxKind(Enum):
     UPWIND = "upwind"
 
 
-# the accepted pairs, in the order of _march.c's STEPS table of step templates:
-# every flux on every law, but the upwind flux on the linear law only
+# the accepted pairs, every flux on every law but the upwind flux on the linear law only;
+# a pair's index here picks its step template in _march.c's STEPS table
 PAIRS = tuple((kind, law) for kind in NumFluxKind for law in FluxSpec
               if kind is not NumFluxKind.UPWIND or law is FluxSpec.LINEAR)
 

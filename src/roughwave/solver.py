@@ -2,14 +2,14 @@
 
 The update is v_i <- v_i - (dt/dx) (F(v_i, v_{i+1}) - F(v_{i-1}, v_i)) with
 ghost values taken from the boundary rule: outflow copies the edge cell,
-periodic wraps around.  ``evolve`` and ``step`` run it in the compiled march of
-``_march.c``, which evaluates ``flux.numerical_flux`` in its operation order, and
-take every TV from its ``variation``: no numpy arithmetic, and no numpy error state.
+periodic wraps around.  ``evolve`` and ``step`` run it in ``_march.c``'s ``march``,
+which evaluates ``flux.numerical_flux`` in its operation order; ``evolve`` takes its
+time points from its ``schedule`` and every TV from its ``variation``: no numpy
+arithmetic, and no numpy error state.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence, Tuple
@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind, check_pair, max_wave_speed
+from .flux import PAIRS, FluxSpec, NumericalFluxSpec, check_pair, max_wave_speed
 from .mesh import CellField, Grid
 
 
@@ -100,12 +100,9 @@ def _compiled_march(cells: np.ndarray, first: int, count: int, ratio: float, lam
     ``first`` earlier steps, it stops after a step ending on a time point 63 (mod 64) if
     the state then holds a non-finite cell; returns the number of steps taken."""
     return _kernels.load().march(cells.ctypes.data, cells.shape[1] - 2, first, count,
-                                 _KINDS.index(config.numflux.kind), _LAWS.index(config.flux),
+                                 PAIRS.index((config.numflux.kind, config.flux)),
                                  config.boundary is Boundary.PERIODIC, ratio, 2.0 * lam,
                                  None if tv is None else tv.ctypes.data)
-
-
-_KINDS, _LAWS = list(NumFluxKind), list(FluxSpec)  # in the order of _march.c's enums
 
 
 def _expose(grid: Grid, values: np.ndarray, dt: float, step: int) -> CellField:
@@ -138,32 +135,15 @@ def _check_steps(t_final: float, dt: float) -> None:
 
 
 def _schedule(dt: float, t_final: float, guard: float):
-    """The time points of a march in steps of ``dt`` to ``t_final``, by the float
-    operations of a step-by-step march, and the length of its last step.
-
-    The march's ``t = min(t + min(dt, t_final - t), t_final)`` adds a full ``dt`` while
-    ``t`` is more than a step short of ``t_final``; those points are a running sum,
-    which ``np.add.accumulate`` forms left to right with the loop's roundings.  The
-    prefix stops two steps short (and is halved should the sum's rounding drift
-    further), and the loop takes the rest.
-    """
-    n = int((t_final - guard) / dt) - 2 if t_final > guard else 0
-    while n > 0:
-        times = np.full(n + 1, dt)
-        times[0] = 0.0
-        np.add.accumulate(times, out=times)
-        t = float(times[-1])
-        if t < t_final - guard and dt <= t_final - t and t + dt <= t_final:
-            break
-        n //= 2
-    else:
-        times, t = np.zeros(1), 0.0
-    tail, dt_i = array("d"), dt
-    while t < t_final - guard:
-        dt_i = min(dt, t_final - t)
-        t = min(t + dt_i, t_final)
-        tail.append(t)
-    return np.concatenate((times, tail)), dt_i
+    """The time points of a march in steps of ``dt`` to ``t_final`` and the length of
+    its last step (``dt`` if it has none), by the float operations of the step-by-step
+    loop ``dt_i = min(dt, t_final - t); t = min(t + dt_i, t_final)`` while ``t <
+    t_final - guard``, which ``_march.c``'s ``schedule`` runs: once to count the
+    points, once to write them.  ``_check_steps`` must pass first: it bounds the loop."""
+    lib = _kernels.load()
+    times = np.zeros(lib.schedule(dt, t_final, guard, None) + 1)
+    lib.schedule(dt, t_final, guard, times[1:].ctypes.data)
+    return times, min(dt, t_final - float(times[-2])) if times.size > 1 else dt
 
 
 def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[float] = (),

@@ -8,6 +8,7 @@ tests hold the library's bits to.
   in numpy; ``midpoint_points`` draws fBm with them.
 - ``march`` is the block march of ``solver.evolve``, one ``advance`` per step,
   and ``variation`` the total variation of each state, numpy's pairwise sum.
+- ``schedule`` is the march's time loop in Python floats.
 
 The package runs only the library; this code runs only in the tests.
 """
@@ -153,6 +154,17 @@ def variation(v, periodic):
     if periodic and v.size > 1:
         tv += abs(float(v[0]) - float(v[-1]))
     return tv
+
+
+def schedule(dt, t_final, guard):
+    """``solver._schedule`` in Python: the time points and the last step of the scalar
+    loop of a step-by-step march."""
+    times, t, dt_i = [0.0], 0.0, dt
+    while t < t_final - guard:
+        dt_i = min(dt, t_final - t)
+        t = min(t + dt_i, t_final)
+        times.append(t)
+    return np.array(times), dt_i
 
 
 def march(cells, first, count, ratio, lam, config, tv):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,22 @@ def test_study_config_validation():
     for times in ((float("nan"),), (0.5, 0.25), (1.5,), (-0.1,)):
         with pytest.raises(ValueError, match="snapshot_times"):
             burgers_cfg(snapshot_times=times)
+
+
+def test_study_config_takes_whole_numbers_as_plain_ints():
+    # a float count or seed would fail inside a sample or run with a truncated seed,
+    # and numpy integers would make the manifest's json.dumps raise
+    for name in ("reference_exponent", "n_samples", "base_seed"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 9.0$"):
+            burgers_cfg(**{name: 9.0})
+    with pytest.raises(ValueError, match="base_seed must be an integer, got 1.5"):
+        burgers_cfg(base_seed=1.5)
+    cfg = burgers_cfg(reference_exponent=np.int64(9), n_samples=np.int32(2),
+                      base_seed=np.uint64(2**64 - 1))
+    for name, value in [("reference_exponent", 9), ("n_samples", 2),
+                        ("base_seed", 2**64 - 1)]:
+        assert type(getattr(cfg, name)) is int and getattr(cfg, name) == value
+    assert json.loads(json.dumps(experiments.config_to_dict(cfg)))["base_seed"] == 2**64 - 1
 
 
 def test_unknown_study_rejected():

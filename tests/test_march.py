@@ -4,7 +4,8 @@
 - For all 13 (numflux, law) pairs under both boundaries, ``evolve`` gives the
   same bits with the compiled march as with the oracle's: time points, final
   state, every snapshot and the per-step TV, or the same exception; so does one
-  ``step``.  On states that hold inf and nan,
+  ``step``.  The march picks a pair's step by its index in ``flux.PAIRS``, so
+  this is also the test of the order of its ``STEPS`` table.  On states that hold inf and nan,
   the two block marches leave the same cells inf and nan, in row 0 of the state
   array after odd and even step counts alike, and stop after the same step when
   the block crosses a time point 63 (mod 64), where both check the state; a
@@ -28,6 +29,8 @@
   one C call.
 - ``_march.c`` builds with ``-Wall -Wextra -Werror`` (unused parameters aside),
   and the x86 option ``-mprefer-vector-width`` is passed to gcc on x86-64 only.
+  Every function it exports has a ctypes signature in ``_kernels``, and every
+  signature a function.
 - Two processes building into one empty cache both succeed and leave one library
   and no temporary file, and four threads loading from one empty cache at once
   run gcc once and each get the library; the cache directory is private (0700).
@@ -39,6 +42,7 @@
   does ``selfcheck``.
 """
 
+import ast
 import os
 import platform
 import re
@@ -392,6 +396,21 @@ def test_march_c_builds_without_warnings(tmp_path):
     build = subprocess.run(["gcc", *_kernels._FLAGS, *strict, "-o", str(tmp_path / "march.so"),
                             str(source)], capture_output=True, text=True)
     assert build.returncode == 0, build.stderr
+
+
+def test_every_exported_kernel_has_a_ctypes_signature():
+    # ctypes calls a function without argtypes and restype as one returning a C int:
+    # each function _march.c exports needs an entry in _build's table, and each entry
+    # a function
+    c_source = re.sub(r"/\*.*?\*/", "", Path(_kernels.__file__).with_name("_march.c")
+                      .read_text(), flags=re.S)
+    exported = set(re.findall(r"^(?:CLONES\s+)?(?!static\b|typedef\b)\w+[\s*]+(\w+)\(",
+                              c_source, re.M))
+    assert {"march", "schedule", "uniforms"} <= exported  # plain and cloned definitions
+    table = next(node.value for node in ast.walk(ast.parse(Path(_kernels.__file__).read_text()))
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["signatures"])
+    assert {key.value for key in table.keys} == exported
 
 
 def test_the_x86_vector_width_option_goes_to_x86_64_only():

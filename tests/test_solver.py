@@ -1,5 +1,4 @@
 import re
-import types
 
 import numpy as np
 import pytest
@@ -387,17 +386,6 @@ def test_evolve_refuses_more_than_2_28_steps_before_allocating(monkeypatch):
         solver._check_steps(np.nextafter(0.25 * 2**28, np.inf), 0.25)
 
 
-def loop_schedule(dt, t_final, guard):
-    """The oracle of ``_schedule``: the time points and the last step of the scalar
-    loop of a step-by-step march."""
-    times, t, dt_i = [0.0], 0.0, dt
-    while t < t_final - guard:
-        dt_i = min(dt, t_final - t)
-        t = min(t + dt_i, t_final)
-        times.append(t)
-    return np.array(times), dt_i
-
-
 @st.composite
 def schedules(draw):
     """(dt, t_final): exact divisions, steps a hair off t_final/n, t_final just above
@@ -431,31 +419,7 @@ def test_schedule_equals_the_step_by_step_loop(case):
     dt, t_final = case
     guard = solver._TIME_GUARD * max(1.0, t_final)
     times, dt_last = solver._schedule(dt, t_final, guard)
-    oracle, oracle_last = loop_schedule(dt, t_final, guard)
-    assert times.tobytes() == oracle.tobytes()
-    assert dt_last == oracle_last
-
-
-def test_schedule_halves_a_prefix_that_drifts_past_its_margin(monkeypatch):
-    # no test size makes the prefix sum's rounding drift two steps, so the first sum
-    # is made to end three steps late; the halved prefix and the loop must still give
-    # the step-by-step points
-    dt, t_final = 1e-3, 1.0
-    sizes = []
-
-    def accumulate(times, out):
-        np.add.accumulate(times, out=out)
-        out[-1] += 3 * dt * (not sizes)
-        sizes.append(times.size)
-        return out
-
-    drifting = types.ModuleType("numpy")
-    drifting.__dict__.update(vars(np), add=types.SimpleNamespace(accumulate=accumulate))
-    monkeypatch.setattr(solver, "np", drifting)
-    guard = solver._TIME_GUARD * max(1.0, t_final)
-    times, dt_last = solver._schedule(dt, t_final, guard)
-    oracle, oracle_last = loop_schedule(dt, t_final, guard)
-    assert sizes == [998, 499]  # n = 997 prefix steps, then 498
+    oracle, oracle_last = numpy_kernels.schedule(dt, t_final, guard)
     assert times.tobytes() == oracle.tobytes()
     assert dt_last == oracle_last
 
