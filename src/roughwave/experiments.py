@@ -1,6 +1,7 @@
 """Seeded ensemble studies: convergence rates, initial-data scaling of TV and
 the one-sided Lipschitz seminorm, TV decay in time, bound sharpness, and the
-raw fields (a single solver trajectory, and the fBm initial data).
+raw fields (a single solver trajectory, and the fBm initial data).  A ``StudyConfig``
+settles each of its fields once, and builds once the ``SchemeConfig`` its marches run.
 
 Every study is one ``Study`` record in ``STUDIES``.  A study runs one task per
 (hurst, sample); the ensemble studies draw the initial data once per sample
@@ -18,7 +19,7 @@ import itertools
 import operator
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -33,10 +34,17 @@ from .diagnostics import (
     total_variation,
     tv_time_integral,
 )
-from .flux import FluxSpec, NumericalFluxSpec, NumFluxKind
+from .flux import FluxSpec, NumericalFluxSpec
 from .initial_data import MAX_LEVEL, _unit_path, fbm_initial_field, sample_seed
 from .mesh import CellField, Grid, _cell_means, make_grid
 from .solver import Boundary, SchemeConfig, _check_snapshot_times, _check_steps, evolve
+
+
+def _integer(name: str, value) -> int:
+    try:  # a plain int, which json writes and a seed takes whole
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -53,17 +61,15 @@ class StudyConfig:
     boundary: Boundary = Boundary.OUTFLOW
     snapshot_times: Tuple[float, ...] = ()
     beta: Optional[float] = None
+    scheme: SchemeConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "hurst_list", tuple(float(h) for h in self.hurst_list))
-        object.__setattr__(self, "resolutions", tuple(int(k) for k in self.resolutions))
-        object.__setattr__(self, "snapshot_times", tuple(float(t) for t in self.snapshot_times))
+        settle = functools.partial(object.__setattr__, self)
+        settle("hurst_list", tuple(float(h) for h in self.hurst_list))
+        settle("resolutions", tuple(_integer("resolutions", k) for k in self.resolutions))
+        settle("snapshot_times", tuple(float(t) for t in self.snapshot_times))
         for name in ("reference_exponent", "n_samples", "base_seed"):
-            value = getattr(self, name)
-            try:  # a plain int, which json writes and a seed takes whole
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            settle(name, _integer(name, getattr(self, name)))
         if not self.hurst_list:
             raise ValueError("hurst_list must not be empty")
         if any(not 0.0 < h < 1.0 for h in self.hurst_list):
@@ -83,10 +89,14 @@ class StudyConfig:
             )
         if self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        settle("beta", None if self.beta is None else float(self.beta))
         if self.beta is not None and not 0.0 < self.beta < np.inf:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         # fail fast on scheme-level problems (cfl range, t_final, flux pairing)
-        _scheme(self)
+        scheme = SchemeConfig(self.equation, self.numflux, self.t_final, self.cfl, self.boundary)
+        for name, value in zip(("scheme", "equation", "t_final", "cfl", "boundary"),
+                               (scheme, scheme.flux, scheme.t_final, scheme.cfl, scheme.boundary)):
+            settle(name, value)
         _check_snapshot_times(self.snapshot_times, self.t_final)
 
 
@@ -158,23 +168,8 @@ def config_from_dict(data: dict) -> StudyConfig:
     config files); a key left out takes StudyConfig's default."""
     renamed = {"hurst": "hurst_list", "samples": "n_samples"}
     kwargs = {renamed.get(key, key): value for key, value in data.items()}
-    kwargs["equation"] = FluxSpec(data["equation"])
-    kwargs["numflux"] = NumericalFluxSpec(
-        NumFluxKind(data["numflux"]), kwargs.pop("numflux_lambda", None)
-    )
-    if "boundary" in data:
-        kwargs["boundary"] = Boundary(data["boundary"])
+    kwargs["numflux"] = NumericalFluxSpec(data["numflux"], kwargs.pop("numflux_lambda", None))
     return StudyConfig(**kwargs)
-
-
-def _scheme(cfg: StudyConfig) -> SchemeConfig:
-    return SchemeConfig(
-        flux=cfg.equation,
-        numflux=cfg.numflux,
-        t_final=cfg.t_final,
-        cfl=cfg.cfl,
-        boundary=cfg.boundary,
-    )
 
 
 def _field(cfg: StudyConfig, hurst: float, sample: int, k: int) -> CellField:
@@ -228,7 +223,7 @@ def _solve_sample(cfg, hurst, sample):
     and the final state, each distinct time once."""
     k = cfg.resolutions[0]
     u0 = _field(cfg, hurst, sample, k)
-    traj = evolve(u0, _scheme(cfg), snapshot_times=cfg.snapshot_times)
+    traj = evolve(u0, cfg.scheme, snapshot_times=cfg.snapshot_times)
     frames = {0.0: u0}
     for snap in traj.snapshots:
         frames.setdefault(snap.time, snap.field)
@@ -246,14 +241,13 @@ def _fbm_sample(cfg, hurst, sample):
 
 
 def _converge_sample(cfg, hurst, sample):
-    scheme = _scheme(cfg)
     values, levels = _reference(cfg, hurst, sample)
     u0_ref = CellField(make_grid(0.0, 1.0, values.size), values)
-    ref_final = evolve(u0_ref, scheme).final
+    ref_final = evolve(u0_ref, cfg.scheme).final
     ks, points = [], []
     for k, u0_k in levels:
         ks.append(k)
-        points.append((u0_k.grid.dx, l1_distance(evolve(u0_k, scheme).final, ref_final)))
+        points.append((u0_k.grid.dx, l1_distance(evolve(u0_k, cfg.scheme).final, ref_final)))
     # log(error ratio) / log(dx ratio) of each level and the one before, where both
     # errors are positive; every ratio's log in one call
     rated = [i for i in range(1, len(points)) if points[i - 1][1] > 0 and points[i][1] > 0]
@@ -290,12 +284,11 @@ def _scaling_sample(study, measure, cfg, hurst, sample):
 
 
 def _tvdecay_sample(cfg, hurst, sample):
-    scheme = _scheme(cfg)
     periodic = cfg.boundary is Boundary.PERIODIC
     rows = []
     _, levels = _reference(cfg, hurst, sample)
     for k, u0_k in levels:
-        traj = evolve(u0_k, scheme, snapshot_times=cfg.snapshot_times)
+        traj = evolve(u0_k, cfg.scheme, snapshot_times=cfg.snapshot_times)
         for snap in traj.snapshots:
             tv = float(total_variation(snap.field, periodic=periodic))
             inv = None if tv == 0.0 else 1.0 / tv
@@ -310,12 +303,11 @@ def _tvdecay_check(cfg):
 
 def _sharpness_sample(cfg, hurst, sample):
     beta = cfg.beta if cfg.beta is not None else default_beta(cfg.equation, cfg.numflux.kind)
-    scheme = _scheme(cfg)
     rows = []
     points = []
     _, levels = _reference(cfg, hurst, sample)
     for k, u0_k in levels:
-        traj = evolve(u0_k, scheme, track_tv=True)
+        traj = evolve(u0_k, cfg.scheme, track_tv=True)
         l0 = lip_plus(u0_k)
         rhs = lip_bound_rhs(beta, l0, traj.dt_used, float(traj.times[-1]))
         denom = tv_time_integral(traj)

@@ -56,6 +56,8 @@ class NumericalFluxSpec:
     lam: Optional[float] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", NumFluxKind(self.kind))
+        object.__setattr__(self, "lam", None if self.lam is None else float(self.lam))
         if self.lam is not None and not 0.0 < self.lam < np.inf:
             raise ValueError(f"lam must be None or finite and > 0, got {self.lam}")
 

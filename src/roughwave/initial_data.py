@@ -11,6 +11,7 @@ operations only, so no libm and no SIMD kernel picked by CPU sets their bits.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class SplitMix64:
     """
 
     def __init__(self, seed: int):
-        self.state = int(seed) & _MASK64
+        self.state = operator.index(seed) & _MASK64
 
     def normals(self, count: int) -> np.ndarray:
         """``count`` standard normal draws, ``count`` even, as a fresh array."""
@@ -53,7 +54,7 @@ class SplitMix64:
 
 def sample_seed(base_seed: int, index: int) -> int:
     """Derived per-sample seed: base XOR (i+1) times the golden-ratio gamma."""
-    return (int(base_seed) ^ ((GOLDEN_GAMMA * (int(index) + 1)) & _MASK64)) & _MASK64
+    return (operator.index(base_seed) ^ (GOLDEN_GAMMA * (operator.index(index) + 1))) & _MASK64
 
 
 def _midpoint_scale(hurst: float, level: int) -> float:

@@ -1,7 +1,9 @@
-"""Uniform 1D grids, piecewise-constant cell fields and fine-to-coarse restriction."""
+"""Uniform 1D grids (``make_grid`` is ``Grid``, which stores float edges and refuses a
+non-integer cell count), piecewise-constant cell fields and fine-to-coarse restriction."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +25,10 @@ class Grid:
     n_cells: int
 
     def __post_init__(self):
+        for name, rule in (("x_left", float), ("x_right", float), ("n_cells", operator.index)):
+            object.__setattr__(self, name, rule(getattr(self, name)))
         if not self.x_left < self.x_right:
-            raise ValueError(
-                f"need x_left < x_right, got [{self.x_left}, {self.x_right}]"
-            )
+            raise ValueError(f"need x_left < x_right, got [{self.x_left}, {self.x_right}]")
         if self.n_cells < 1:
             raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
 
@@ -61,14 +63,12 @@ class CellField:
         object.__setattr__(self, "values", v)
 
 
-def make_grid(x_left: float, x_right: float, n_cells: int) -> Grid:
-    """Build a uniform grid on ``[x_left, x_right]`` with ``n_cells`` cells."""
-    return Grid(float(x_left), float(x_right), int(n_cells))
+make_grid = Grid
 
 
 def restrict(fine: CellField, factor: int) -> CellField:
     """Aggregate ``factor`` consecutive fine cells into one coarse cell mean."""
-    factor = int(factor)
+    factor = operator.index(factor)
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
     n = fine.grid.n_cells

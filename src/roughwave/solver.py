@@ -43,6 +43,9 @@ class SchemeConfig:
     boundary: Boundary = Boundary.OUTFLOW
 
     def __post_init__(self):
+        for name, rule in (("flux", FluxSpec), ("t_final", float), ("cfl", float),
+                           ("boundary", Boundary)):
+            object.__setattr__(self, name, rule(getattr(self, name)))
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not 0.0 <= self.t_final < np.inf:

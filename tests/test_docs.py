@@ -1,9 +1,10 @@
-"""The README against the code it documents: the per-study CSV column table
-and the example config file."""
+"""The docs against the code they document: the README's per-study CSV column table
+and example config file, and the config keys the CLI's module docstring lists."""
 
 import re
 from pathlib import Path
 
+from roughwave import cli
 from roughwave.cli import _KEYS, parse_config
 from roughwave.experiments import STUDIES
 
@@ -25,3 +26,8 @@ def test_readme_example_config_parses(tmp_path):
     named = {line.split("=", 1)[0].strip() for line in block.splitlines()
              if line.strip() and not line.startswith("#")}
     assert named == set(_KEYS)
+
+
+def test_cli_docstring_lists_the_recognized_keys():
+    listed = cli.__doc__.split("Recognized keys:", 1)[1].split(".", 1)[0]
+    assert {key.strip() for key in listed.split(",")} == set(_KEYS)
