@@ -1,11 +1,11 @@
 """The compiled kernels of ``_march.c``, loaded on first use: the only kernels the
 package runs.
 
-``solver`` takes its time points (``schedule``) and marches through it,
-``initial_data`` draws fBm through it, ``mesh`` restricts through it, and ``log``
-gives the rate fits its log.  Where the library cannot be had, ``load`` raises and
-names the cause; nothing falls back.  This module imports nothing of the package, so
-every module can import it.
+``solver`` counts its time points (``schedule``) and marches through it, the march
+keeping the clock, ``initial_data`` draws fBm through it, ``mesh`` restricts through
+it, and ``log`` gives the rate fits its log.  Where the library cannot be had,
+``load`` raises and names the cause; nothing falls back.  This module imports nothing
+of the package, so every module can import it.
 
 The library is built with ``_FLAGS`` and no ``-march``: on x86-64 its step and
 pairwise-sum templates and its draw's uniforms and normals carry one clone per
@@ -109,8 +109,8 @@ def _build():
     lib = ctypes.CDLL(str(path))
     ptr, i64, i32, f64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_int, ctypes.c_double
     signatures = {
-        "march": ((ptr, i64, i64, i64, i32, i32, f64, f64, ptr), i64),
-        "schedule": ((f64, f64, f64, ptr), i64),
+        "march": ((ptr, i64, ptr, i64, f64, f64, f64, f64, i32, i32, f64, ptr), i64),
+        "schedule": ((f64, f64, f64), i64),
         "variation": ((ptr, i64, i32), f64),
         "uniforms": ((ctypes.c_uint64, ptr, i64), ctypes.c_uint64),
         "normals": ((ctypes.c_uint64, ptr, i64), ctypes.c_uint64),

@@ -1,14 +1,15 @@
-/* The compiled kernels of roughwave, loaded by ``_kernels.load``: the time points
-and the march of ``solver.evolve`` (a block of explicit steps in one call), the cell
+/* The compiled kernels of roughwave, loaded by ``_kernels.load``: the march of
+``solver.evolve`` (its steps up to a read, in one call) and its clock, the cell
 means of ``mesh.restrict`` and the draw of one midpoint level of fBm, with a log and
 a sincos of its own.  Each repeats the operations of its numpy twin (``numpy_kernels``
 of the tests, numpy's own row mean), in the same order, so the bits are the same.
 
-Each step of the march fills the two ghost cells, evaluates the numerical flux at
-every face and writes v - ratio * (F[i+1] - F[i]) with the operations, and their
-order, of the twin's ``advance`` and of ``flux.numerical_flux``, so the bits are
-those of the numpy march; a block of steps leaves its state in the first of its three
-rows, where the numpy march keeps it.  Rusanov and Lax-Friedrichs are one template each
+Each step of the march, of ``step_length`` (dt, or a last one shortened to land on
+t_final), fills the two ghost cells, evaluates the numerical flux at every face and
+writes v - ratio * (F[i+1] - F[i]), ratio = its length / dx, with the operations, and
+their order, of the twin's ``advance`` and of ``flux.numerical_flux``, so the bits are
+those of the numpy march; a march leaves its state in the first of its three rows,
+where the numpy march keeps it.  Rusanov and Lax-Friedrichs are one template each
 over the law's f; the cubic f is evaluated once per cell, into the scratch row.
 numpy's NaN-propagating maximum and minimum are written out.  After every 64th time
 point the march checks, in a pass of its own, that the state is finite, and stops
@@ -175,28 +176,44 @@ CLONES static int all_finite(const double *v, int64_t n)
     return finite;
 }
 
-/* Up to ``steps`` steps of flux.PAIRS[pair] from the state cells[1..n] of three (n + 2)-cell
-   rows: the first two are the states, between which the steps alternate, and the third
-   the scratch row of the step.  ``first`` is the number of steps before this call; after
-   each step that ends on a time point 63 (mod 64) the state is checked, and the march
-   stops there if a cell is not finite.  The state always ends in row 0.  ``tv``, if not
-   NULL, receives the variation after each step.  Returns the number of steps taken. */
-int64_t march(double *cells, int64_t n, int64_t first, int64_t steps, int pair,
-              int periodic, double ratio, double two_lam, double *tv)
+/* The step from t in steps of dt to t_final: dt, or the rest if shorter.  t + it needs
+   no clamp to t_final: a step of the rest starts from 0 or from t >= dt > rest, so t >=
+   t_final / 2, the rest is exact (Sterbenz) and t + it is t_final; a whole step whose
+   rest is inexact starts below t_final / 2, and t + dt <= 2 t < t_final. */
+static inline double step_length(double t, double dt, double t_final)
+{
+    double rest = t_final - t;
+    return rest < dt ? rest : dt;
+}
+
+/* Steps of flux.PAIRS[pair] from the state cells[1..n] of three (n + 2)-cell rows, at
+   time times[first] after ``first`` steps: the first two rows are the states, between
+   which the steps alternate, and the third the step's scratch row.  It steps while
+   first + s == 0 or t < until, writing each new time to times[first + s] and, if tv is
+   not NULL, the variation to tv[first + s]; after a step ending on a time point 63
+   (mod 64) it stops if a cell is not finite.  The state ends in row 0.  Returns s, the
+   number of steps taken. */
+int64_t march(double *cells, int64_t n, double *times, int64_t first, double until,
+              double dt, double t_final, double dx, int pair, int periodic, double two_lam,
+              double *tv)
 {
     step_fn *step = STEPS[pair];
     double *w = cells, *w_next = cells + (n + 2), *f = cells + 2 * (n + 2);
+    double t = times[first];
     int64_t s = 0;
-    while (s < steps) {
+    while (first + s == 0 || t < until) {
+        double dt_i = step_length(t, dt, t_final);
         w[0] = periodic ? w[n] : w[1];
         w[n + 1] = periodic ? w[1] : w[n];
-        step(w, w_next, f, n, ratio, two_lam);
-        if (tv)
-            tv[s] = variation(w_next + 1, n, periodic);
+        step(w, w_next, f, n, dt_i / dx, two_lam);
         double *swap = w;
         w = w_next;
         w_next = swap;
+        t += dt_i;
         s++;
+        times[first + s] = t;
+        if (tv)
+            tv[first + s] = variation(w + 1, n, periodic);
         if ((first + s) % 64 == 63 && !all_finite(w + 1, n))
             break;
     }
@@ -205,18 +222,13 @@ int64_t march(double *cells, int64_t n, int64_t first, int64_t steps, int pair,
     return s;
 }
 
-/* The time points after 0 of a march in steps of dt to t_final: while t < t_final -
-   guard, a step of min(dt, t_final - t) lands on min(t + that step, t_final), each min
-   Python's.  Writes them to times unless it is NULL; returns their count. */
-int64_t schedule(double dt, double t_final, double guard, double *times)
+/* The number of time points after 0 of a march in steps of dt to t_final, which
+   steps while t < t_final - guard. */
+int64_t schedule(double dt, double t_final, double guard)
 {
     int64_t count = 0;
-    for (double t = 0.0; t < t_final - guard; count++) {
-        double rest = t_final - t, dt_i = rest < dt ? rest : dt, next = t + dt_i;
-        t = t_final < next ? t_final : next;
-        if (times)
-            times[count] = t;
-    }
+    for (double t = 0.0; t < t_final - guard; count++)
+        t += step_length(t, dt, t_final);
     return count;
 }
 

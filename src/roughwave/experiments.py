@@ -94,8 +94,9 @@ class StudyConfig:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
         # fail fast on scheme-level problems (cfl range, t_final, flux pairing)
         scheme = SchemeConfig(self.equation, self.numflux, self.t_final, self.cfl, self.boundary)
-        for name, value in zip(("scheme", "equation", "t_final", "cfl", "boundary"),
-                               (scheme, scheme.flux, scheme.t_final, scheme.cfl, scheme.boundary)):
+        for name, value in zip(("scheme", "equation", "numflux", "t_final", "cfl", "boundary"),
+                               (scheme, scheme.flux, scheme.numflux, scheme.t_final, scheme.cfl,
+                                scheme.boundary)):
             settle(name, value)
         _check_snapshot_times(self.snapshot_times, self.t_final)
 
@@ -271,14 +272,15 @@ def _converge_ensemble(cfg, hurst, rows):
     return out + _slope_ensemble("converge", cfg, hurst, rows, "RATE")
 
 
-def _scaling_sample(study, measure, cfg, hurst, sample):
-    rows = []
-    points = []
+def _fit_sample(study, measure, cfg, hurst, sample):
+    """One row ``(study, hurst, sample, k, dx, *measure(cfg, k, u0_k), None)`` per
+    restricted level, and a SLOPE row: the last measured value fitted against dx."""
+    rows, points = [], []
     _, levels = _reference(cfg, hurst, sample)
     for k, u0_k in levels:
-        val = float(measure(u0_k))
-        rows.append((study, hurst, sample, k, float(u0_k.grid.dx), val, None))
-        points.append((u0_k.grid.dx, val))
+        values = measure(cfg, k, u0_k)
+        rows.append((study, hurst, sample, k, float(u0_k.grid.dx), *values, None))
+        points.append((u0_k.grid.dx, values[-1]))
     rows.append(_slope_row(study, hurst, sample, _slope_or_none(points)))
     return rows
 
@@ -301,24 +303,16 @@ def _tvdecay_check(cfg):
         raise ValueError("tvdecay requires nonempty snapshot_times")
 
 
-def _sharpness_sample(cfg, hurst, sample):
+def _sharpness_measure(cfg, k, u0_k):
+    """Lip+ of the data, the TV time integral, the bound's right side and their ratio."""
     beta = cfg.beta if cfg.beta is not None else default_beta(cfg.equation, cfg.numflux.kind)
-    rows = []
-    points = []
-    _, levels = _reference(cfg, hurst, sample)
-    for k, u0_k in levels:
-        traj = evolve(u0_k, cfg.scheme, track_tv=True)
-        l0 = lip_plus(u0_k)
-        rhs = lip_bound_rhs(beta, l0, traj.dt_used, float(traj.times[-1]))
-        denom = tv_time_integral(traj)
-        if denom <= 0:
-            raise ValueError(f"zero time-integrated TV at k={k}")
-        ratio = rhs / denom
-        rows.append(("sharpness", hurst, sample, k, float(u0_k.grid.dx),
-                     float(l0), float(denom), float(rhs), float(ratio), None))
-        points.append((u0_k.grid.dx, ratio))
-    rows.append(_slope_row("sharpness", hurst, sample, _slope_or_none(points)))
-    return rows
+    traj = evolve(u0_k, cfg.scheme, track_tv=True)
+    l0 = lip_plus(u0_k)
+    rhs = lip_bound_rhs(beta, l0, traj.dt_used, float(traj.times[-1]))
+    denom = tv_time_integral(traj)
+    if denom <= 0:
+        raise ValueError(f"zero time-integrated TV at k={k}")
+    return float(l0), float(denom), float(rhs), float(rhs / denom)
 
 
 def _sharpness_check(cfg):
@@ -363,16 +357,19 @@ STUDIES: dict[str, Study] = {
                       _converge_sample, _converge_ensemble,
                       marched=lambda cfg: cfg.reference_exponent),
     "tvscale": Study((*_KEY, "dx", "tv", "slope"),
-                     functools.partial(_scaling_sample, "tvscale", lambda u: total_variation(u)),
+                     functools.partial(_fit_sample, "tvscale",
+                                       lambda cfg, k, u: (float(total_variation(u)),)),
                      functools.partial(_slope_ensemble, "tvscale")),
     "lipscale": Study((*_KEY, "dx", "lip_plus", "slope"),
-                      functools.partial(_scaling_sample, "lipscale", lambda u: lip_plus(u)),
+                      functools.partial(_fit_sample, "lipscale",
+                                        lambda cfg, k, u: (float(lip_plus(u)),)),
                       functools.partial(_slope_ensemble, "lipscale")),
     "tvdecay": Study((*_KEY, "time", "tv", "inv_tv"), _tvdecay_sample, check=_tvdecay_check,
                      marched=lambda cfg: cfg.resolutions[-1]),
     "sharpness": Study((*_KEY, "dx", "lip_plus_0", "tv_time_integral", "bound_rhs", "ratio",
                         "slope"),
-                       _sharpness_sample, functools.partial(_slope_ensemble, "sharpness"),
+                       functools.partial(_fit_sample, "sharpness", _sharpness_measure),
+                       functools.partial(_slope_ensemble, "sharpness"),
                        check=_sharpness_check, marched=lambda cfg: cfg.resolutions[-1]),
 }
 

@@ -3,9 +3,10 @@
 The update is v_i <- v_i - (dt/dx) (F(v_i, v_{i+1}) - F(v_{i-1}, v_i)) with
 ghost values taken from the boundary rule: outflow copies the edge cell,
 periodic wraps around.  ``evolve`` and ``step`` run it in ``_march.c``'s ``march``,
-which evaluates ``flux.numerical_flux`` in its operation order; ``evolve`` takes its
-time points from its ``schedule`` and every TV from its ``variation``: no numpy
-arithmetic, and no numpy error state.
+which evaluates ``flux.numerical_flux`` in its operation order and keeps the clock:
+it sets each step's length, dt or the shorter rest to t_final, and writes each time
+point.  ``evolve`` counts the time points with the library's ``schedule`` and takes
+the initial TV from its ``variation``: no numpy arithmetic, and no numpy error state.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ class SchemeConfig:
         for name, rule in (("flux", FluxSpec), ("t_final", float), ("cfl", float),
                            ("boundary", Boundary)):
             object.__setattr__(self, name, rule(getattr(self, name)))
+        if not isinstance(self.numflux, NumericalFluxSpec):  # a kind, or its value
+            object.__setattr__(self, "numflux", NumericalFluxSpec(self.numflux))
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not 0.0 <= self.t_final < np.inf:
@@ -94,17 +97,20 @@ def _check_snapshot_times(times: Sequence[float], t_final: float) -> None:
                          f"got {tuple(times)}")
 
 
-def _compiled_march(cells: np.ndarray, first: int, count: int, ratio: float, lam: float,
-                    config: SchemeConfig, tv: Optional[np.ndarray]) -> int:
-    """``count`` steps ``v - (F[1:] - F[:-1]) * ratio`` on the state ``v = cells[0, 1:-1]``,
-    in place, in one C ``march`` call, F (Lax-Friedrichs with mesh ratio ``lam``) taken on
-    the state padded by the boundary rule's ghost cells; rows 1 and 2 of ``cells`` are its
-    second state and scratch.  The TV of each new state goes into ``tv`` if given.  After
-    ``first`` earlier steps, it stops after a step ending on a time point 63 (mod 64) if
-    the state then holds a non-finite cell; returns the number of steps taken."""
-    return _kernels.load().march(cells.ctypes.data, cells.shape[1] - 2, first, count,
+def _compiled_march(cells: np.ndarray, times: np.ndarray, first: int, until: float,
+                    dt: float, t_final: float, dx: float, lam: float, config: SchemeConfig,
+                    tv: Optional[np.ndarray]) -> int:
+    """Steps ``v - (F[1:] - F[:-1]) * ratio`` of ``min(dt, t_final - t)`` each, ``ratio``
+    that / ``dx``, on the state ``v = cells[0, 1:-1]`` at ``times[first]``, in place, in
+    one C ``march`` call, F (Lax-Friedrichs with mesh ratio ``lam``) taken on ``v``
+    padded by ghost cells; rows 1 and 2 of ``cells`` are its second state and scratch.
+    It steps while ``first + s == 0`` or the time is below ``until``, writes the time
+    and, if ``tv`` is given, the TV after step s into ``[first + s]``, and stops after
+    a time point 63 (mod 64) at a non-finite state; returns the number of steps."""
+    return _kernels.load().march(cells.ctypes.data, cells.shape[1] - 2, times.ctypes.data,
+                                 first, until, dt, t_final, dx,
                                  PAIRS.index((config.numflux.kind, config.flux)),
-                                 config.boundary is Boundary.PERIODIC, ratio, 2.0 * lam,
+                                 config.boundary is Boundary.PERIODIC, 2.0 * lam,
                                  None if tv is None else tv.ctypes.data)
 
 
@@ -123,10 +129,11 @@ def step(state: CellField, config: SchemeConfig, dt: float) -> CellField:
     flux without a mesh ratio uses dt/dx."""
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    ratio = dt / state.grid.dx
+    dx = state.grid.dx
     cells = np.empty((3, state.grid.n_cells + 2))
     cells[0, 1:-1] = state.values
-    _compiled_march(cells, 0, 1, ratio, config.numflux.lam or ratio, config, None)
+    _compiled_march(cells, np.zeros(2), 0, dt, dt, dt, dx, config.numflux.lam or dt / dx,
+                    config, None)
     return _expose(state.grid, cells[0, 1:-1], dt, 1)
 
 
@@ -137,18 +144,6 @@ def _check_steps(t_final: float, dt: float) -> None:
         raise ValueError(f"t_final={t_final} takes more than 2**28 steps of dt={dt}")
 
 
-def _schedule(dt: float, t_final: float, guard: float):
-    """The time points of a march in steps of ``dt`` to ``t_final`` and the length of
-    its last step (``dt`` if it has none), by the float operations of the step-by-step
-    loop ``dt_i = min(dt, t_final - t); t = min(t + dt_i, t_final)`` while ``t <
-    t_final - guard``, which ``_march.c``'s ``schedule`` runs: once to count the
-    points, once to write them.  ``_check_steps`` must pass first: it bounds the loop."""
-    lib = _kernels.load()
-    times = np.zeros(lib.schedule(dt, t_final, guard, None) + 1)
-    lib.schedule(dt, t_final, guard, times[1:].ctypes.data)
-    return times, min(dt, t_final - float(times[-2])) if times.size > 1 else dt
-
-
 def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[float] = (),
            track_tv: bool = False) -> Trajectory:
     """March to t_final with a fixed CFL step chosen from the initial range.
@@ -156,17 +151,18 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
     The step is valid for all time because monotone schemes obey a maximum
     principle.  The final step is shortened to land exactly on t_final.
     Snapshots are recorded at the first time point at or after each requested
-    time (``snapshot_times=evolve(initial, config).times`` keeps every step), and
+    time, after at least one step if that time is positive
+    (``snapshot_times=evolve(initial, config).times`` keeps every step), and
     ``track_tv`` fills ``per_step_tv``.
-    The steps run in blocks, each one call of the compiled march, which leaves its
-    state in row 0 of one (3, n + 2) array, whose row 2 is the march's scratch.  A
-    block ends only where a state is read: at each snapshot, at the end and before a
-    short last step.  Within a block the march checks the state
-    after every time point 63 (mod 64) and stops at one that is not finite; the state
-    at each block end, or where the march stopped, is exposed and checked: a non-finite
-    cell raises FloatingPointError naming the step (none is missed: each update
-    subtracts from a cell's own value).  A march of more than 2^28 steps is refused
-    with ValueError before anything is allocated.  ``final`` is the last exposed state.
+    The compiled march keeps the clock.  ``evolve`` counts the time points, then
+    calls it for each positive snapshot time and for t_final, to march on to the first
+    time point within the guard of that time, leaving the state in row 0 of one (3, n
+    + 2) array, whose row 2 is its scratch.  It checks the state after every time point
+    63 (mod 64) and stops at one that is not finite; where a march that took a step
+    ends, the state is exposed and checked: a non-finite cell raises
+    FloatingPointError naming the step (none is missed: each update subtracts from a
+    cell's own value).  A march of more than 2^28 steps is refused with ValueError
+    before anything is allocated.  ``final`` is the last exposed state.
     """
     pending = [float(t) for t in snapshot_times]
     _check_snapshot_times(pending, config.t_final)
@@ -179,36 +175,29 @@ def evolve(initial: CellField, config: SchemeConfig, snapshot_times: Sequence[fl
         dt = config.t_final
     if dt <= 0.0 < config.t_final:  # max|f'| overflowed: the loop would never end
         raise ValueError(f"dt must be > 0, got {dt}")
-    _check_steps(config.t_final, dt)  # before the schedule is allocated
-    periodic = config.boundary is Boundary.PERIODIC
+    _check_steps(config.t_final, dt)  # before the time points are allocated
 
     guard = _TIME_GUARD * max(1.0, config.t_final)
-    times, dt_last = _schedule(dt, config.t_final, guard)
-    n_steps = times.size - 1
-    # the step after which each snapshot is taken (those past the last step are not)
-    snap_steps = [0 if t <= 0.0 else max(1, int(np.searchsorted(times, t - guard)))
-                  for t in pending]
-    # a block of steps ends where its state is read, at each snapshot and at the end,
-    # and before a short last step, whose mesh ratio differs
-    ends = {*snap_steps, n_steps - (dt_last != dt), n_steps}
-
+    times = np.zeros(_kernels.load().schedule(dt, config.t_final, guard) + 1)
     # two states with ghost cells, the state in row 0, and the march's scratch row
     cells = np.empty((3, v0.size + 2))
     cells[0, 1:-1] = v0
     tv = np.empty(times.size) if track_tv else None
     if track_tv:
-        tv[0] = _kernels.load().variation(v0.ctypes.data, v0.size, periodic)
-    snaps = [Snapshot(0.0, initial) for s in snap_steps if s == 0]
+        tv[0] = _kernels.load().variation(v0.ctypes.data, v0.size,
+                                          config.boundary is Boundary.PERIODIC)
 
-    state, done = initial, 0
-    for stop in sorted(s for s in ends if 0 < s <= n_steps):
-        ratio = (dt_last if stop == n_steps else dt) / dx
-        # a march stops short only at a non-finite state, which _expose rejects
-        done += _compiled_march(cells, done, stop - done, ratio, lam, config,
-                                None if tv is None else tv[done + 1:stop + 1])
-        state = _expose(grid, cells[0, 1:-1], dt, done)
-        while len(snaps) < len(snap_steps) and snap_steps[len(snaps)] == stop:
-            snaps.append(Snapshot(float(times[stop]), state))
+    # the state read at each snapshot time and then at t_final; a march stops short
+    # only at a non-finite state, which _expose rejects
+    snaps, state, done = [], initial, 0
+    for stop in (*pending, config.t_final):
+        if stop > 0.0:
+            taken = _compiled_march(cells, times, done, stop - guard, dt, config.t_final, dx,
+                                    lam, config, tv)
+            if taken:
+                done += taken
+                state = _expose(grid, cells[0, 1:-1], dt, done)
+        snaps.append(Snapshot(float(times[done]), state))
 
-    return Trajectory(times=times, snapshots=tuple(snaps), per_step_tv=tv, dt_used=dt,
+    return Trajectory(times=times, snapshots=tuple(snaps[:-1]), per_step_tv=tv, dt_used=dt,
                       final=state)

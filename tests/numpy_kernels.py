@@ -6,9 +6,10 @@ tests hold the library's bits to.
   which round once each on every CPU.  The C comments say how each works.
 - ``SplitMix64`` draws the integer stream (``u64``) and the Box-Muller normals
   in numpy; ``midpoint_points`` draws fBm with them.
-- ``march`` is the block march of ``solver.evolve``, one ``advance`` per step,
-  and ``variation`` the total variation of each state, numpy's pairwise sum.
-- ``schedule`` is the march's time loop in Python floats.
+- ``march`` is the march of ``solver.evolve``, one ``advance`` per step, and
+  ``variation`` the total variation of each state, numpy's pairwise sum.
+- ``next_time`` is the march's clock in Python floats, with the clamp to t_final
+  that the C clock leaves out because it never binds, and ``schedule`` its loop.
 
 The package runs only the library; this code runs only in the tests.
 """
@@ -156,23 +157,32 @@ def variation(v, periodic):
     return tv
 
 
+def next_time(t, dt, t_final):
+    """The length of the step from ``t`` of a march in steps of ``dt`` to ``t_final``,
+    and the time it lands on: ``min(dt, t_final - t)`` and ``min(t + that, t_final)``,
+    each Python's min."""
+    dt_i = min(dt, t_final - t)
+    return dt_i, min(t + dt_i, t_final)
+
+
 def schedule(dt, t_final, guard):
-    """``solver._schedule`` in Python: the time points and the last step of the scalar
-    loop of a step-by-step march."""
-    times, t, dt_i = [0.0], 0.0, dt
-    while t < t_final - guard:
-        dt_i = min(dt, t_final - t)
-        t = min(t + dt_i, t_final)
-        times.append(t)
-    return np.array(times), dt_i
+    """The time points of the scalar loop of a step-by-step march, which steps while
+    ``t < t_final - guard``."""
+    times = [0.0]
+    while times[-1] < t_final - guard:
+        times.append(next_time(times[-1], dt, t_final)[1])
+    return np.array(times)
 
 
-def march(cells, first, count, ratio, lam, config, tv):
-    """``solver._compiled_march`` in numpy: ``count`` steps of ``advance`` on the state
-    ``cells[0, 1:-1]``, in place, a Lax-Friedrichs flux with the mesh ratio ``lam``,
-    and the TV of each new state into ``tv`` if given; it stops after a step that ends
-    on a time point 63 (mod 64) if the state then holds a non-finite cell.  Returns
-    the number of steps taken.  Overflows and invalid operations raise nothing."""
+def march(cells, times, first, until, dt, t_final, dx, lam, config, tv):
+    """``solver._compiled_march`` in numpy: from the state ``cells[0, 1:-1]`` at time
+    ``times[first]``, steps of ``advance`` in place while no step has been taken from
+    time 0 or the time is below ``until``, each of the length ``next_time`` gives and
+    with that length / ``dx`` as its ratio, a Lax-Friedrichs flux with the mesh ratio
+    ``lam``; each new time goes into ``times[first + s]`` and, if ``tv`` is given, the
+    TV of each new state into ``tv[first + s]``.  It stops after a step that ends on a
+    time point 63 (mod 64) if the state then holds a non-finite cell.  Returns the
+    number of steps taken.  Overflows and invalid operations raise nothing."""
     kind = config.numflux.kind
     # a ratio that overflowed to inf is clamped to the largest float, which
     # NumericalFluxSpec accepts and whose 2 lam is inf all the same
@@ -180,11 +190,15 @@ def march(cells, first, count, ratio, lam, config, tv):
                                 if kind is NumFluxKind.LAX_FRIEDRICHS else None)
     periodic = config.boundary is Boundary.PERIODIC
     v = cells[0, 1:-1]
+    t, s = float(times[first]), 0
     with np.errstate(invalid="ignore", over="ignore"):
-        for s in range(1, count + 1):
-            v[...] = advance(v, ratio, numflux, config)
+        while first + s == 0 or t < until:
+            dt_i, t = next_time(t, dt, t_final)
+            v[...] = advance(v, dt_i / dx, numflux, config)
+            s += 1
+            times[first + s] = t
             if tv is not None:
-                tv[s - 1] = variation(v, periodic)
+                tv[first + s] = variation(v, periodic)
             if (first + s) % 64 == 63 and not np.isfinite(v).all():
-                return s
-    return count
+                break
+    return s

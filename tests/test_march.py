@@ -6,9 +6,9 @@
   state, every snapshot and the per-step TV, or the same exception; so does one
   ``step``.  The march picks a pair's step by its index in ``flux.PAIRS``, so
   this is also the test of the order of its ``STEPS`` table.  On states that hold inf and nan,
-  the two block marches leave the same cells inf and nan, in row 0 of the state
+  the two marches leave the same cells inf and nan, in row 0 of the state
   array after odd and even step counts alike, and stop after the same step when
-  the block crosses a time point 63 (mod 64), where both check the state; a
+  the march crosses a time point 63 (mod 64), where both check the state; a
   step that overflows to inf and makes no nan stops them there too.  The
   data hold signed zeros, subnormals and magnitudes up to 1e150; runs end on a
   short last step or on a whole one, snapshots fall on the march's 64-step
@@ -16,8 +16,8 @@
   fill the vectors of each clone and leave tails.  Built for one x86-64 level at
   a time, without clones, the C march gives the bits of the oracle's too, its
   check after time point 63 included, and so do the C draw, log and sincos.
-- A block of steps is one C call: a run with no snapshot makes one, or two with
-  a short last step, plus one per snapshot step.
+- Each state ``evolve`` reads is one C call: a run makes one per positive
+  snapshot time and one for t_final, its short last step included.
 - The C total variation equals the oracle's ``variation`` (numpy's pairwise
   sum) at every length up to 300 and at the lengths where the pairwise
   recursion splits.
@@ -133,7 +133,7 @@ def test_compiled_march_equals_numpy_march(kind, spec, boundary, v, steps, short
         assert 0.0 < t_final <= 1e-12
         return
     # the time points of the run, so that snapshots can fall on the 64-step checks
-    times = solver._schedule(dt, t_final, 1e-12 * max(1.0, t_final))[0]
+    times = oracle.schedule(dt, t_final, 1e-12 * max(1.0, t_final))
     ends = [times[i] for i in (63, 127, 191) if i < times.size]
     snapshot_times = sorted({*ends, *(times[min(i, times.size - 1)] for i in picks)})
 
@@ -150,16 +150,20 @@ def canonical_bits(x):
 
 def march_bits(v, count, ratio, cfg, first=0):
     """The steps taken and the canonical bits of the state (row 0 of ``cells``) and of
-    the TV of each step taken, in up to ``count`` steps from ``v`` after ``first``,
-    by the compiled march and by the oracle's, a Lax-Friedrichs flux with the mesh
-    ratio of ``cfg``, or ``ratio`` if it has none."""
+    the TV of each step taken, in up to ``count`` steps of length ``ratio`` on cells of
+    width 1 from ``v`` at time 0 after ``first`` steps, by the compiled march and by
+    the oracle's, a Lax-Friedrichs flux with the mesh ratio of ``cfg``, or ``ratio``
+    if it has none."""
     results = []
     for march in (solver._compiled_march, oracle.march):
         cells = np.empty((3, v.size + 2))
         cells[0, 1:-1] = v
-        tv = np.empty(count)
-        taken = march(cells, first, count, ratio, cfg.numflux.lam or ratio, cfg, tv)
-        results.append([taken, *(canonical_bits(x) for x in (cells[0, 1:-1], tv[:taken]))])
+        times, tv = np.zeros(first + count + 1), np.empty(first + count + 1)
+        # steps of ratio with no end in sight, while t < (count - 1/2) ratio
+        taken = march(cells, times, first, (count - 0.5) * ratio, ratio, np.inf, 1.0,
+                      cfg.numflux.lam or ratio, cfg, tv)
+        results.append([taken, *(canonical_bits(x) for x in
+                                 (cells[0, 1:-1], tv[first + 1:first + taken + 1]))])
     return results
 
 
@@ -172,7 +176,7 @@ def march_bits(v, count, ratio, cfg, first=0):
        first=st.sampled_from([0, 58, 60, 62, 63]))
 def test_march_kernels_agree_on_non_finite_states(kind, spec, boundary, v, count, ratio,
                                                   first):
-    # a blow-up is found only after a time point 63 (mod 64) or at the end of a block:
+    # a blow-up is found only after a time point 63 (mod 64) or at the end of a march:
     # until then both marches carry the same inf and nan cells, so the cell and the
     # step they report agree
     numflux = NumericalFluxSpec(kind, 0.3 if kind is NumFluxKind.LAX_FRIEDRICHS else None)
@@ -210,14 +214,14 @@ def test_marches_agree_on_fbm_runs_with_many_blocks(monkeypatch):
 
 
 class CountingLibrary:
-    """The loaded library, recording the step count of each ``march`` call."""
+    """The loaded library, recording the steps each ``march`` call takes."""
 
     def __init__(self, lib):
         self.lib, self.counts = lib, []
 
     def march(self, *args):
-        self.counts.append(args[3])
-        return self.lib.march(*args)
+        self.counts.append(self.lib.march(*args))
+        return self.counts[-1]
 
     def __getattr__(self, name):
         return getattr(self.lib, name)
@@ -234,11 +238,13 @@ def test_each_block_is_one_c_call(monkeypatch, short):
                        t_final=(1500.5 if short else 1500) * 2.0**-9)
     traj = evolve(u0, cfg)
     assert traj.times.size == (1502 if short else 1501)
-    assert lib.counts == ([1500, 1] if short else [1500])
-    # a snapshot at step 0 needs no step; one at step 1,500 is a block end anyway
+    # the short last step is taken in the same call as the whole ones
+    assert lib.counts == ([1501] if short else [1500])
+    # a snapshot at 0 needs no call; each positive one is a call, and t_final one more,
+    # which takes no step where a snapshot has reached it
     lib.counts.clear()
     evolve(u0, cfg, snapshot_times=traj.times[[0, 100, 700, 701, 1500]])
-    assert lib.counts == [100, 600, 1, 799, *([1] if short else [])]
+    assert lib.counts == [100, 600, 1, 799, 1 if short else 0]
 
 
 CLONES = '__attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))'

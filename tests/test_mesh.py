@@ -19,6 +19,11 @@ def test_make_grid_rejects_bad_input():
         make_grid(0, 0, 4)
     with pytest.raises(ValueError):
         make_grid(0, 1, 0)
+    # a cell width that is infinite, zero or NaN, or an edge that is not finite
+    for edges in [(0.0, np.inf), (-1e308, 1e308), (0.0, 5e-324), (-np.inf, 0.0),
+                  (0.0, np.nan)]:
+        with pytest.raises(ValueError, match="finite cell width"):
+            make_grid(*edges, 4)
 
 
 def test_grid_equality_is_structural():

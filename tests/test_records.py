@@ -62,6 +62,11 @@ TWINS = {
         lambda: march("burgers", NumericalFluxSpec("godunov")), lambda: march()),
     "study law as its value string": (
         lambda: converge(study(equation="burgers")), lambda: converge(study())),
+    "scheme flux kind as a member": (
+        lambda: march(numflux=NumFluxKind.GODUNOV), lambda: march()),
+    "scheme flux kind as its value string": (lambda: march(numflux="godunov"), lambda: march()),
+    "study flux kind as its value string": (
+        lambda: converge(study(numflux="godunov")), lambda: converge(study())),
     "float32 cfl": (
         lambda: converge(study(cfl=np.float32(0.3))),
         lambda: converge(study(cfl=0.30000001192092896))),
@@ -98,6 +103,8 @@ REFUSED = {
     "SchemeConfig law 'BURGERS'": (
         ValueError, lambda: SchemeConfig("BURGERS", GODUNOV, 0.25)),
     "StudyConfig boundary 'wrap'": (ValueError, lambda: study(boundary="wrap")),
+    "SchemeConfig numflux 'roe'": (ValueError, lambda: SchemeConfig("burgers", "roe", 0.25)),
+    "StudyConfig numflux None": (ValueError, lambda: study(numflux=None)),
 }
 
 

@@ -258,6 +258,40 @@ def test_evolve_dense_snapshots_keep_every_step():
     assert np.array_equal(traj.snapshots[-1].field.values, plain.final.values)
 
 
+@pytest.mark.parametrize("track_tv", [False, True])
+def test_evolve_snapshots_are_the_states_of_their_time_points(track_tv):
+    # 0.3 is no whole number of steps, so the last step is short
+    u0 = random_field(32, 8)
+    cfg = burgers_config(t_final=0.3, boundary=Boundary.PERIODIC)
+    plain = evolve(u0, cfg)
+    times, dt = plain.times, plain.dt_used
+    assert numpy_kernels.next_time(times[-2], dt, 0.3)[0] < dt
+    # the state at each time point by the oracle's update, each step of the length
+    # the oracle's clock gives
+    states = [u0.values]
+    for t in times[:-1]:
+        dt_i = numpy_kernels.next_time(float(t), dt, 0.3)[0]
+        states.append(numpy_kernels.advance(states[-1], dt_i / u0.grid.dx, GODUNOV, cfg))
+    last = times.size - 1
+    cases = [
+        ((1e-13,), [1]),  # a positive time within the guard of 0 is read after step 1
+        # at 0 twice, at step 5 from a hair below its time point and on it, and at
+        # t_final twice
+        ((0.0, 0.0, times[5] - 1e-13, times[5], 0.3, 0.3), [0, 0, 5, 5, last, last]),
+        (times, list(range(times.size))),  # dense: every time point
+    ]
+    for snapshot_times, steps in cases:
+        traj = evolve(u0, cfg, snapshot_times=snapshot_times, track_tv=track_tv)
+        assert traj.times.tobytes() == times.tobytes()
+        assert [s.time for s in traj.snapshots] == [times[i] for i in steps]
+        assert ([s.field.values.tobytes() for s in traj.snapshots]
+                == [states[i].tobytes() for i in steps])
+        assert traj.final.values.tobytes() == states[-1].tobytes()
+        if track_tv:
+            assert traj.per_step_tv.tolist() == [numpy_kernels.variation(v, True)
+                                                 for v in states]
+
+
 def test_evolve_conserves_mass_periodic():
     grid = make_grid(0, 1, 256)
     u0 = fbm_initial_field(0.5, grid, 1)
@@ -372,10 +406,10 @@ def test_evolve_rejects_a_step_float_time_cannot_add():
 def test_evolve_refuses_more_than_2_28_steps_before_allocating(monkeypatch):
     # two cells of data in [-1, 1] step by dt = 0.25, so t_final = 1e9 asks for 4e9
     # steps, whose time points alone would take 32 GB
-    def never(*args):
-        raise AssertionError("the schedule was built")
+    def never():
+        raise AssertionError("the library was loaded to count the time points")
 
-    monkeypatch.setattr(solver, "_schedule", never)
+    monkeypatch.setattr(solver._kernels, "load", never)
     u0 = CellField(make_grid(0, 1, 2), np.array([-1.0, 1.0]))
     message = r"^t_final=1000000000.0 takes more than 2\*\*28 steps of dt=0.25$"
     with pytest.raises(ValueError, match=message):
@@ -416,12 +450,19 @@ def schedules(draw):
 @example(case=(1e-6, 1.0)).via("10^6 steps of a decimal dt")
 @example(case=(1.0 / 999_999, 1.0)).via("10^6 steps of an inexact t_final / n")
 def test_schedule_equals_the_step_by_step_loop(case):
+    # the C count and the time points the C march writes, whose clock has no clamp to
+    # t_final, against the clamped loop
     dt, t_final = case
     guard = solver._TIME_GUARD * max(1.0, t_final)
-    times, dt_last = solver._schedule(dt, t_final, guard)
-    oracle, oracle_last = numpy_kernels.schedule(dt, t_final, guard)
+    oracle = numpy_kernels.schedule(dt, t_final, guard)
+    count = solver._kernels.load().schedule(dt, t_final, guard)
+    assert count == oracle.size - 1
+    times = np.zeros(count + 1)
+    if count:  # from time 0 a march takes a step even where there is none to take
+        taken = solver._compiled_march(np.zeros((3, 3)), times, 0, t_final - guard, dt,
+                                       t_final, 1.0, 1.0, burgers_config(), None)
+        assert taken == count
     assert times.tobytes() == oracle.tobytes()
-    assert dt_last == oracle_last
 
 
 @pytest.mark.parametrize("snapshot_times", [(), (4.0,)], ids=["final", "snapshot"])
@@ -449,14 +490,13 @@ def test_evolve_blow_up_raises(march, snapshot_times, track_tv, dense):
     # within 64 steps of it, not at t_final
     assert good_steps < found <= good_steps + (1 if dense else 64)
     # ... at the first state at or after the first bad step that is checked: one
-    # after every time point 63 (mod 64), at a snapshot, before a short last step or
-    # at the end
+    # after every time point 63 (mod 64), at a snapshot or at the end
     guard = 1e-12 * cfg.t_final
-    times, dt_last = solver._schedule(dt, cfg.t_final, guard)
+    times = numpy_kernels.schedule(dt, cfg.t_final, guard)
     n_steps = times.size - 1
     snap_steps = {0 if t <= 0.0 else max(1, int(np.searchsorted(times, t - guard)))
                   for t in snapshot_times}
-    checked = {*range(63, n_steps + 1, 64), *snap_steps, n_steps - (dt_last != dt), n_steps}
+    checked = {*range(63, n_steps + 1, 64), *snap_steps, n_steps}
     assert found == min(s for s in checked if s > good_steps)
     # and the message names the first non-finite cell of that state
     v = u0.values
