@@ -3,7 +3,9 @@ package runs.
 
 ``solver`` counts its time points (``schedule``) and marches through it, the march
 keeping the clock, ``initial_data`` draws fBm through it, ``mesh`` restricts through
-it, and ``log`` gives the rate fits its log.  Where the library cannot be had,
+it, ``log`` gives the rate fits its log, and ``cell_lines`` writes the text of
+``cli.write_csv``'s per-cell tables, each double as ``repr`` writes it, with a table
+of powers of ten computed on its first call.  Where the library cannot be had,
 ``load`` raises and names the cause; nothing falls back.  This module imports nothing
 of the package, so every module can import it.
 
@@ -117,6 +119,7 @@ def _build():
         "draw": ((ctypes.c_uint64, ptr, i64, i64, f64), ctypes.c_uint64),
         "log_sincos": ((ptr, i64, ptr, ptr, ptr), None),
         "cell_means": ((ptr, ptr, i64, i64), None),
+        "cell_lines": ((ctypes.c_char_p, i64, ptr, ptr, i64, ptr, i64, ptr), i64),
     }
     for name, (argtypes, restype) in signatures.items():
         fn = getattr(lib, name)
@@ -134,3 +137,47 @@ def log(x):
     out = np.empty((3, *x.shape))
     load().log_sincos(x.ctypes.data, x.size, *(row.ctypes.data for row in out))
     return out[0]
+
+
+# the most bytes a line of ``cell_lines`` takes past its prefix: two reprs of 24 bytes
+# at most ("-2.2250738585072014e-308"), a comma and a newline
+LINE_BYTES = 50
+
+
+@functools.cache
+def _powers_of_ten():
+    """The table of ``cell_lines``: for each k from -292 to 324, g = floor(10^k
+    2^(127 - floor(log2 10^k))) + 1, which lies in (2^127, 2^128), as its high and low
+    64 bits, computed exactly on first use."""
+    import numpy as np
+
+    halves = []
+    for k in range(-292, 325):
+        shift = 127 - ((k * 1741647) >> 19)  # the C's floor(log2 10^k), exact here
+        if k < 0:
+            g = (1 << shift) // 10**-k
+        else:
+            g = 10**k << shift if shift >= 0 else 10**k >> -shift
+        halves += ((g + 1) >> 64, (g + 1) & (1 << 64) - 1)
+    return np.array(halves, dtype=np.uint64)
+
+
+def cell_lines(prefix: bytes, x, u, buf) -> int:
+    """Write the lines ``prefix + repr(x[i]) + "," + repr(u[i]) + "\\n"`` of the
+    float64 arrays ``x`` and ``u``, of one size, into the uint8 array ``buf`` and
+    return their length.  ValueError if ``buf`` has less room than as many lines of
+    ``len(prefix) + LINE_BYTES`` bytes, the longest, would need (the library returned
+    -1)."""
+    import numpy as np
+
+    if x.size != u.size:
+        raise ValueError(f"{x.size} x cells and {u.size} u cells")
+    if not (buf.dtype == np.uint8 and buf.flags.c_contiguous and buf.flags.writeable):
+        raise ValueError("the buffer must be a writable contiguous uint8 array")
+    x, u = (np.ascontiguousarray(a, dtype=np.float64) for a in (x, u))
+    end = load().cell_lines(prefix, len(prefix), x.ctypes.data, u.ctypes.data, x.size,
+                            buf.ctypes.data, buf.size, _powers_of_ten().ctypes.data)
+    if end < 0:
+        raise ValueError(f"{buf.size} bytes are too few for {x.size} lines of "
+                         f"{len(prefix)} + {LINE_BYTES} bytes")
+    return end

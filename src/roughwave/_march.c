@@ -1,8 +1,9 @@
 /* The compiled kernels of roughwave, loaded by ``_kernels.load``: the march of
 ``solver.evolve`` (its steps up to a read, in one call) and its clock, the cell
-means of ``mesh.restrict`` and the draw of one midpoint level of fBm, with a log and
-a sincos of its own.  Each repeats the operations of its numpy twin (``numpy_kernels``
-of the tests, numpy's own row mean), in the same order, so the bits are the same.
+means of ``mesh.restrict``, the draw of one midpoint level of fBm, with a log and
+a sincos of its own, and the text of the per-cell CSV tables.  Each numerical kernel
+repeats the operations of its numpy twin (``numpy_kernels`` of the tests, numpy's own
+row mean), in the same order, so the bits are the same.
 
 Each step of the march, of ``step_length`` (dt, or a last one shortened to land on
 t_final), fills the two ghost cells, evaluates the numerical flux at every face and
@@ -22,6 +23,10 @@ and a sqrt that need not set errno vectorizes.  The step and pairwise-sum templa
 and the uniforms and normals of the draw have one clone per x86-64 level, picked
 when the library loads, so that one cached library serves every CPU; their vector
 loops keep the order of every floating-point operation.
+The text kernel, ``cell_lines``, writes each double as Python's ``repr`` does: the
+shortest digits that read back as it, the nearest if several (Schubfach), in
+``repr``'s layout.  It is integer code, on gcc's 128-bit integers (64-bit targets),
+and has no clones.
 */
 
 #include <math.h>
@@ -376,4 +381,150 @@ void log_sincos(const double *x, int64_t n, double *log_x, double *sin_x, double
         log_x[i] = ieee_log(x[i]);
         ieee_sincos(x[i], sin_x + i, cos_x + i);
     }
+}
+
+/* floor(log10(2^e)), floor(log10(3/4 2^e)) and floor(log2(10^e)), exact for every
+   e that shortest_digits passes (the first two for -1100 <= e < 1000, the third for
+   |e| < 400) */
+static inline int floor_log10_pow2(int e) { return (e * 1262611) >> 22; }
+static inline int floor_log10_three_quarters_pow2(int e) { return (e * 1262611 - 524031) >> 22; }
+static inline int floor_log2_pow10(int e) { return (e * 1741647) >> 19; }
+
+/* the least k whose 10^k the table of shortest_digits holds: 10^-292 .. 10^324 */
+#define TENS_MIN (-292)
+
+/* g cp / 2^128 rounded to odd, g the 128-bit (high, low) table entry, from bits 64
+   and up of g cp.  g exceeds 10^-k 2^(127 - floor(log2 10^-k)) by at most 1, and for
+   the cp that shortest_digits passes, bits 64 to 127 are 0 or 1 exactly when the
+   quotient with that exact scale is an integer (Giulietti's lemma). */
+static inline uint64_t round_to_odd(const uint64_t *g, uint64_t cp)
+{
+    unsigned __int128 low = (unsigned __int128)g[1] * cp;
+    unsigned __int128 y = (unsigned __int128)g[0] * cp + (uint64_t)(low >> 64);
+    return (uint64_t)(y >> 64) | ((uint64_t)y > 1);
+}
+
+/* The digits d and exponent *exp10 of the shortest decimal d 10^*exp10 that reads
+   back as the positive finite double of significand field m and exponent field e,
+   the nearest to it if there are several: Schubfach (Giulietti, 2020).  A double's
+   rounding interval holds its ends when its significand c is even (a read rounds a
+   tie to even), and its lower half is half as wide when c is a power of two above
+   the subnormals.  tens holds g = floor(10^k 2^(127 - floor(log2 10^k))) + 1 for
+   each k from TENS_MIN, as (high, low) pairs.  d may end in zeros. */
+static uint64_t shortest_digits(uint64_t m, int e, const uint64_t *tens, int *exp10)
+{
+    uint64_t c = e ? m | 1ull << 52 : m;
+    int q = e ? e - 1075 : -1074;
+    if (q <= 0 && q > -53 && (c & ((1ull << -q) - 1)) == 0) { /* an integer below 2^53 */
+        *exp10 = 0;
+        return c >> -q;
+    }
+    int even = (c & 1) == 0, closer = m == 0 && e > 1;
+    int k = closer ? floor_log10_three_quarters_pow2(q) : floor_log10_pow2(q);
+    int h = q + floor_log2_pow10(-k) + 1; /* 1 .. 4 */
+    const uint64_t *g = tens + 2 * (-k - TENS_MIN);
+    /* the double and its interval's ends, times 10^-k, in quarters */
+    uint64_t vb = round_to_odd(g, c << 2 << h);
+    uint64_t lower = round_to_odd(g, ((c << 2) - 2 + closer) << h) + !even;
+    uint64_t upper = round_to_odd(g, ((c << 2) + 2) << h) - !even;
+    uint64_t s = vb >> 2;
+    if (s >= 10) { /* one digit fewer: at most one multiple of 10^(k+1) is inside */
+        uint64_t sp = s / 10;
+        int sp_in = lower <= 40 * sp, sp_next_in = 40 * sp + 40 <= upper;
+        if (sp_in != sp_next_in) {
+            *exp10 = k + 1;
+            return sp + sp_next_in;
+        }
+    }
+    int s_in = lower <= 4 * s, s_next_in = 4 * s + 4 <= upper;
+    *exp10 = k;
+    if (s_in != s_next_in)
+        return s + s_next_in;
+    return s + (vb > 4 * s + 2 || (vb == 4 * s + 2 && (s & 1))); /* the nearer, ties even */
+}
+
+/* the longest repr of a double: "-2.2250738585072014e-308" */
+#define REPR_MAX 24
+
+/* repr(x) written at p, in at most REPR_MAX bytes; returns its end.  The shortest
+   digits print positional for a decimal exponent in [-4, 16), with ".0" on an
+   integral value, and as d.ddde+XX with at least two exponent digits otherwise. */
+static char *write_repr(char *p, double x, const uint64_t *tens)
+{
+    uint64_t b = bits_of(x), m = b & 0xfffffffffffffu;
+    int e = (int)(b >> 52) & 0x7ff;
+    if (e == 0x7ff && m) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (b >> 63)
+        *p++ = '-';
+    if (e == 0x7ff || (e == 0 && m == 0)) {
+        memcpy(p, e ? "inf" : "0.0", 3);
+        return p + 3;
+    }
+    int exp10;
+    uint64_t d = shortest_digits(m, e, tens, &exp10);
+    for (; d % 10 == 0; d /= 10)
+        exp10++;
+    char digits[20];
+    int n = 0;
+    for (; d; d /= 10)
+        digits[19 - n++] = (char)('0' + d % 10);
+    const char *first = digits + 20 - n;
+    int point = exp10 + n; /* digits before the decimal point */
+    if (point < -3 || point > 16) {
+        int sci = point - 1;
+        *p++ = first[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, first + 1, (size_t)n - 1);
+            p += n - 1;
+        }
+        *p++ = 'e';
+        *p++ = sci < 0 ? '-' : '+';
+        sci = sci < 0 ? -sci : sci;
+        if (sci >= 100)
+            *p++ = (char)('0' + sci / 100);
+        *p++ = (char)('0' + sci / 10 % 10);
+        *p++ = (char)('0' + sci % 10);
+    } else if (point <= 0) { /* 0.000ddd */
+        memcpy(p, "0.", 2);
+        memset(p + 2, '0', (size_t)-point);
+        p += 2 - point;
+        memcpy(p, first, (size_t)n);
+        p += n;
+    } else if (point >= n) { /* ddd000.0 */
+        memcpy(p, first, (size_t)n);
+        memset(p + n, '0', (size_t)(point - n));
+        p += point;
+        memcpy(p, ".0", 2);
+        p += 2;
+    } else { /* dd.ddd */
+        memcpy(p, first, (size_t)point);
+        p[point] = '.';
+        memcpy(p + point + 1, first + point, (size_t)(n - point));
+        p += n + 1;
+    }
+    return p;
+}
+
+/* The lines "<prefix><repr(x[i])>,<repr(u[i])>\n" of the ``rows`` cells of a block
+   of ``write_csv``, written into buf; returns their length, or -1, having written
+   part of them, if a line of the longest form would pass ``cap`` bytes.  tens is
+   the table of shortest_digits. */
+int64_t cell_lines(const char *prefix, int64_t prefix_len, const double *x, const double *u,
+                   int64_t rows, char *buf, int64_t cap, const uint64_t *tens)
+{
+    char *p = buf;
+    for (int64_t i = 0; i < rows; i++) {
+        if (cap - (p - buf) < prefix_len + 2 * REPR_MAX + 2)
+            return -1;
+        memcpy(p, prefix, (size_t)prefix_len);
+        p = write_repr(p + prefix_len, x[i], tens);
+        *p++ = ',';
+        p = write_repr(p, u[i], tens);
+        *p++ = '\n';
+    }
+    return p - buf;
 }

@@ -28,6 +28,8 @@ from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, _kernels
 from ._kernels import _sha256
 from .experiments import (STUDIES, StudyConfig, StudyResult, _CellRows, check_study,
@@ -153,13 +155,13 @@ def _atomic_file(path):
 def write_csv(result: StudyResult, path) -> None:
     """Write the result table as CSV (LF newlines, shortest round-trip floats).
 
-    Every cell goes through ``_format_cell`` and the text is streamed into an
-    ``_atomic_file``.  A table of row tuples is written a row at a time.  A
-    per-cell table (``_CellRows``) is written a block at a time: its labels
-    formatted once, ``x`` once per distinct grid of the call and ``u``
-    ``_CHUNK_ROWS`` cells at once.  A label that would need quoting (``,``,
-    ``"``, CR or LF), a table of one column and a row of the wrong length raise
-    ValueError.
+    The text is streamed into an ``_atomic_file``.  A table of row tuples is
+    written a row at a time, each cell through ``_format_cell``.  A per-cell
+    table (``_CellRows``) is written a block at a time: its labels through
+    ``_format_cell`` once, then ``_CHUNK_ROWS`` lines at once by the library's
+    ``cell_lines``, whose ``x`` and ``u`` text is ``repr``'s.  A label that would
+    need quoting (``,``, ``"``, CR or LF), a table of one column and a row of the
+    wrong length raise ValueError.
     """
     names, rows = result.columns, result.rows
     if len(names) < 2:
@@ -176,19 +178,20 @@ def write_csv(result: StudyResult, path) -> None:
 
 def _write_blocks(fh, names, blocks):
     """The rows of ``_CellBlock``s: each line is the block's label prefix, then
-    the cell's ``x`` and ``u``."""
-    x_text = {}
+    the cell's ``x`` and ``u``, ``_CHUNK_ROWS`` lines at a time through the
+    library's ``cell_lines`` into one buffer."""
+    buf = np.empty(0, dtype=np.uint8)
     for labels, grid, values in blocks:
         if len(labels) + 2 != len(names):
             raise ValueError(f"a block of {len(labels)} labels for the columns {names}")
-        prefix = "".join(_format_cell(n, label) + "," for n, label in zip(names, labels))
-        if grid not in x_text:
-            x_text[grid] = list(map(float.__repr__, grid.cell_midpoints().tolist()))
-        xs, joint = x_text[grid], "\n" + prefix
+        prefix = "".join(_format_cell(n, label) + "," for n, label in zip(names, labels)).encode()
+        size = _CHUNK_ROWS * (len(prefix) + _kernels.LINE_BYTES)
+        if buf.size < size:
+            buf = np.empty(size, dtype=np.uint8)
+        x = grid.cell_midpoints()
         for i in range(0, grid.n_cells, _CHUNK_ROWS):
-            u = map(float.__repr__, values[i:i + _CHUNK_ROWS].tolist())
-            lines = map(",".join, zip(xs[i:i + _CHUNK_ROWS], u))
-            fh.write((prefix + joint.join(lines) + "\n").encode())
+            chunk = slice(i, i + _CHUNK_ROWS)
+            fh.write(buf[:_kernels.cell_lines(prefix, x[chunk], values[chunk], buf)])
 
 
 def _selfcheck(out) -> int:

@@ -1,10 +1,11 @@
 """Uniform 1D grids (``make_grid`` is ``Grid``, which stores float edges and refuses a
-non-integer cell count and a cell width that is not finite and > 0), piecewise-constant
-cell fields and fine-to-coarse restriction."""
+cell count that is not an integer in [1, sys.maxsize] and a cell width that is not
+finite and > 0), piecewise-constant cell fields and fine-to-coarse restriction."""
 
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ class Grid:
     def __post_init__(self):
         for name, rule in (("x_left", float), ("x_right", float), ("n_cells", operator.index)):
             object.__setattr__(self, name, rule(getattr(self, name)))
-        if self.n_cells < 1:
-            raise ValueError(f"n_cells must be >= 1, got {self.n_cells}")
+        if not 1 <= self.n_cells <= sys.maxsize:  # sys.maxsize: the longest array
+            raise ValueError(f"n_cells must be in [1, {sys.maxsize}], got {self.n_cells}")
         if not 0.0 < self.dx < np.inf:  # x_left >= x_right, an edge not finite, or 0 or inf
             raise ValueError(f"need x_left < x_right and a finite cell width dx > 0: {self}")
 

@@ -19,6 +19,10 @@ def test_make_grid_rejects_bad_input():
         make_grid(0, 0, 4)
     with pytest.raises(ValueError):
         make_grid(0, 1, 0)
+    # more cells than an array holds, and than a float counts (dx would not convert)
+    for n in [2**63, 10**400]:
+        with pytest.raises(ValueError, match="n_cells must be in"):
+            make_grid(0, 1, n)
     # a cell width that is infinite, zero or NaN, or an edge that is not finite
     for edges in [(0.0, np.inf), (-1e308, 1e308), (0.0, 5e-324), (-np.inf, 0.0),
                   (0.0, np.nan)]:

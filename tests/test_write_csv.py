@@ -1,10 +1,13 @@
 """``write_csv`` against the csv-module writer it replaced, kept here as an
 oracle, on tables of row tuples and on the cell blocks of the per-cell
 studies, and its failure modes: no partial files, no cell that would need
-quoting, no ragged rows."""
+quoting, no ragged rows.  The library's ``cell_lines``, which writes the cell
+blocks' ``x`` and ``u``, against ``repr`` on random bit patterns and near every
+power of two and ten, and its refusal of a buffer too small."""
 
 import csv
 import math
+import sys
 from io import StringIO
 from unittest import mock
 
@@ -14,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughwave import Grid, StudyResult
-from roughwave import cli
+from roughwave import _kernels, cli
 from roughwave.cli import write_csv
 from roughwave.experiments import _CellBlock, _CellRows
 
@@ -212,3 +215,83 @@ def test_cell_blocks_of_the_wrong_width_are_rejected(tmp_path):
     with pytest.raises(ValueError, match="2 labels"):
         write_csv(StudyResult("fbm", ("study", "x", "u"), rows, {}), path)
     assert not list(tmp_path.iterdir())
+
+
+def repr_lines(x, u) -> bytes:
+    return "".join(map("{!r},{!r}\n".format, x.tolist(), u.tolist())).encode()
+
+
+def assert_cell_lines_equal_repr(bits):
+    """``cell_lines`` writes every double of the uint64 patterns ``bits`` (the even
+    slots as ``x``, the odd ones as ``u``) as ``repr`` does."""
+    values = np.append(bits, bits[:bits.size % 2]).view(np.float64)
+    chunk = 1 << 16
+    buf = np.empty(chunk // 2 * _kernels.LINE_BYTES, dtype=np.uint8)
+    for i in range(0, values.size, chunk):
+        x, u = values[i:i + chunk:2], values[i + 1:i + chunk:2]
+        got = buf[:_kernels.cell_lines(b"", x, u, buf)].tobytes()
+        if got != repr_lines(x, u):
+            bad = next((g, e) for g, e in zip(got.splitlines(), repr_lines(x, u).splitlines())
+                       if g != e)
+            pytest.fail(f"cell_lines wrote {bad[0]!r} where repr writes {bad[1]!r}")
+
+
+def bits_of(values):
+    return np.array(values, dtype=np.float64).view(np.uint64)
+
+
+MAX_BITS = int(bits_of(sys.float_info.max))
+EDGES = [5e-324, 2.2250738585072014e-308, sys.float_info.max, 1e16, 9.999999999999999e15,
+         1e-05, 0.0001, 0.1, 2.0**53, 2.0**53 + 2, *(10.0**n for n in range(-20, 23)),
+         1e23, 0.0, math.inf, math.nan]
+
+
+def test_cell_lines_equal_repr_on_random_doubles_and_the_edges():
+    rng = np.random.default_rng(2024)
+    signs = np.uint64(1) << np.uint64(63)
+    random_bits = rng.integers(0, 2**64, 2_000_000, dtype=np.uint64)  # every exponent
+    subnormals = rng.integers(0, 2**52, 1 << 15, dtype=np.uint64) | signs * rng.integers(
+        0, 2, 1 << 15, dtype=np.uint64)
+    edges = bits_of(EDGES)
+    assert_cell_lines_equal_repr(np.concatenate([random_bits, subnormals, edges,
+                                                 edges | signs]))
+
+
+def test_cell_lines_equal_repr_near_each_power_of_two_and_ten():
+    # within 64 ulps of 2^j, where the rounding interval of 2^j itself is asymmetric,
+    # and of 10^n, whose neighbours take the fewest and the most digits
+    powers = bits_of([*(2.0**j for j in range(-1074, 1024)),
+                      *(float(f"1e{n}") for n in range(-323, 309))]).astype(np.int64)
+    near = (powers[:, None] + np.arange(-64, 65)).ravel()
+    near = near[(near >= 0) & (near <= MAX_BITS)].astype(np.uint64)
+    signs = np.random.default_rng(7).integers(0, 2, near.size, dtype=np.uint64) << np.uint64(63)
+    assert_cell_lines_equal_repr(near | signs)
+
+
+def test_cell_lines_refuse_a_buffer_a_byte_short_and_write_nothing_past_it():
+    lib, prefix = _kernels.load(), "é".encode() * 9 + b","  # 19 bytes, 10 characters
+    x, u = np.full(3, -2.2250738585072014e-308), np.full(3, -1.7976931348623157e308)
+    need = 3 * (len(prefix) + _kernels.LINE_BYTES)
+    buf = np.full(need + 8, 7, dtype=np.uint8)
+    args = (prefix, len(prefix), x.ctypes.data, u.ctypes.data, 3, buf.ctypes.data)
+    assert lib.cell_lines(*args, need - 1, _kernels._powers_of_ten().ctypes.data) == -1
+    assert np.all(buf[need - 1:] == 7)
+    end = lib.cell_lines(*args, need, _kernels._powers_of_ten().ctypes.data)
+    line = prefix + b"-2.2250738585072014e-308,-1.7976931348623157e+308\n"
+    assert len(line) == len(prefix) + _kernels.LINE_BYTES and buf[:end].tobytes() == 3 * line
+    with pytest.raises(ValueError, match="too few"):
+        _kernels.cell_lines(prefix, x, u, buf[:need - 1])
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 3, 4096])
+def test_a_block_with_a_prefix_of_1000_characters(chunk_rows, tmp_path, monkeypatch):
+    # a label of 999 two-byte characters between two short ones: the buffer is sized by
+    # the prefix's bytes, and grows for it
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+    columns = ("label", "x", "u")
+    short = _CellBlock(("ü",), Grid(0.0, 1.0, 5), np.arange(5.0))
+    blocks = [short, _CellBlock(("ü" * 999,), Grid(-3e-308, -2e-308, 7),
+                                np.full(7, -2.2250738585072014e-308)), short]
+    write_csv(StudyResult("t", columns, _CellRows(blocks), {}), tmp_path / "p.csv")
+    text = (tmp_path / "p.csv").read_bytes()
+    assert text == oracle_csv(columns, list(_CellRows(blocks)))
