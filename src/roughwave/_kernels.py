@@ -2,17 +2,19 @@
 package runs.
 
 ``solver`` counts its time points (``schedule``) and marches through it, the march
-keeping the clock, ``initial_data`` draws fBm through it, ``mesh`` restricts through
-it, ``log`` gives the rate fits its log, and ``cell_lines`` writes the text of
+keeping the clock; ``initial_data`` draws each fBm path in one call (``path``, which
+draws the finer levels a cache-sized block at a time); ``mesh`` restricts through it,
+by ``cell_means`` for any factor and by ``level_means`` for every level of a path in
+one pass; ``log`` gives the rate fits its log, and ``cell_lines`` writes the text of
 ``cli.write_csv``'s per-cell tables, each double as ``repr`` writes it, with a table
 of powers of ten computed on its first call.  Where the library cannot be had,
 ``load`` raises and names the cause; nothing falls back.  This module imports nothing
 of the package, so every module can import it.
 
 The library is built with ``_FLAGS`` and no ``-march``: on x86-64 its step and
-pairwise-sum templates and its draw's uniforms and normals carry one clone per
-level (baseline, v3 and v4), picked when the library loads, so one cached library
-serves every CPU that shares the cache.
+pairwise-sum templates, its level pass and its draw's uniforms and normals carry one
+clone per level (baseline, v3 and v4), picked when the library loads, so one cached
+library serves every CPU that shares the cache.
 """
 
 from __future__ import annotations
@@ -116,9 +118,10 @@ def _build():
         "variation": ((ptr, i64, i32), f64),
         "uniforms": ((ctypes.c_uint64, ptr, i64), ctypes.c_uint64),
         "normals": ((ctypes.c_uint64, ptr, i64), ctypes.c_uint64),
-        "draw": ((ctypes.c_uint64, ptr, i64, i64, f64), ctypes.c_uint64),
+        "path": ((ctypes.c_uint64, ptr, i64, ptr), ctypes.c_uint64),
         "log_sincos": ((ptr, i64, ptr, ptr, ptr), None),
         "cell_means": ((ptr, ptr, i64, i64), None),
+        "level_means": ((ptr, i64, f64, ptr, i64, ptr, ptr), None),
         "cell_lines": ((ctypes.c_char_p, i64, ptr, ptr, i64, ptr, i64, ptr), i64),
     }
     for name, (argtypes, restype) in signatures.items():

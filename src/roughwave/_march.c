@@ -1,9 +1,10 @@
 /* The compiled kernels of roughwave, loaded by ``_kernels.load``: the march of
 ``solver.evolve`` (its steps up to a read, in one call) and its clock, the cell
-means of ``mesh.restrict``, the draw of one midpoint level of fBm, with a log and
-a sincos of its own, and the text of the per-cell CSV tables.  Each numerical kernel
-repeats the operations of its numpy twin (``numpy_kernels`` of the tests, numpy's own
-row mean), in the same order, so the bits are the same.
+means of ``mesh.restrict``, the one-pass restriction of a path to all its levels, the
+draw of a whole fBm path, with a log and a sincos of its own, and the text of the
+per-cell CSV tables.  Each numerical kernel repeats the operations of its numpy twin
+(``numpy_kernels`` of the tests, numpy's own division and row mean), in the same
+order, so the bits are the same.
 
 Each step of the march, of ``step_length`` (dt, or a last one shortened to land on
 t_final), fills the two ghost cells, evaluates the numerical flux at every face and
@@ -17,12 +18,19 @@ point the march checks, in a pass of its own, that the state is finite, and stop
 there if it is not, so that ``evolve`` returns to Python only where it reads a state.
 The draw's log and sincos are fdlibm's, in + - * /, sqrt and bit operations only,
 and ``numpy_kernels`` repeats them, so the normals' bits depend on no libm and no CPU.
+Two kernels of the initial-data studies walk a k = 18 path (2 MiB) about once, where
+a draw level by level and a restriction per level walk it once each.  ``path`` draws
+the finer levels a 16 KiB block at a time, each block's normals from its own place in
+the counter-based stream, so the bits are those of the level-by-level draw.
+``level_means`` divides each 128-cell block of a path by its peak in L1 and writes the
+block's rows for every factor up to 128; the rows of the larger factors are sums of
+128-cell sums, as numpy's pairwise halves are.
 Built with ``gcc -O3 -fno-math-errno -ffp-contract=off -mprefer-vector-width=512
 -shared -fPIC``: a contracted multiply-add would round once where numpy rounds twice,
-and a sqrt that need not set errno vectorizes.  The step and pairwise-sum templates
-and the uniforms and normals of the draw have one clone per x86-64 level, picked
-when the library loads, so that one cached library serves every CPU; their vector
-loops keep the order of every floating-point operation.
+and a sqrt that need not set errno vectorizes.  The step and pairwise-sum templates,
+the level pass and the uniforms and normals of the draw have one clone per x86-64
+level, picked when the library loads, so that one cached library serves every CPU;
+their vector loops keep the order of every floating-point operation.
 The text kernel, ``cell_lines``, writes each double as Python's ``repr`` does: the
 shortest digits that read back as it, the nearest if several (Schubfach), in
 ``repr``'s layout.  It is integer code, on gcc's 128-bit integers (64-bit targets),
@@ -125,9 +133,11 @@ static step_fn *const STEPS[] = {
 };
 
 /* numpy's pairwise sum (pairwise_sum_DOUBLE) of TERM(v, i) for i < count: sequential
-   below 8 terms, eight accumulators up to 128, else halves split at a multiple of 8 */
+   below 8 terms, eight accumulators up to 128 (the leaf, NAME_leaf), else halves split
+   at a multiple of 8 */
 #define PAIRWISE_SUM(NAME, TERM)                                                     \
-    CLONES static double NAME(const double *v, int64_t count)                        \
+    static inline __attribute__((always_inline))                                     \
+    double NAME##_leaf(const double *v, int64_t count)                               \
     {                                                                                \
         if (count < 8) {                                                             \
             double res = 0.0;                                                        \
@@ -135,20 +145,24 @@ static step_fn *const STEPS[] = {
                 res += TERM(v, i);                                                   \
             return res;                                                              \
         }                                                                            \
-        if (count <= 128) {                                                          \
-            double r[8];                                                             \
-            int64_t i;                                                               \
+        double r[8];                                                                 \
+        int64_t i;                                                                   \
+        for (int j = 0; j < 8; j++)                                                  \
+            r[j] = TERM(v, j);                                                       \
+        for (i = 8; i < count - (count % 8); i += 8)                                 \
             for (int j = 0; j < 8; j++)                                              \
-                r[j] = TERM(v, j);                                                   \
-            for (i = 8; i < count - (count % 8); i += 8)                             \
-                for (int j = 0; j < 8; j++)                                          \
-                    r[j] += TERM(v, i + j);                                          \
-            double res = ((r[0] + r[1]) + (r[2] + r[3]))                            \
-                         + ((r[4] + r[5]) + (r[6] + r[7]));                          \
-            for (; i < count; i++)                                                   \
-                res += TERM(v, i);                                                   \
-            return res;                                                              \
-        }                                                                            \
+                r[j] += TERM(v, i + j);                                              \
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))                                 \
+                     + ((r[4] + r[5]) + (r[6] + r[7]));                              \
+        for (; i < count; i++)                                                       \
+            res += TERM(v, i);                                                       \
+        return res;                                                                  \
+    }                                                                                \
+                                                                                     \
+    CLONES static double NAME(const double *v, int64_t count)                        \
+    {                                                                                \
+        if (count <= 128)                                                            \
+            return NAME##_leaf(v, count);                                            \
         int64_t half = count / 2;                                                    \
         half -= half % 8;                                                            \
         return NAME(v, half) + NAME(v + half, count - half);                         \
@@ -246,6 +260,55 @@ void cell_means(const double *v, double *out, int64_t rows, int64_t factor)
         out[i] = (0.0 + pairwise_sum(v + i * factor, factor)) / (double)factor;
 }
 
+/* the cells of a block of level_means: the leaf's largest count */
+#define LEVEL_BLOCK 128
+
+/* the means of the ``rows`` rows of F quotients of block b into its level */
+#define LEVEL_ROWS(F)                                                                \
+    for (int64_t r = 0; r < rows; r++)                                               \
+        level[b * rows + r] = (0.0 + pairwise_sum_leaf(q + r * (F), (F))) / (double)(F)
+
+/* The restrictions of the n values v / peak (n a power of two) by each of the
+   ``count`` power-of-two factors, none above n, from one pass over v: the level of
+   factors[j], n / factors[j] cells, goes into out after the levels before it, with the
+   bits of cell_means on v / peak.  Each block of 128 cells (all n if fewer) is divided
+   by peak into a scratch on the stack, the quotients of numpy's p /= peak, and the rows
+   of each factor up to 128 are summed there by pairwise_sum's leaf.  numpy's pairwise
+   sum of 2f values, f >= 128 a power of two, is the sum of its halves' sums, so the
+   larger factors come from the blocks' sums, kept in sums[n / 128] and added in pairs
+   one factor after another. */
+CLONES void level_means(const double *v, int64_t n, double peak, const int64_t *factors,
+                        int64_t count, double *out, double *sums)
+{
+    int64_t width = n < LEVEL_BLOCK ? n : LEVEL_BLOCK;
+    double q[LEVEL_BLOCK];
+    for (int64_t b = 0; b < n / width; b++) {
+        for (int64_t i = 0; i < width; i++)
+            q[i] = v[b * width + i] / peak;
+        double *level = out;
+        for (int64_t j = 0; j < count; level += n / factors[j++]) {
+            int64_t f = factors[j], rows = width / f; /* 0 if f > width */
+            switch (f) { /* at a constant count gcc vectorizes short rows across rows */
+            case 2: LEVEL_ROWS(2); break;
+            case 4: LEVEL_ROWS(4); break;
+            case 8: LEVEL_ROWS(8); break;
+            case 16: LEVEL_ROWS(16); break;
+            default: LEVEL_ROWS(f);
+            }
+        }
+        if (n > width)
+            sums[b] = pairwise_sum_leaf(q, width);
+    }
+    for (int64_t f = 2 * width; f <= n; f *= 2) {
+        for (int64_t i = 0; i < n / f; i++)
+            sums[i] = sums[2 * i] + sums[2 * i + 1];
+        double *level = out;
+        for (int64_t j = 0; j < count; level += n / factors[j++])
+            for (int64_t i = 0; factors[j] == f && i < n / f; i++)
+                level[i] = (0.0 + sums[i]) / (double)f;
+    }
+}
+
 static inline uint64_t bits_of(double x)
 {
     uint64_t b;
@@ -319,13 +382,16 @@ static inline void ieee_sincos(double x, double *sin_x, double *cos_x)
     *cos_x = (q + 1) & 2 ? -c : c;
 }
 
+/* the step of the splitmix64 stream's state */
+#define GOLDEN_GAMMA 0x9E3779B97F4A7C15u
+
 /* The ``count`` uniforms of SplitMix64.normals from the stream at state ``s``: u =
    (u64 >> 11) * 2^-53 with a zero draw made 2^-53, each angle slot (odd index) times
    2 pi.  Returns the state past them. */
 CLONES uint64_t uniforms(uint64_t s, double *z, int64_t count)
 {
     for (int64_t i = 0; i < count; i++) {
-        uint64_t x = s + (uint64_t)(i + 1) * 0x9E3779B97F4A7C15u;
+        uint64_t x = s + (uint64_t)(i + 1) * GOLDEN_GAMMA;
         x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9u;
         x = (x ^ (x >> 27)) * 0x94D049BB133111EBu;
         x ^= x >> 31;
@@ -333,7 +399,7 @@ CLONES uint64_t uniforms(uint64_t s, double *z, int64_t count)
         u = u > 0x1p-53 ? u : 0x1p-53;
         z[i] = u * (i & 1 ? 2.0 * 3.141592653589793 : 1.0);
     }
-    return s + (uint64_t)count * 0x9E3779B97F4A7C15u;
+    return s + (uint64_t)count * GOLDEN_GAMMA;
 }
 
 /* SplitMix64.normals: the ``count`` (even) normals from the stream at state ``s``,
@@ -354,11 +420,11 @@ CLONES uint64_t normals(uint64_t s, double *z, int64_t count)
 /* normals drawn at a time, on the stack */
 #define DRAW_BLOCK 512
 
-/* One midpoint level of initial_data._midpoint_points: ``count`` (even) normals from
-   the stream at state ``s``, and the midpoints pts[j * stride + stride / 2] = (left +
-   right) * 0.5 + noise * scale of the intervals [j * stride, (j + 1) * stride] of
+/* One midpoint level, or its part in one block of a path: ``count`` (even) normals
+   from the stream at state ``s``, and the midpoints pts[j * stride + stride / 2] = (left
+   + right) * 0.5 + noise * scale of the intervals [j * stride, (j + 1) * stride] of
    pts.  Returns the state past the draws. */
-uint64_t draw(uint64_t s, double *pts, int64_t stride, int64_t count, double scale)
+static uint64_t draw(uint64_t s, double *pts, int64_t stride, int64_t count, double scale)
 {
     double z[DRAW_BLOCK];
     int64_t half = stride / 2;
@@ -371,6 +437,43 @@ uint64_t draw(uint64_t s, double *pts, int64_t stride, int64_t count, double sca
         }
     }
     return s;
+}
+
+/* a path is drawn a block of 2^BLOCK_LEVELS intervals (16 KiB) at a time below its
+   first levels */
+#define BLOCK_LEVELS 11
+
+/* initial_data._midpoint_points: the 2^k + 1 points of a path from the stream at state
+   ``s``, level l's midpoints displaced by scales[l], in the order of the numpy twin's
+   levels.  pts[0] is 0, and pts[2^k] and level 0's one midpoint take the first pair of
+   normals.  Levels 1 to L0 = k - BLOCK_LEVELS (none if k <= BLOCK_LEVELS) are drawn
+   whole, one after another; then each of the 2^L0 blocks of 2^BLOCK_LEVELS intervals is
+   drawn through levels L0 + 1 to k - 1 while it is in L1 cache.  The stream is a
+   counter, so block b at level l, with c = 2^(l - L0) of the level's 2^l midpoints,
+   draws from state s_l + b c gamma, s_l the level's own; c is even, so the Box-Muller
+   pairs are the level's.  (A fixed L0 would leave deep levels out of cache or, at
+   small k, blocks whose few normals fill no vector.)  Returns the state past the 2^k
+   normals. */
+uint64_t path(uint64_t s, double *pts, int64_t k, const double *scales)
+{
+    int64_t n = (int64_t)1 << k, whole = k > BLOCK_LEVELS ? k - BLOCK_LEVELS : 0;
+    double z[2];
+    s = normals(s, z, 2);
+    pts[0] = 0.0;
+    pts[n] = z[0];
+    pts[n / 2] = 0.5 * pts[n] + scales[0] * z[1];
+    for (int64_t l = 1; l <= whole; l++)
+        s = draw(s, pts, n >> l, (int64_t)1 << l, scales[l]);
+    int64_t blocks = (int64_t)1 << whole, width = n >> whole;
+    for (int64_t b = 0; b < blocks; b++) {
+        uint64_t s_l = s;
+        for (int64_t l = whole + 1; l < k; l++) {
+            uint64_t c = (uint64_t)1 << (l - whole);
+            draw(s_l + b * c * GOLDEN_GAMMA, pts + b * width, n >> l, (int64_t)c, scales[l]);
+            s_l += blocks * c * GOLDEN_GAMMA;
+        }
+    }
+    return s + (uint64_t)(n - 2 * blocks) * GOLDEN_GAMMA; /* levels whole + 1 .. k - 1 */
 }
 
 /* log, sin and cos of the n values x, as the draw takes them, for the tests of their

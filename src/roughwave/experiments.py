@@ -35,8 +35,8 @@ from .diagnostics import (
     tv_time_integral,
 )
 from .flux import FluxSpec, NumericalFluxSpec
-from .initial_data import MAX_LEVEL, _unit_path, fbm_initial_field, sample_seed
-from .mesh import CellField, Grid, _cell_means, make_grid
+from .initial_data import MAX_LEVEL, _draw_path, _unit_cells, fbm_initial_field, sample_seed
+from .mesh import CellField, Grid, _level_means, make_grid
 from .solver import Boundary, SchemeConfig, _check_snapshot_times, _check_steps, evolve
 
 
@@ -180,14 +180,15 @@ def _field(cfg: StudyConfig, hurst: float, sample: int, k: int) -> CellField:
 
 
 def _reference(cfg: StudyConfig, hurst: float, sample: int):
-    """The sample drawn once at ``reference_exponent``, as the cell values of
-    ``fbm_initial_field`` (a view of the path, not a CellField), and a generator of
-    ``(k, its restriction to 2^k cells)`` over the resolutions, built one at a time."""
+    """The sample drawn once at ``reference_exponent``: the path of ``_draw_path``
+    and its divisor, and ``(k, the unit path's restriction to 2^k cells)`` for each
+    resolution, every level from one pass over the path, which is left undivided."""
     ref = cfg.reference_exponent
-    values = _unit_path(hurst, ref, sample_seed(cfg.base_seed, sample))[:-1]
-    levels = ((k, CellField(make_grid(0.0, 1.0, 1 << k), _cell_means(values, 1 << (ref - k))))
-              for k in cfg.resolutions)
-    return values, levels
+    path, peak = _draw_path(hurst, ref, sample_seed(cfg.base_seed, sample))
+    means = _level_means(path[:-1], peak, [1 << (ref - k) for k in cfg.resolutions])
+    levels = [(k, CellField(make_grid(0.0, 1.0, 1 << k), m))
+              for k, m in zip(cfg.resolutions, means)]
+    return path, peak, levels
 
 
 def _slope_or_none(points) -> Optional[float]:
@@ -242,7 +243,8 @@ def _fbm_sample(cfg, hurst, sample):
 
 
 def _converge_sample(cfg, hurst, sample):
-    values, levels = _reference(cfg, hurst, sample)
+    path, peak, levels = _reference(cfg, hurst, sample)
+    values = _unit_cells(path, peak)
     u0_ref = CellField(make_grid(0.0, 1.0, values.size), values)
     ref_final = evolve(u0_ref, cfg.scheme).final
     ks, points = [], []
@@ -276,7 +278,7 @@ def _fit_sample(study, measure, cfg, hurst, sample):
     """One row ``(study, hurst, sample, k, dx, *measure(cfg, k, u0_k), None)`` per
     restricted level, and a SLOPE row: the last measured value fitted against dx."""
     rows, points = [], []
-    _, levels = _reference(cfg, hurst, sample)
+    *_, levels = _reference(cfg, hurst, sample)
     for k, u0_k in levels:
         values = measure(cfg, k, u0_k)
         rows.append((study, hurst, sample, k, float(u0_k.grid.dx), *values, None))
@@ -288,7 +290,7 @@ def _fit_sample(study, measure, cfg, hurst, sample):
 def _tvdecay_sample(cfg, hurst, sample):
     periodic = cfg.boundary is Boundary.PERIODIC
     rows = []
-    _, levels = _reference(cfg, hurst, sample)
+    *_, levels = _reference(cfg, hurst, sample)
     for k, u0_k in levels:
         traj = evolve(u0_k, cfg.scheme, snapshot_times=cfg.snapshot_times)
         for snap in traj.snapshots:

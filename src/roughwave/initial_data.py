@@ -3,9 +3,13 @@ midpoint displacement.
 
 The random number generator is pinned to an exact bit recipe (splitmix64
 for the integer stream, Box-Muller for normals) so that every experiment is
-reproducible from its seed alone.  The normals and each midpoint level are drawn
-by the compiled library of ``_kernels``, whose log and sincos are IEEE basic
-operations only, so no libm and no SIMD kernel picked by CPU sets their bits.
+reproducible from its seed alone.  The normals and the whole path are drawn in one
+call of the compiled library of ``_kernels``, whose log and sincos are IEEE basic
+operations only, so no libm and no SIMD kernel picked by CPU sets their bits; the
+path's finer levels are drawn a cache-sized block at a time, in the bits of the
+level-by-level order.  ``_draw_path`` gives a path and its peak, which the studies'
+one-pass restriction divides by as it reads; ``_unit_cells`` divides the path itself
+and seals it, so that a CellField keeps it without a copy.
 """
 
 from __future__ import annotations
@@ -71,44 +75,48 @@ def _midpoint_points(hurst: float, level_k: int, rng: SplitMix64) -> np.ndarray:
     interval is bisected and the midpoint set to the neighbour average plus a
     fresh Gaussian scaled by ``_midpoint_scale(hurst, level)``.  The traversal
     order is fixed, so a path is a pure function of (hurst, level, seed).  The
-    right endpoint and level 0's one midpoint are drawn as one pair; each later
-    level's even count of noise is drawn in one block and written straight into
-    its midpoint slots, by one call of the library's ``draw``.
+    right endpoint and level 0's one midpoint are drawn as one pair, and each later
+    level's even count of noise in one block.  The whole path is one call of the
+    library's ``path``, which draws the finer levels a cache-sized block of the path at
+    a time, each block's normals from its own place in the stream, so the bits are
+    those of the level-by-level order.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
     if not 1 <= level_k <= MAX_LEVEL:
         raise ValueError(f"level must lie in [1, {MAX_LEVEL}], got {level_k}")
-    n = 1 << level_k
-    pts = np.zeros(n + 1)
-    pts[n], noise = rng.normals(2)
-    pts[n >> 1] = 0.5 * pts[n] + _midpoint_scale(hurst, 0) * noise
-    draw = _kernels.load().draw
-    for level in range(1, level_k):
-        rng.state = draw(rng.state, pts.ctypes.data, n >> level, 1 << level,
-                         _midpoint_scale(hurst, level))
+    pts = np.empty((1 << level_k) + 1)
+    scales = np.array([_midpoint_scale(hurst, level) for level in range(level_k)])
+    rng.state = _kernels.load().path(rng.state, pts.ctypes.data, level_k, scales.ctypes.data)
     return pts
 
 
-def _unit_path(hurst: float, level_k: int, seed: int) -> np.ndarray:
-    """The path of ``_midpoint_points`` drawn with ``SplitMix64(seed)``, rescaled in
-    place so that its largest |value| is 1; a zero path is left alone."""
+def _draw_path(hurst: float, level_k: int, seed: int):
+    """The path of ``_midpoint_points`` drawn with ``SplitMix64(seed)``, and the
+    divisor that makes its largest |value| 1: that value, or 1.0 for a zero path,
+    which is left alone."""
     p = _midpoint_points(hurst, level_k, SplitMix64(seed))
     peak = max(p.max(), -p.min())  # max|p|, without a |p| temporary
-    if peak != 0.0:
-        p /= peak
-    return p
+    return p, peak if peak != 0.0 else 1.0
+
+
+def _unit_cells(path: np.ndarray, peak: float) -> np.ndarray:
+    """The cell values of the unit path: ``path`` divided in place by ``peak`` and
+    frozen, its final point dropped, a view that a CellField keeps as it is."""
+    path /= peak
+    path.setflags(write=False)
+    return path[:-1]
 
 
 def fbm_initial_field(hurst: float, grid: Grid, seed: int) -> CellField:
     """Normalized fBm sample as cell data on a power-of-two grid over [0, 1].
 
-    Cell i takes the value at its left edge i * 2^-k of ``_unit_path``; the
-    final path point is dropped.
+    Cell i takes the value at its left edge i * 2^-k of the path of ``_draw_path``
+    divided by its divisor; the final path point is dropped.
     """
     n = grid.n_cells
     if n < 2 or n & (n - 1) != 0:
         raise ValueError(f"n_cells must be a power of two >= 2, got {n}")
     if grid.x_left != 0.0 or grid.x_right != 1.0:
         raise ValueError(f"fBm fields live on [0, 1], got [{grid.x_left}, {grid.x_right}]")
-    return CellField(grid, _unit_path(hurst, n.bit_length() - 1, seed)[:-1])
+    return CellField(grid, _unit_cells(*_draw_path(hurst, n.bit_length() - 1, seed)))

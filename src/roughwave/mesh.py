@@ -1,12 +1,20 @@
 """Uniform 1D grids (``make_grid`` is ``Grid``, which stores float edges and refuses a
 cell count that is not an integer in [1, sys.maxsize] and a cell width that is not
-finite and > 0), piecewise-constant cell fields and fine-to-coarse restriction."""
+finite and > 0), piecewise-constant cell fields and fine-to-coarse restriction.
+
+A ``CellField`` keeps a sealed array (one that nothing can write) as it is and copies
+any other, so the package seals the arrays it gives up: a fresh restriction, the fBm
+path and the levels of ``_level_means``.  ``restrict`` (and with it ``l1_distance``)
+takes any factor through ``_cell_means``, the one general row mean; ``_level_means``
+gives every power-of-two level of a path from one pass over it, the bits of
+``_cell_means`` on the path divided by its peak."""
 
 from __future__ import annotations
 
 import operator
 import sys
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -46,14 +54,20 @@ class Grid:
 class CellField:
     """Piecewise-constant state: one finite real value per grid cell.
 
-    The value array is copied and frozen on construction, so threads can share fields.
+    The values are a frozen C-contiguous float64 array, so threads can share fields.
+    An array that nothing can write, ``_sealed``, is kept as it is; any other is
+    copied, so that no write through the caller's array, or through an array it is a
+    view of, changes the field.
     """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = self.values
+        if not _sealed(v):
+            v = np.array(v, dtype=float)
+            v.setflags(write=False)
         if v.shape != (self.grid.n_cells,):
             raise ValueError(
                 f"values must have shape ({self.grid.n_cells},), got {v.shape}"
@@ -61,8 +75,22 @@ class CellField:
         if not np.all(np.isfinite(v)):
             bad = int(np.argmin(np.isfinite(v)))
             raise ValueError(f"non-finite value in cell {bad}")
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+
+def _sealed(values) -> bool:
+    """Whether ``values`` is a C-contiguous float64 array that nothing can write: it,
+    and each array it is a view of down to the one that owns the memory, is read-only.
+    (numpy lets the owner's holder make it writable again; whoever seals an array for
+    a CellField gives it up.)"""
+    if not (type(values) is np.ndarray and values.dtype == np.float64
+            and values.flags.c_contiguous):
+        return False
+    while type(values) is np.ndarray and not values.flags.writeable:
+        if values.base is None:
+            return True
+        values = values.base
+    return False
 
 
 make_grid = Grid
@@ -77,7 +105,9 @@ def restrict(fine: CellField, factor: int) -> CellField:
     if n % factor != 0:
         raise ValueError(f"n_cells={n} not divisible by factor={factor}")
     coarse_grid = Grid(fine.grid.x_left, fine.grid.x_right, n // factor)
-    return CellField(coarse_grid, _cell_means(fine.values, factor))
+    means = _cell_means(fine.values, factor)
+    means.setflags(write=False)
+    return CellField(coarse_grid, means)
 
 
 def _cell_means(values: np.ndarray, factor: int) -> np.ndarray:
@@ -88,3 +118,24 @@ def _cell_means(values: np.ndarray, factor: int) -> np.ndarray:
     out = np.empty(values.size // factor)
     _kernels.load().cell_means(values.ctypes.data, out.ctypes.data, out.size, factor)
     return out
+
+
+def _level_means(values: np.ndarray, peak: float, factors) -> list:
+    """The means of each run of ``factor`` of ``values / peak`` for each of the
+    power-of-two ``factors``, none above the power-of-two size of the 1-d ``values``:
+    the bits of ``_cell_means(values / peak, factor)``, from one pass of the library's
+    ``level_means``, which leaves ``values`` as they are.  The levels are sealed views
+    of one fresh array, which CellFields keep."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    n = values.size
+    if n < 1 or n & (n - 1) or any(f < 1 or f > n or f & (f - 1) for f in factors):
+        raise ValueError(f"factors {list(factors)} are not powers of two up to the "
+                         f"power-of-two size {n}")
+    ends = list(accumulate(n // f for f in factors))
+    out = np.empty(ends[-1] if ends else 0)
+    sums = np.empty(max(n // 128, 1))  # the kernel's block sums
+    table = np.array(factors, dtype=np.int64)
+    _kernels.load().level_means(values.ctypes.data, n, peak, table.ctypes.data, table.size,
+                                out.ctypes.data, sums.ctypes.data)
+    out.setflags(write=False)
+    return [out[end - n // f:end] for f, end in zip(factors, ends)]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from roughwave import Boundary, FluxSpec, NumFluxKind, StudyResult, config_from_dict
-from roughwave import SplitMix64, cli, experiments, sample_seed, solver
+from roughwave import cli, experiments, initial_data, sample_seed, solver
 from roughwave.cli import ConfigError, parse_config, run, write_csv
 
 MINIMAL = """\
@@ -118,8 +118,10 @@ def test_selfcheck_passes(capsys):
 
 
 def test_selfcheck_fails_when_the_draw_studies_run_is_wrong(march, capsys, monkeypatch):
-    # level 0 of every fBm path takes its normals from SplitMix64.normals
-    monkeypatch.setattr(SplitMix64, "normals", lambda self, count: np.zeros(count))
+    # level 0's midpoint of every fBm path drawn without its noise
+    scale = initial_data._midpoint_scale
+    monkeypatch.setattr(initial_data, "_midpoint_scale",
+                        lambda hurst, level: scale(hurst, level) if level else 0.0)
     assert run(["selfcheck"]) == 2
     out = capsys.readouterr().out
     assert "[FAIL] fbm seed=0" in out

@@ -236,6 +236,32 @@ def test_lipscale_rows_match_restricted_seminorm():
         assert row[5] == pytest.approx(want, rel=1e-15)
 
 
+def test_reference_levels_are_the_restrictions_of_the_unit_path():
+    # one pass over the undivided path gives the bits of restricting the unit path,
+    # here a k = 12 path, which the library draws in two blocks
+    from roughwave import fbm_initial_field, make_grid
+
+    cfg = burgers_cfg(resolutions=(1, 4, 7, 8, 11), reference_exponent=12)
+    ref = fbm_initial_field(0.75, make_grid(0, 1, 1 << 12), sample_seed(2024, 3))
+    *_, levels = experiments._reference(cfg, 0.75, 3)
+    assert [k for k, _ in levels] == [1, 4, 7, 8, 11]
+    for k, field in levels:
+        assert field.values.tobytes() == restrict(ref, 1 << (12 - k)).values.tobytes(), k
+
+
+def test_a_zero_path_gives_zero_levels(monkeypatch):
+    # a zero path is left alone: no level holds the nan of 0 / 0
+    from roughwave import initial_data
+
+    monkeypatch.setattr(initial_data, "_midpoint_points",
+                        lambda hurst, level, rng: np.zeros((1 << level) + 1))
+    cfg = burgers_cfg(n_samples=1, resolutions=(1, 5, 8))
+    *_, levels = experiments._reference(cfg, 0.5, 0)
+    for k, field in levels:
+        assert field.values.tobytes() == np.zeros(1 << k).tobytes()
+    assert [row[5] for row in data_rows(run_samples_parallel("tvscale", cfg))] == [0.0] * 3
+
+
 def test_slope_fit_skips_nonpositive_values():
     assert _slope_or_none([(0.5, 1.0), (0.25, -1.0)]) is None
     assert _slope_or_none([(0.5, 0.0), (0.25, 0.0)]) is None

@@ -15,7 +15,8 @@
   checks, and t_final can be 0.  The states have 1-1,001 cells, so that they
   fill the vectors of each clone and leave tails.  Built for one x86-64 level at
   a time, without clones, the C march gives the bits of the oracle's too, its
-  check after time point 63 included, and so do the C draw, log and sincos.
+  check after time point 63 included, and so do the C draw, level pass, log and
+  sincos.
 - Each state ``evolve`` reads is one C call: a run makes one per positive
   snapshot time and one for t_final, its short last step included.
 - The C total variation equals the oracle's ``variation`` (numpy's pairwise
@@ -23,10 +24,13 @@
   recursion splits.
 - The C cell means equal ``values.reshape(-1, factor).mean(axis=1)`` byte for
   byte, on signed zeros, subnormals and magnitudes from 1e-300 to 1e300, for
-  factors 1-4096 and for many rows of 2-128 cells.
+  factors 1-4096 and for many rows of 2-128 cells.  So do the levels of the one-pass
+  ``level_means`` on ``values / peak``, for 2-65,536 values, any set of power-of-two
+  factors and peaks of 1, random and 1e-300.
 - The C uniforms and normals of the draw equal the oracle's numpy ones, zero
-  draws included, and return the stream's state past them.  A midpoint level is
-  one C call.
+  draws included, and return the stream's state past them.  A path is one C call,
+  and for k = 1-20 its blocked draw gives the bits and the stream state of the
+  oracle's level-by-level draw.
 - ``_march.c`` builds with ``-Wall -Wextra -Werror`` (unused parameters aside),
   and the x86 option ``-mprefer-vector-width`` is passed to gcc on x86-64 only.
   Every function it exports has a ctypes signature in ``_kernels``, and every
@@ -54,7 +58,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -78,6 +82,7 @@ from roughwave import (
 from roughwave.cli import run
 from roughwave.flux import PAIRS
 from roughwave.initial_data import GOLDEN_GAMMA, SplitMix64, _midpoint_points
+from roughwave.mesh import _level_means
 
 PAIR_IDS = [f"{kind.value}-{spec.value}" for kind, spec in PAIRS]
 
@@ -298,10 +303,15 @@ def test_each_clone_level_marches_the_numpy_bits(level, feature, tmp_path, monke
                                               cfg, first=62)
             assert compiled == numpy_bits, (level, kind, spec, boundary)
 
-    # the draw, every level of two k = 16 paths, and the log and sincos on 2^16 values
+    # the draw, every level of two k = 16 paths (in 32 blocks), the level pass on 2^16
+    # values for every factor, and the log and sincos on 2^16 values
     for hurst, seed in [(0.25, 3), (0.75, 2**64 - 1)]:
         assert (_midpoint_points(hurst, 16, SplitMix64(seed)).tobytes()
                 == oracle.midpoint_points(hurst, 16, oracle.SplitMix64(seed)).tobytes())
+    v = rng.standard_normal(1 << 16)
+    factors = [1 << e for e in range(17)]
+    assert ([level.tobytes() for level in _level_means(v, 0.3, factors)]
+            == [(v / 0.3).reshape(-1, f).mean(axis=1).tobytes() for f in factors])
     x = rng.random(1 << 16) * (2.0 * np.pi)
     out = [np.empty(x.size) for _ in range(3)]
     lib.log_sincos(x.ctypes.data, x.size, *(o.ctypes.data for o in out))
@@ -325,21 +335,20 @@ row_shapes = st.one_of(
     st.tuples(st.integers(1, 300), st.integers(2, 128)))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(shape=row_shapes, seed=st.integers(0, 2**32 - 1),
-       scale=st.sampled_from(["unit", "wide", "subnormal", "zeros"]),
-       spots=st.lists(st.tuples(st.integers(0, 2**20), st.one_of(
-           st.sampled_from(ZEROS_AND_SUBNORMALS),
-           st.builds(lambda m, e: m * 10.0**e, st.floats(-9.9, 9.9), st.integers(-300, 299)))),
-           max_size=12))
-def test_c_cell_means_equal_numpy_mean(shape, seed, scale, spots):
-    # the values: normals at unit scale, at magnitudes 1e-300 to 1e300, of
-    # subnormal size with signed zeros, or zeros, 99% of them -0.0; then a few
-    # cells set to chosen values
-    rows, factor = shape
-    cell_means = _kernels.load().cell_means
+# cells set to chosen values: zeros and subnormals, or magnitudes from 1e-300 to 1e300
+value_spots = st.lists(st.tuples(st.integers(0, 2**20), st.one_of(
+    st.sampled_from(ZEROS_AND_SUBNORMALS),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-9.9, 9.9), st.integers(-300, 299)))),
+    max_size=12)
+value_scales = st.sampled_from(["unit", "wide", "subnormal", "zeros"])
+
+
+def cell_values(size, seed, scale, spots):
+    """``size`` normals at unit scale, at magnitudes 1e-300 to 1e300, of subnormal size
+    with signed zeros, or zeros, 99% of them -0.0; then a few cells set to chosen
+    values."""
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(rows * factor)
+    v = rng.standard_normal(size)
     if scale == "wide":
         v *= 10.0 ** rng.integers(-300, 300, v.size)
     elif scale == "subnormal":
@@ -348,9 +357,47 @@ def test_c_cell_means_equal_numpy_mean(shape, seed, scale, spots):
         v = np.where(rng.random(v.size) < 0.01, 0.0, -0.0)
     for index, value in spots:
         v[index % v.size] = value
+    return v
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(shape=row_shapes, seed=st.integers(0, 2**32 - 1), scale=value_scales, spots=value_spots)
+def test_c_cell_means_equal_numpy_mean(shape, seed, scale, spots):
+    rows, factor = shape
+    v = cell_values(rows * factor, seed, scale, spots)
     out = np.empty(rows)
-    cell_means(v.ctypes.data, out.ctypes.data, rows, factor)
+    _kernels.load().cell_means(v.ctypes.data, out.ctypes.data, rows, factor)
     assert out.tobytes() == v.reshape(-1, factor).mean(axis=1).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(exponent=st.one_of(st.integers(1, 16), st.sampled_from([6, 7])), data=st.data(),
+       peak=st.one_of(st.just(1.0), st.floats(1e-3, 1e3), st.just(1e-300)),
+       seed=st.integers(0, 2**32 - 1), scale=value_scales, spots=value_spots)
+@example(exponent=6, data=None, peak=0.3, seed=1, scale="unit", spots=[])
+@example(exponent=7, data=None, peak=0.7, seed=2, scale="wide", spots=[])
+@example(exponent=16, data=None, peak=1.0, seed=3, scale="zeros", spots=[])
+def test_level_means_equal_numpy_means_of_the_quotients(exponent, data, peak, seed, scale, spots):
+    # 2^exponent values (below, at and above the kernel's 128-cell blocks) and any set of
+    # power-of-two factors up to 2^exponent, in any order; all of them where hypothesis
+    # draws none (the explicit examples, the last with rows of -0.0 alone at every
+    # factor: their mean is +0.0)
+    exponents = list(range(exponent + 1)) if data is None else data.draw(
+        st.lists(st.integers(0, exponent), min_size=1, unique=True))
+    factors = [1 << e for e in exponents]
+    v = cell_values(1 << exponent, seed, scale, spots)
+    with np.errstate(over="ignore", invalid="ignore"):  # quotients and sums may overflow
+        expected = [(v / peak).reshape(-1, f).mean(axis=1).tobytes() for f in factors]
+    levels = _level_means(v, peak, factors)
+    assert [level.tobytes() for level in levels] == expected
+    assert not any(level.flags.writeable for level in levels)
+
+
+@pytest.mark.parametrize("size, factors", [(6, [2]), (0, []), (8, [3]), (8, [0]), (8, [16]),
+                                           (8, [-2])])
+def test_level_means_refuses_what_the_kernel_cannot_index(size, factors):
+    with pytest.raises(ValueError, match="powers of two"):
+        _level_means(np.zeros(size), 1.0, factors)
 
 
 # seeds whose stream draws a zero word, and its slot: from -gamma (mod 2^64) the first
@@ -382,18 +429,31 @@ def test_c_normals_equal_numpy_normals(seed, count):
     assert draws[0] == draws[1]
 
 
-def test_each_midpoint_level_is_one_c_call(monkeypatch):
+def test_the_path_is_one_c_call(monkeypatch):
     lib = _kernels.load()
-    counts = []
+    calls = []
 
-    class CountingDraws(CountingLibrary):
-        def draw(self, state, pts, stride, count, scale):
-            counts.append((stride, count))
-            return self.lib.draw(state, pts, stride, count, scale)
+    class CountingPaths(CountingLibrary):
+        def path(self, state, pts, level_k, scales):
+            calls.append(level_k)
+            return self.lib.path(state, pts, level_k, scales)
 
-    monkeypatch.setattr(_kernels, "load", lambda: CountingDraws(lib))
-    _midpoint_points(0.5, 12, SplitMix64(1))
-    assert counts == [(1 << (12 - level), 1 << level) for level in range(1, 12)]
+    monkeypatch.setattr(_kernels, "load", lambda: CountingPaths(lib))
+    _midpoint_points(0.5, 18, SplitMix64(1))
+    assert calls == [18]
+
+
+@pytest.mark.parametrize("seed", [2024, *ZERO_SLOTS])
+@pytest.mark.parametrize("hurst", [0.25, 0.75])
+def test_the_blocked_path_has_the_bits_of_the_level_by_level_path(hurst, seed):
+    # the library draws levels k - 11 and up a block of 2^11 intervals at a time, each
+    # block's normals from its own place in the stream: from k = 12 on, in 2 to 512
+    # blocks; up to k = 11 level by level, as the oracle draws every k
+    for k in range(1, 21):
+        rng, twin = SplitMix64(seed), oracle.SplitMix64(seed)
+        path = _midpoint_points(hurst, k, rng)
+        assert path.tobytes() == oracle.midpoint_points(hurst, k, twin).tobytes(), k
+        assert rng.state == twin.state, k
 
 
 def test_march_c_builds_without_warnings(tmp_path):

@@ -99,3 +99,58 @@ def test_restrict_rejects_nondivisible():
     f = CellField(make_grid(0, 1, 6), np.zeros(6))
     with pytest.raises(ValueError):
         restrict(f, 4)
+
+
+def _write_through_every_writable_base(values):
+    """Write through ``values`` and each object it is a view of that can be written:
+    arrays, and a bytearray under them."""
+    a = values
+    while a is not None:
+        if isinstance(a, bytearray):
+            a[:] = b"\x01" * len(a)
+        elif isinstance(a, np.ndarray) and a.flags.writeable:
+            a[...] = -7.0
+        a = getattr(a, "base", None)
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+def _read_only(a):
+    return _frozen(a.view())
+
+
+# ways to pass a CellField its values, and whether it may keep the array itself: only
+# if nothing can write it
+PASSED = {
+    "fresh array": (lambda: np.arange(8.0), False),
+    "view of a writable array": (lambda: np.arange(16.0)[4:12], False),
+    "read-only view of a writable array": (lambda: _read_only(np.arange(16.0)[4:12]), False),
+    "read-only view of a read-only view of a writable array":
+        (lambda: _read_only(_read_only(np.arange(8.0))), False),
+    "strided view": (lambda: np.arange(16.0)[::2], False),
+    "read-only strided view of a sealed array": (lambda: _frozen(np.arange(16.0))[::2], False),
+    "sealed float32 array": (lambda: _frozen(np.arange(8.0, dtype=np.float32)), False),
+    "read-only array over a bytearray": (lambda: _read_only(np.frombuffer(bytearray(64))), False),
+    "sealed array over a bytearray": (lambda: _frozen(np.frombuffer(bytearray(64))), False),
+    "list": (lambda: [float(i) for i in range(8)], False),
+    "sealed array": (lambda: _frozen(np.arange(8.0)), True),
+    "read-only view of a sealed array": (lambda: _frozen(np.arange(16.0))[4:12], True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PASSED))
+def test_no_write_through_the_callers_arrays_changes_a_field(name):
+    make, kept = PASSED[name]
+    values = make()
+    field = CellField(make_grid(0, 1, 8), values)
+    before = field.values.tobytes()
+    assert (field.values is values) == kept
+    assert not field.values.flags.writeable and field.values.flags.c_contiguous
+    assert field.values.dtype == np.float64
+    _write_through_every_writable_base(values)
+    assert field.values.tobytes() == before
+    with pytest.raises(ValueError):
+        field.values[0] = 1.0

@@ -522,3 +522,22 @@ def test_the_kernels_leave_numpys_error_state_alone():
             step(CellField(make_grid(0, 1, 3), [0.0, 1e306, 0.0]), cfg, 1e-3)
         field = CellField(make_grid(0, 1, 3), [1.0, 2.0, 3.0])
         assert float(np.sum(field.values * 2.0)) == 12.0
+
+
+def test_a_snapshot_is_not_changed_by_later_steps(monkeypatch):
+    # the march reuses its rows; each state it exposes is a copy of its row
+    exposed = []
+    expose = solver._expose
+
+    def recording(*args):
+        field = expose(*args)
+        exposed.append((field, field.values.tobytes()))
+        return field
+
+    monkeypatch.setattr(solver, "_expose", recording)
+    u0 = fbm_initial_field(0.5, make_grid(0.0, 1.0, 64), 3)
+    traj = evolve(u0, burgers_config(t_final=0.5), snapshot_times=(0.1, 0.2, 0.3))
+    fields = [snap.field for snap in traj.snapshots] + [traj.final]
+    assert len(exposed) == 4 and all(a is b for a, (b, _) in zip(fields, exposed))
+    assert all(field.values.tobytes() == bits for field, bits in exposed)
+    assert len({bits for _, bits in exposed}) == 4
