@@ -11,11 +11,17 @@ t_final), fills the two ghost cells, evaluates the numerical flux at every face 
 writes v - ratio * (F[i+1] - F[i]), ratio = its length / dx, with the operations, and
 their order, of the twin's ``advance`` and of ``flux.numerical_flux``, so the bits are
 those of the numpy march; a march leaves its state in the first of its three rows,
-where the numpy march keeps it.  Rusanov and Lax-Friedrichs are one template each
-over the law's f; the cubic f is evaluated once per cell, into the scratch row.
-numpy's NaN-propagating maximum and minimum are written out.  After every 64th time
-point the march checks, in a pass of its own, that the state is finite, and stops
-there if it is not, so that ``evolve`` returns to Python only where it reads a state.
+where the numpy march keeps it.  A step takes its faces a block at a time, their
+fluxes into the scratch row and then the update of the block's cells, upward, so that
+no vector is reversed; a step that divides takes blocks of 64 faces, so that its
+divisions overlap the passes around them, and the linear upwind step, whose faces
+are its cells, takes one pass.  Rusanov and Lax-Friedrichs are one template each over
+the law's f; the cubic f is evaluated once per cell, into the next-state row ahead of
+the update.  numpy's NaN-propagating maximum and minimum are written out, as two
+selects each, and the per-step TV is numpy's pairwise sum, its eight accumulators
+the lanes of one vector.  After every 64th time point the march checks, in a pass
+of its own, that the state is finite, and stops there if it is not, so that
+``evolve`` returns to Python only where it reads a state.
 The draw's log and sincos are fdlibm's, in + - * /, sqrt and bit operations only,
 and ``numpy_kernels`` repeats them, so the normals' bits depend on no libm and no CPU.
 Two kernels of the initial-data studies walk a k = 18 path (2 MiB) about once, where
@@ -27,7 +33,7 @@ block's rows for every factor up to 128; the rows of the larger factors are sums
 128-cell sums, as numpy's pairwise halves are.
 Built with ``gcc -O3 -fno-math-errno -ffp-contract=off -mprefer-vector-width=512
 -shared -fPIC``: a contracted multiply-add would round once where numpy rounds twice,
-and a sqrt that need not set errno vectorizes.  The step and pairwise-sum templates,
+and a sqrt that need not set errno vectorizes.  The steps, the pairwise-sum template,
 the level pass and the uniforms and normals of the draw have one clone per x86-64
 level, picked when the library loads, so that one cached library serves every CPU;
 their vector loops keep the order of every floating-point operation.
@@ -47,12 +53,23 @@ and has no clones.
 #define CLONES
 #endif
 
-static inline double np_maximum(double x, double y) { return (x >= y || isnan(x)) ? x : y; }
-static inline double np_minimum(double x, double y) { return (x <= y || isnan(x)) ? x : y; }
+/* numpy's maximum and minimum, NaN in either operand propagated, as two selects, the
+   form gcc vectorizes with the fewest mask moves (an || moves masks through general
+   registers, and y > x ? y : x is not vectorized at all) */
+static inline double np_maximum(double x, double y)
+{
+    double r = x >= y ? x : y;
+    return isnan(x) ? x : r;
+}
+
+static inline double np_minimum(double x, double y)
+{
+    double r = x <= y ? x : y;
+    return isnan(x) ? x : r;
+}
 
 static inline double burgers(double u) { return (0.5 * u) * u; }
 static inline double cubic(double u) { return ((u * u) * u) / 3.0; }
-static inline double linear(double u) { return u; }
 
 /* F(a, b) of each pair; two_lam is 2 * lam, read by Lax-Friedrichs only */
 static inline double godunov_burgers(double a, double b, double two_lam)
@@ -67,7 +84,6 @@ static inline double engquist_osher_burgers(double a, double b, double two_lam)
 }
 
 static inline double cubic_of_a(double a, double b, double two_lam) { return cubic(a); }
-static inline double linear_of_a(double a, double b, double two_lam) { return a; }
 
 /* Rusanov's endpoint speed s = max(|f'(a)|, |f'(b)|) is the larger of each cell's */
 static inline double burgers_speed(double u) { return fabs(u); }
@@ -77,51 +93,75 @@ static inline double linear_speed(double u) { return 1.0; }
 typedef void step_fn(const double *w, double *out, double *f, int64_t n, double ratio,
                      double two_lam);
 
-/* out[1..n] = w[1..n] - (F[i] - F[i-1]) * ratio, face i between w[i] and w[i+1]: the
-   CELL pass over w[0..n+1] into the scratch row f, the faces into out[0..n], then the
-   update downward, reading out[i - 1] before it is overwritten.  out[0] keeps a face:
-   a ghost cell, refilled before it is read. */
-#define STEP(NAME, CELL, FACE)                                                       \
+/* The faces a step takes at a time, so that they stay in L1 between their pass and the
+   update.  A step that divides (by 3 in the cubic f, by two_lam in Lax-Friedrichs)
+   takes fewer, so that the divider's work on one block overlaps the passes around it;
+   the others take more, since a block's loop overheads cost a cheap step more. */
+#define FACE_BLOCK 512
+#define DIVIDING_BLOCK 64
+
+/* out[1..n] = w[1..n] - (F[i] - F[i-1]) * ratio, face i between w[i] and w[i+1], BLOCK
+   faces b .. end - 1 at a time: the CELL pass over cells b + 1 .. end (0 .. end in the
+   first block) into the next-state row out, the faces into the scratch row f, then the
+   update of cells b .. end - 1 upward, so that a cell's CELL value is read by both its
+   faces before its update overwrites it.  out[0] and out[n + 1] are ghost cells,
+   refilled before they are read. */
+#define STEP(NAME, BLOCK, CELL, FACE)                                                \
     CLONES static void step_##NAME(const double *restrict w, double *restrict out,   \
                                    double *restrict f, int64_t n, double ratio,      \
                                    double two_lam)                                   \
     {                                                                                \
-        for (int64_t i = 0; i <= n + 1; i++) {                                       \
-            CELL;                                                                    \
+        for (int64_t b = 0; b <= n; b += BLOCK) {                                    \
+            int64_t end = n + 1 - b < BLOCK ? n + 1 : b + BLOCK;                     \
+            for (int64_t i = b ? b + 1 : 0; i <= end; i++) {                         \
+                CELL;                                                                \
+            }                                                                        \
+            for (int64_t i = b; i < end; i++)                                        \
+                f[i] = FACE;                                                         \
+            for (int64_t i = b ? b : 1; i < end; i++)                                \
+                out[i] = w[i] - (f[i] - f[i - 1]) * ratio;                           \
         }                                                                            \
-        for (int64_t i = 0; i <= n; i++)                                             \
-            out[i] = FACE;                                                           \
-        for (int64_t i = n; i >= 1; i--)                                             \
-            out[i] = w[i] - (out[i] - out[i - 1]) * ratio;                           \
     }
 
 /* a flux that evaluates each of its cells' terms once per face needs no cell pass */
-#define FACE_STEP(FLUX) STEP(FLUX, , FLUX(w[i], w[i + 1], two_lam))
+#define FACE_STEP(FLUX, BLOCK) STEP(FLUX, BLOCK, , FLUX(w[i], w[i + 1], two_lam))
 
-FACE_STEP(godunov_burgers)
-FACE_STEP(engquist_osher_burgers)
-FACE_STEP(cubic_of_a)
-FACE_STEP(linear_of_a)
+FACE_STEP(godunov_burgers, FACE_BLOCK)
+FACE_STEP(engquist_osher_burgers, FACE_BLOCK)
+FACE_STEP(cubic_of_a, DIVIDING_BLOCK)
+
+/* the linear law's upwind face F[i] is w[i] itself: the update reads it there, in one
+   pass */
+CLONES static void step_linear_of_a(const double *restrict w, double *restrict out,
+                                    double *restrict f, int64_t n, double ratio,
+                                    double two_lam)
+{
+    for (int64_t i = 1; i <= n; i++)
+        out[i] = w[i] - (w[i] - w[i - 1]) * ratio;
+}
 
 /* Rusanov and Lax-Friedrichs, one template each over the law's f, read as F(i) for
    cell i: 0.5 * (f(a) + f(b)) - (0.5 * s) * (b - a) and 0.5 * (f(a) + f(b)) - (b - a) /
-   two_lam at each face, in the operation order of flux.numerical_flux.  The cubic f,
-   whose division costs more than a store and a load, is evaluated once per cell into
-   the row f; Burgers' and the linear f, cheaper than that, at each face. */
-#define RUSANOV_AND_LAX_FRIEDRICHS(LAW, CELL, F)                                     \
-    STEP(rusanov_##LAW, CELL,                                                        \
+   two_lam at each face, in the operation order of flux.numerical_flux; Rusanov takes
+   the law's BLOCK of faces at a time, Lax-Friedrichs, which divides, DIVIDING_BLOCK.
+   The cubic f, whose division costs more than a store and a load, is evaluated once
+   per cell into the next-state row; Burgers' and the linear f, cheaper than that, at
+   each face. */
+#define RUSANOV_AND_LAX_FRIEDRICHS(LAW, BLOCK, CELL, F)                              \
+    STEP(rusanov_##LAW, BLOCK, CELL,                                                 \
          0.5 * (F(i) + F(i + 1))                                                     \
              - (0.5 * np_maximum(LAW##_speed(w[i]), LAW##_speed(w[i + 1])))          \
                    * (w[i + 1] - w[i]))                                              \
-    STEP(lax_friedrichs_##LAW, CELL, 0.5 * (F(i) + F(i + 1)) - (w[i + 1] - w[i]) / two_lam)
+    STEP(lax_friedrichs_##LAW, DIVIDING_BLOCK, CELL,                                 \
+         0.5 * (F(i) + F(i + 1)) - (w[i + 1] - w[i]) / two_lam)
 
 #define BURGERS_AT_FACE(i) burgers(w[i])
-#define CUBIC_FROM_ROW(i) f[i]
+#define CUBIC_FROM_ROW(i) out[i]
 #define LINEAR_AT_FACE(i) w[i]
 
-RUSANOV_AND_LAX_FRIEDRICHS(burgers, , BURGERS_AT_FACE)
-RUSANOV_AND_LAX_FRIEDRICHS(cubic, f[i] = cubic(w[i]), CUBIC_FROM_ROW)
-RUSANOV_AND_LAX_FRIEDRICHS(linear, , LINEAR_AT_FACE)
+RUSANOV_AND_LAX_FRIEDRICHS(burgers, FACE_BLOCK, , BURGERS_AT_FACE)
+RUSANOV_AND_LAX_FRIEDRICHS(cubic, DIVIDING_BLOCK, out[i] = cubic(w[i]), CUBIC_FROM_ROW)
+RUSANOV_AND_LAX_FRIEDRICHS(linear, FACE_BLOCK, , LINEAR_AT_FACE)
 
 /* the step of each (numflux, law) pair, in the order of flux.PAIRS */
 static step_fn *const STEPS[] = {
@@ -132,10 +172,22 @@ static step_fn *const STEPS[] = {
     step_linear_of_a,
 };
 
+/* eight doubles, one vector of the v4 clone (two of v3's, four of the baseline's), and
+   their bits */
+typedef double lanes8 __attribute__((vector_size(64)));
+typedef int64_t bits8 __attribute__((vector_size(64)));
+
+/* the eight doubles at p, and |x| of each lane of x, as statement expressions: a
+   function that returns a vector changes the ABI of the baseline clone (-Wpsabi) */
+#define LOAD8(p) ({ lanes8 load_; memcpy(&load_, (p), sizeof load_); load_; })
+#define FABS8(x) ((lanes8)((bits8)(x) & INT64_MAX))
+
 /* numpy's pairwise sum (pairwise_sum_DOUBLE) of TERM(v, i) for i < count: sequential
    below 8 terms, eight accumulators up to 128 (the leaf, NAME_leaf), else halves split
-   at a multiple of 8 */
-#define PAIRWISE_SUM(NAME, TERM)                                                     \
+   at a multiple of 8.  The leaf's accumulators are the lanes of one vector, lane j the
+   sum of terms j, j + 8, ... in order, which TERMS8(v, i), the terms i .. i + 7, adds
+   a vector at a time in each clone. */
+#define PAIRWISE_SUM(NAME, TERM, TERMS8)                                             \
     static inline __attribute__((always_inline))                                     \
     double NAME##_leaf(const double *v, int64_t count)                               \
     {                                                                                \
@@ -145,13 +197,10 @@ static step_fn *const STEPS[] = {
                 res += TERM(v, i);                                                   \
             return res;                                                              \
         }                                                                            \
-        double r[8];                                                                 \
+        lanes8 r = TERMS8(v, 0);                                                     \
         int64_t i;                                                                   \
-        for (int j = 0; j < 8; j++)                                                  \
-            r[j] = TERM(v, j);                                                       \
         for (i = 8; i < count - (count % 8); i += 8)                                 \
-            for (int j = 0; j < 8; j++)                                              \
-                r[j] += TERM(v, i + j);                                              \
+            r += TERMS8(v, i);                                                       \
         double res = ((r[0] + r[1]) + (r[2] + r[3]))                                 \
                      + ((r[4] + r[5]) + (r[6] + r[7]));                              \
         for (; i < count; i++)                                                       \
@@ -169,10 +218,12 @@ static step_fn *const STEPS[] = {
     }
 
 #define ABS_DIFF(v, i) fabs((v)[(i) + 1] - (v)[i])
+#define ABS_DIFFS8(v, i) FABS8(LOAD8((v) + (i) + 1) - LOAD8((v) + (i)))
 #define VALUE(v, i) ((v)[i])
+#define VALUES8(v, i) LOAD8((v) + (i))
 
-PAIRWISE_SUM(pairwise_abs_diff, ABS_DIFF)
-PAIRWISE_SUM(pairwise_sum, VALUE)
+PAIRWISE_SUM(pairwise_abs_diff, ABS_DIFF, ABS_DIFFS8)
+PAIRWISE_SUM(pairwise_sum, VALUE, VALUES8)
 
 /* numpy_kernels.variation of the n values v: np.sum of the n - 1 jumps, whose
    reduction starts from 0.0, and the wrap-around jump if periodic */

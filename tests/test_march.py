@@ -14,9 +14,9 @@
   short last step or on a whole one, snapshots fall on the march's 64-step
   checks, and t_final can be 0.  The states have 1-1,001 cells, so that they
   fill the vectors of each clone and leave tails.  Built for one x86-64 level at
-  a time, without clones, the C march gives the bits of the oracle's too, its
-  check after time point 63 included, and so do the C draw, level pass, log and
-  sincos.
+  a time, without clones, the C march gives the bits of the oracle's too, on
+  lengths at both sides of the seams of its blocks of faces, its check after
+  time point 63 included, and so do the C draw, level pass, log and sincos.
 - Each state ``evolve`` reads is one C call: a run makes one per positive
   snapshot time and one for t_final, its short last step included.
 - The C total variation equals the oracle's ``variation`` (numpy's pairwise
@@ -32,7 +32,8 @@
   and for k = 1-20 its blocked draw gives the bits and the stream state of the
   oracle's level-by-level draw.
 - ``_march.c`` builds with ``-Wall -Wextra -Werror`` (unused parameters aside),
-  and the x86 option ``-mprefer-vector-width`` is passed to gcc on x86-64 only.
+  with its clones and at each x86-64 level on its own, and the x86 option
+  ``-mprefer-vector-width`` is passed to gcc on x86-64 only.
   Every function it exports has a ctypes signature in ``_kernels``, and every
   signature a function.
 - Two processes building into one empty cache both succeed and leave one library
@@ -253,14 +254,16 @@ def test_each_block_is_one_c_call(monkeypatch, short):
 
 
 CLONES = '__attribute__((target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))'
+# gcc's warnings, unused parameters aside (the steps share one signature), as errors
+STRICT = ("-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror")
 
 
 @pytest.mark.parametrize("level, feature", [("x86-64", None), ("x86-64-v3", "X86_V3"),
                                             ("x86-64-v4", "X86_V4")])
 def test_each_clone_level_marches_the_numpy_bits(level, feature, tmp_path, monkeypatch,
                                                   fresh_loader):
-    # the library built from a copy of _march.c without clones, for one level only:
-    # the code each clone runs, and the code of a build off x86-64
+    # the library built from a copy of _march.c without clones, for one level only and
+    # with STRICT: the code each clone runs, and the code of a build off x86-64
     try:
         from numpy._core._multiarray_umath import __cpu_features__ as cpu_features
     except ImportError:  # numpy 1.x
@@ -273,7 +276,7 @@ def test_each_clone_level_marches_the_numpy_bits(level, feature, tmp_path, monke
     assert source.count(CLONES) == 1
     (tmp_path / "_march.c").write_text(source.replace(CLONES, ""))
     monkeypatch.setattr(_kernels, "__file__", str(tmp_path / "_kernels.py"))
-    monkeypatch.setattr(_kernels, "_FLAGS", (*_kernels._FLAGS, f"-march={level}"))
+    monkeypatch.setattr(_kernels, "_FLAGS", (*_kernels._FLAGS, f"-march={level}", *STRICT))
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     _kernels.load.cache_clear()
     lib = _kernels.load()
@@ -281,7 +284,9 @@ def test_each_clone_level_marches_the_numpy_bits(level, feature, tmp_path, monke
 
     rng = np.random.default_rng(18)
     specials = np.array([*SPECIAL, np.nan, np.inf, -np.inf])
-    for n in [1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 129, 1000]:
+    # the lengths include both sides of the seams of the steps' blocks of 64 and 512 faces
+    for n in [1, 2, 3, 7, 8, 9, 15, 16, 17, 62, 63, 64, 65, 127, 128, 129, 200, 510, 511,
+              512, 1000]:
         for scale in (1e-300, 1.0, 1e3):
             v = rng.standard_normal(n) * scale
             # a tenth of the cells signed zeros, subnormals, and inf and nan at 1e3
@@ -458,8 +463,7 @@ def test_the_blocked_path_has_the_bits_of_the_level_by_level_path(hurst, seed):
 
 def test_march_c_builds_without_warnings(tmp_path):
     source = Path(_kernels.__file__).with_name("_march.c")
-    strict = ("-Wall", "-Wextra", "-Wno-unused-parameter", "-Werror")
-    build = subprocess.run(["gcc", *_kernels._FLAGS, *strict, "-o", str(tmp_path / "march.so"),
+    build = subprocess.run(["gcc", *_kernels._FLAGS, *STRICT, "-o", str(tmp_path / "march.so"),
                             str(source)], capture_output=True, text=True)
     assert build.returncode == 0, build.stderr
 

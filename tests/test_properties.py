@@ -7,6 +7,9 @@ and equation pair the package accepts, on small random grids.
 - L1-contraction (Crandall-Majda 1980): one step no longer than the pair's
   monotone bound never moves two periodic solutions apart in L1, and one
   Rusanov-Burgers step past it does;
+- the compiled step is monotone at that bound: raising every third cell of a
+  row lowers no cell one step on, and at cfl 1/2 both Rusanov pairs fail this
+  probe;
 - the Godunov closed form equals a sampling min/max of f over the Riemann
   fan, for all three laws;
 - ``evolve`` and a loop of ``step`` calls over the same dt schedule give the
@@ -91,6 +94,35 @@ def test_periodic_l1_contraction(kind, spec, pair):
         before = l1_distance(u, v)
         u, v = step(u, cfg, dt), step(v, cfg, dt)
         assert l1_distance(u, v) <= before + 1e-12
+
+
+# the probe's rise, 1/64 of the data's range [-1, 1]
+RISE = 2.0 / 64.0
+
+
+def lowered_cells(kind, spec, dx_per_dt, m=4096, seed=11):
+    """The interior cells that one step of dx/``dx_per_dt`` ends lower, by more than
+    round-off, after every third cell of a row of 3m values in [-1, 1] is raised by
+    RISE, for each of the three offsets: a monotone step H(v_{i-1}, v_i, v_{i+1})
+    lowers none.  (Where a partial derivative of H is 0, as dH/dv_i of Lax-Friedrichs
+    at its own mesh ratio is, the rounded step can move by an ulp either way.)"""
+    vals = np.random.default_rng(seed).uniform(-1.0, 1.0, 3 * m)
+    u = field(vals)
+    cfg, dt = scheme(kind, spec, Boundary.OUTFLOW), u.grid.dx / dx_per_dt
+    base = step(u, cfg, dt).values
+    raised = (np.arange(vals.size) % 3 == offset for offset in range(3))
+    return sum(int(np.sum(step(field(vals + RISE * r), cfg, dt).values[1:-1]
+                          < base[1:-1] - 1e-12)) for r in raised)
+
+
+@pytest.mark.parametrize("kind, spec", PAIRS, ids=PAIR_IDS)
+def test_the_compiled_step_is_monotone_at_its_bound(kind, spec):
+    assert lowered_cells(kind, spec, MONOTONE_STEP.get((kind, spec), 2)) == 0
+
+
+@pytest.mark.parametrize("spec", [FluxSpec.BURGERS, FluxSpec.CUBIC], ids=lambda s: s.value)
+def test_the_monotonicity_probe_flags_rusanov_at_cfl_one_half(spec):
+    assert lowered_cells(NumFluxKind.RUSANOV, spec, 2) > 0
 
 
 def test_rusanov_burgers_past_its_monotone_step_moves_solutions_apart():
